@@ -14,7 +14,6 @@ Subpackages/modules:
 from .signal_data import SampleSeries, Window, extract_windows, load_csv, write_csv
 from .model import ArchConfig, GestureNet, TrainHyper, train
 from .pipeline import (
-    GestureSegment,
     LabelTrack,
     detect_procedure,
     gesture_durations,

@@ -11,7 +11,7 @@ a per-sample 10-way classifier head.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -169,7 +169,6 @@ class GestureNet:
         self.head = Conv1d(in_ch, config.num_classes, 1, rng=rng)
         # damp the classifier init so fresh-model logits stay near uniform
         self.head.w.value *= 0.5
-        self._cache = None
 
     # -- parameter bookkeeping ------------------------------------------------
 
@@ -237,12 +236,9 @@ class GestureNet:
         logits = self.head.forward(x, mode)
         if not np.isfinite(logits).all():
             raise FloatingPointError("non-finite logits produced")
-        self._cache = True
         return logits
 
     def backward(self, grad_logits):
-        if self._cache is None:
-            raise RuntimeError("backward called before forward")
         g = self.head.backward(grad_logits)
         grad_skips_a = [None] * len(self.enc_a)
         grad_skips_g = [None] * len(self.enc_g)
@@ -287,17 +283,24 @@ class GestureNet:
         return bits
 
     def _apply_tensors(self, tensors: dict):
-        params = self.params()
-        for name, p in params.items():
+        def take(name, shape):
             if name not in tensors:
                 raise ckpt.CheckpointError(f"checkpoint missing tensor '{name}'")
-            if tensors[name].shape != p.value.shape:
-                raise ckpt.CheckpointError(f"checkpoint tensor '{name}' has wrong shape")
-            p.value = np.asarray(tensors[name], dtype=np.float64)
+            value = np.asarray(tensors[name], dtype=np.float64)
+            if value.shape != shape:
+                raise ckpt.CheckpointError(
+                    f"checkpoint tensor '{name}' has shape {value.shape}, expected {shape}"
+                )
+            if not np.isfinite(value).all():
+                raise ckpt.CheckpointError(f"checkpoint tensor '{name}' contains NaN/Inf")
+            return value
+
+        for name, p in self.params().items():
+            p.value = take(name, p.value.shape)
             p.grad = np.zeros_like(p.value)
         for i, bn in enumerate(self._bn_layers()):
-            bn.running_mean = np.asarray(tensors[f"bn_stats.{i}.mean"], dtype=np.float64)
-            bn.running_var = np.asarray(tensors[f"bn_stats.{i}.var"], dtype=np.float64)
+            bn.running_mean = take(f"bn_stats.{i}.mean", (bn.channels,))
+            bn.running_var = take(f"bn_stats.{i}.var", (bn.channels,))
 
     @classmethod
     def load(cls, path) -> "GestureNet":

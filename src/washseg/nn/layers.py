@@ -1,10 +1,11 @@
 """Dense 1D layer library with hand-derived backward passes.
 
 All tensors are numpy float64 arrays shaped (batch, channels, time) unless
-noted otherwise. Each layer caches whatever its backward pass needs during
-forward; calling backward without a prior forward raises ``RuntimeError``.
-Parameter values are only ever mutated by an optimizer — forward/backward
-touch gradients exclusively.
+noted otherwise. Layers cache their input (activations: their output) and
+derive masks, normalized inputs and argmax positions in backward, which
+raises ``RuntimeError`` without a prior forward. Kernels read strided slices
+and never copy their input. Parameter values are only ever mutated by an
+optimizer — forward/backward touch gradients exclusively.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 
 class Param:
@@ -52,10 +52,18 @@ def _require_cache(cache, name):
     return cache
 
 
+def _window_slices(t_in, window, stride):
+    """Slice j picks element j of every pooling window along time."""
+    span = (t_in - window) // stride * stride + 1
+    return [slice(j, j + span, stride) for j in range(window)]
+
+
 class Conv1d(Layer):
     """Cross-correlation with zero padding.
 
-    Output length is floor((T + 2*pad - K) / stride) + 1.
+    Output length is floor((T + 2*pad - K) / stride) + 1. Output j of tap k
+    reads input j*stride + k - pad; each tap's span is clipped to x, so the
+    padding is never materialised.
     """
 
     def __init__(self, in_ch, out_ch, kernel, stride=1, pad=0, rng=None):
@@ -74,6 +82,17 @@ class Conv1d(Layer):
     def params(self):
         return {"w": self.w, "b": self.b}
 
+    def _spans(self, t_in):
+        """(tap, output slice, input slice) for every tap that reaches x."""
+        s, p = self.stride, self.pad
+        t_out = (t_in + 2 * p - self.kernel) // s + 1
+        spans = []
+        for k in range(self.kernel):
+            lo, hi = max(0, (p - k + s - 1) // s), min(t_out, (t_in - 1 + p - k) // s + 1)
+            if hi > lo:
+                spans.append((k, slice(lo, hi), slice(lo * s + k - p, (hi - 1) * s + k - p + 1, s)))
+        return t_out, spans
+
     def forward(self, x, mode="train"):
         if x.shape[1] != self.in_ch:
             raise ValueError(
@@ -81,34 +100,25 @@ class Conv1d(Layer):
             )
         if x.shape[2] + 2 * self.pad < self.kernel:
             raise ValueError("conv1d: padded input shorter than kernel")
-        xp = np.pad(x, ((0, 0), (0, 0), (self.pad, self.pad))) if self.pad else x
-        cols = sliding_window_view(xp, self.kernel, axis=2)[:, :, :: self.stride]
-        # per-example matmul keeps the reduction order independent of batch
-        # size, so eval outputs are bit-identical however windows are batched
-        flat = np.ascontiguousarray(cols.transpose(0, 2, 1, 3)).reshape(
-            cols.shape[0], cols.shape[2], -1
-        )
-        w2 = self.w.value.reshape(self.out_ch, -1).T
-        out = (flat @ w2).transpose(0, 2, 1) + self.b.value[None, :, None]
-        self._cache = (x.shape, xp, cols)
+        t_out, spans = self._spans(x.shape[2])
+        taps = np.ascontiguousarray(self.w.value.transpose(2, 0, 1))  # (K, O, C)
+        out = np.broadcast_to(self.b.value[:, None], (x.shape[0], self.out_ch, t_out)).copy()
+        # (O, C) @ (C, T') per example keeps the reduction order independent of
+        # batch size, so eval outputs are bit-identical however windows are
+        # batched; one flat (B*T', C*K) GEMM is not (README, "Layer kernels")
+        for k, o_sl, i_sl in spans:
+            out[:, :, o_sl] += taps[k] @ x[:, :, i_sl]
+        self._cache = (x, taps, spans)
         return out
 
     def backward(self, grad_out):
-        x_shape, xp, cols = _require_cache(self._cache, "Conv1d")
-        self.w.grad += np.einsum("bot,bctk->ock", grad_out, cols, optimize=True)
+        x, taps, spans = _require_cache(self._cache, "Conv1d")
+        grad_x = np.zeros(x.shape)
+        for k, o_sl, i_sl in spans:
+            g = grad_out[:, :, o_sl]
+            grad_x[:, :, i_sl] += taps[k].T @ g
+            self.w.grad[:, :, k] += (g @ x[:, :, i_sl].transpose(0, 2, 1)).sum(axis=0)
         self.b.grad += grad_out.sum(axis=(0, 2))
-        grad_xp = np.zeros_like(xp)
-        t_out = grad_out.shape[2]
-        for k in range(self.kernel):
-            # xp index hit by output position t and tap k is t*stride + k
-            contrib = np.einsum(
-                "bot,oc->bct", grad_out, self.w.value[:, :, k], optimize=True
-            )
-            grad_xp[:, :, k : k + self.stride * t_out : self.stride] += contrib
-        if self.pad:
-            grad_x = grad_xp[:, :, self.pad : grad_xp.shape[2] - self.pad]
-        else:
-            grad_x = grad_xp
         return grad_x
 
 
@@ -145,38 +155,44 @@ class BatchNorm1d(Layer):
             mean = self.running_mean
             var = self.running_var
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        xhat = (x - mean[None, :, None]) * inv_std[None, :, None]
-        out = self.gamma.value[None, :, None] * xhat + self.beta.value[None, :, None]
-        self._cache = (xhat, inv_std, mode)
-        return out
+        scale = self.gamma.value * inv_std
+        shift = self.beta.value - mean * scale
+        self._cache = (x, mean, inv_std, mode)
+        return x * scale[:, None] + shift[:, None]
 
     def backward(self, grad_out):
-        xhat, inv_std, mode = _require_cache(self._cache, "BatchNorm1d")
-        self.gamma.grad += (grad_out * xhat).sum(axis=(0, 2))
-        self.beta.grad += grad_out.sum(axis=(0, 2))
-        g = grad_out * self.gamma.value[None, :, None]
+        x, mean, inv_std, mode = _require_cache(self._cache, "BatchNorm1d")
+        xhat = (x - mean[:, None]) * inv_std[:, None]
+        d_gamma = (grad_out * xhat).sum(axis=(0, 2))
+        d_beta = grad_out.sum(axis=(0, 2))
+        self.gamma.grad += d_gamma
+        self.beta.grad += d_beta
+        scale = self.gamma.value * inv_std
         if mode != "train":
-            return g * inv_std[None, :, None]
+            return grad_out * scale[:, None]
+        # batch-statistics gradient; its reductions are gamma*d_beta, gamma*d_gamma
         n = grad_out.shape[0] * grad_out.shape[2]
-        # full batch-statistics gradient
-        sum_g = g.sum(axis=(0, 2), keepdims=True)
-        sum_gx = (g * xhat).sum(axis=(0, 2), keepdims=True)
-        return (inv_std[None, :, None] / n) * (n * g - sum_g - xhat * sum_gx)
+        grad_x = n * grad_out - d_beta[:, None]
+        grad_x -= xhat * d_gamma[:, None]
+        grad_x *= (scale / n)[:, None]
+        return grad_x
 
 
 class LeakyReLU(Layer):
     def __init__(self, slope=0.01):
+        if not 0.0 <= slope <= 1.0:
+            raise ValueError("leaky relu slope must lie in [0, 1]")
         self.slope = slope
         self._cache = None
 
     def forward(self, x, mode="train"):
-        mask = x > 0
-        self._cache = mask
-        return np.where(mask, x, self.slope * x)
+        out = np.maximum(x, self.slope * x)
+        self._cache = out  # out > 0 exactly where x > 0, for slope in [0, 1]
+        return out
 
     def backward(self, grad_out):
-        mask = _require_cache(self._cache, "LeakyReLU")
-        return np.where(mask, grad_out, self.slope * grad_out)
+        out = _require_cache(self._cache, "LeakyReLU")
+        return np.where(out > 0, grad_out, self.slope * grad_out)
 
 
 class Sigmoid(Layer):
@@ -194,6 +210,8 @@ class Sigmoid(Layer):
 
 
 class MaxPool1d(Layer):
+    """Max over each window; ties go to the earliest position in it."""
+
     def __init__(self, window, stride=None):
         self.window = window
         self.stride = stride if stride is not None else window
@@ -202,21 +220,21 @@ class MaxPool1d(Layer):
     def forward(self, x, mode="train"):
         if x.shape[2] < self.window:
             raise ValueError("maxpool1d: input shorter than pooling window")
-        cols = sliding_window_view(x, self.window, axis=2)[:, :, :: self.stride]
-        idx = cols.argmax(axis=3)
-        out = np.take_along_axis(cols, idx[..., None], axis=3)[..., 0]
-        self._cache = (x.shape, idx)
+        first, *rest = _window_slices(x.shape[2], self.window, self.stride)
+        out = x[:, :, first].copy()
+        for sl in rest:
+            np.maximum(out, x[:, :, sl], out=out)
+        self._cache = (x, out)
         return out
 
     def backward(self, grad_out):
-        x_shape, idx = _require_cache(self._cache, "MaxPool1d")
-        b, c, t_out = grad_out.shape
-        grad_x = np.zeros(x_shape)
-        starts = np.arange(t_out) * self.stride
-        pos = starts[None, None, :] + idx  # (B, C, T')
-        bi = np.arange(b)[:, None, None]
-        ci = np.arange(c)[None, :, None]
-        np.add.at(grad_x, (bi, ci, pos), grad_out)
+        x, out = _require_cache(self._cache, "MaxPool1d")
+        grad_x = np.zeros(x.shape)
+        free = np.ones(out.shape, dtype=bool)  # gradient not yet routed
+        for sl in _window_slices(x.shape[2], self.window, self.stride):
+            hit = free & (x[:, :, sl] == out)
+            grad_x[:, :, sl] += np.where(hit, grad_out, 0.0)
+            free &= ~hit
         return grad_x
 
 
@@ -229,17 +247,16 @@ class AvgPool1d(Layer):
     def forward(self, x, mode="train"):
         if x.shape[2] < self.window:
             raise ValueError("avgpool1d: input shorter than pooling window")
-        cols = sliding_window_view(x, self.window, axis=2)[:, :, :: self.stride]
+        slices = _window_slices(x.shape[2], self.window, self.stride)
         self._cache = x.shape
-        return cols.mean(axis=3)
+        return sum(x[:, :, sl] for sl in slices) / self.window
 
     def backward(self, grad_out):
         x_shape = _require_cache(self._cache, "AvgPool1d")
         grad_x = np.zeros(x_shape)
         share = grad_out / self.window
-        t_out = grad_out.shape[2]
-        for k in range(self.window):
-            grad_x[:, :, k : k + self.stride * t_out : self.stride] += share
+        for sl in _window_slices(x_shape[2], self.window, self.stride):
+            grad_x[:, :, sl] += share
         return grad_x
 
 
@@ -343,7 +360,7 @@ class PPMBlock(Layer):
         self.reduce_ch = reduce_ch
         self.pools = [AvgPool1d(s, s) for s in self.POOL_SIZES]
         self.reducers = [Conv1d(channels, reduce_ch, 1, rng=rng) for _ in self.POOL_SIZES]
-        self._cache = None
+        self.ups = [Upsample1d(s) for s in self.POOL_SIZES]
 
     @property
     def out_channels(self):
@@ -360,23 +377,14 @@ class PPMBlock(Layer):
         t = x.shape[2]
         if t % max(self.POOL_SIZES) != 0:
             raise ValueError(f"ppm_block: temporal length {t} not divisible by 8")
-        branches = [x]
-        for pool, conv, size in zip(self.pools, self.reducers, self.POOL_SIZES):
-            pooled = conv.forward(pool.forward(x, mode), mode)
-            branches.append(np.repeat(pooled, t // pooled.shape[2], axis=2))
-        self._cache = (x.shape, t)
+        branches = [x] + [up.forward(conv.forward(pool.forward(x, mode), mode), mode)
+                          for pool, conv, up in zip(self.pools, self.reducers, self.ups)]
         return np.concatenate(branches, axis=1)
 
     def backward(self, grad_out):
-        x_shape, t = _require_cache(self._cache, "PPMBlock")
         grad_x = grad_out[:, : self.channels].copy()
-        offset = self.channels
-        for pool, conv, size in zip(self.pools, self.reducers, self.POOL_SIZES):
-            g = grad_out[:, offset : offset + self.reduce_ch]
-            offset += self.reduce_ch
-            pooled_t = t // size
-            factor = t // pooled_t
-            b, c = g.shape[0], g.shape[1]
-            g_pooled = g.reshape(b, c, pooled_t, factor).sum(axis=3)
-            grad_x += pool.backward(conv.backward(g_pooled))
+        for i, (pool, conv, up) in enumerate(zip(self.pools, self.reducers, self.ups)):
+            lo = self.channels + i * self.reduce_ch
+            g = grad_out[:, lo : lo + self.reduce_ch]
+            grad_x += pool.backward(conv.backward(up.backward(g)))
         return grad_x

@@ -37,17 +37,6 @@ class LabelTrack:
         return self.labels.size
 
 
-@dataclass(frozen=True)
-class GestureSegment:
-    label: int
-    onset_time: float
-    offset_time: float
-
-    @property
-    def duration(self) -> float:
-        return self.offset_time - self.onset_time
-
-
 def infer_track(model, series: SampleSeries, stride: int = 64, batch: int = 512) -> LabelTrack:
     """Run sliding-window inference over a whole series.
 
@@ -63,19 +52,19 @@ def infer_track(model, series: SampleSeries, stride: int = 64, batch: int = 512)
     windows = extract_windows(series, length, stride)
     preds = _predict_windows(model, windows, batch)
 
-    labels = np.zeros(n, dtype=np.int64)
-    votes = np.zeros((n, NUM_CLASSES), dtype=np.int64)
-    filled = np.zeros(n, dtype=bool)
-    for w, p in zip(windows, preds):
-        sl = slice(w.start_index, w.start_index + length)
-        np.add.at(votes[sl], (np.arange(length), p), 1)
-        if w.tail:
-            unfilled = ~filled[sl]
-            labels[sl][...] = np.where(unfilled, p, labels[sl])
-        else:
-            labels[sl] = p
-        filled[sl] = True
-    return LabelTrack(labels=labels, votes=votes)
+    starts = np.array([w.start_index for w in windows])
+    sample = starts[:, None] + np.arange(length)  # (windows, length) sample indices
+    votes = np.bincount((sample * NUM_CLASSES + preds).ravel(), minlength=n * NUM_CLASSES)
+    # a sample takes its label from the last window over it; the end-aligned
+    # tail window only fills samples no earlier window reached, and samples
+    # no window reached (stride > length) stay 0
+    i = np.arange(n)
+    regular = starts[:-1] if windows[-1].tail else starts
+    owner = np.searchsorted(regular, i, side="right") - 1
+    owner[i - starts[owner] >= length] = len(starts) - 1
+    offset = i - starts[owner]
+    labels = np.where((offset >= 0) & (offset < length), preds[owner, offset % length], 0)
+    return LabelTrack(labels=labels, votes=votes.reshape(n, NUM_CLASSES))
 
 
 def _predict_windows(model, windows, batch):

@@ -1,15 +1,15 @@
 """Labeled 6-axis IMU recordings: CSV ingestion and sliding windows.
 
 CSV contract: UTF-8, header exactly ``t,ax,ay,az,gx,gy,gz,label``, one row
-per nominal 20 ms tick at 50 Hz. Timestamps are decimal seconds and must
-be strictly increasing; labels are integers 0..9 (0 = background, 1..9 =
-the nine guideline gestures). Corpus files are named
-``<location>_<participant>_<procedure>.csv``.
+per nominal 20 ms tick at 50 Hz. Numeric fields must be finite; timestamps
+are decimal seconds and must be strictly increasing; labels are integers
+0..9 (0 = background, 1..9 = the nine guideline gestures). Corpus files are
+named ``<location>_<participant>_<procedure>.csv``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,50 +90,50 @@ def load_csv(path, participant_id="", location_id="", procedure_id=0,
     Identity fields default to empty and can be filled by the caller
     (e.g. from the ``<location>_<participant>_<procedure>.csv`` filename).
     """
-    ts, accs, gyrs, labels = [], [], [], []
+    def error(lineno, message):
+        return SeriesFormatError(f"{path}: line {lineno}: {message}")
+
+    rows, labels, linenos = [], [], []
     with open(path, "r", encoding="utf-8") as f:
         header = f.readline().strip()
         if header != CSV_HEADER:
-            raise SeriesFormatError(
-                f"{path}: line 1: header must be exactly '{CSV_HEADER}', got '{header}'"
-            )
+            raise error(1, f"header must be exactly '{CSV_HEADER}', got '{header}'")
         for lineno, line in enumerate(f, start=2):
             line = line.strip()
             if not line:
                 continue
             fields = line.split(",")
             if len(fields) != 8:
-                raise SeriesFormatError(
-                    f"{path}: line {lineno}: expected 8 columns, got {len(fields)}"
-                )
+                raise error(lineno, f"expected 8 columns, got {len(fields)}")
             try:
                 vals = [float(v) for v in fields[:7]]
                 lab = int(fields[7])
             except ValueError:
-                raise SeriesFormatError(
-                    f"{path}: line {lineno}: non-numeric field"
-                ) from None
+                raise error(lineno, "non-numeric field") from None
             if not 0 <= lab < NUM_CLASSES:
-                raise SeriesFormatError(
-                    f"{path}: line {lineno}: label {lab} outside 0..9"
-                )
-            if ts and vals[0] <= ts[-1]:
-                raise SeriesFormatError(
-                    f"{path}: line {lineno}: timestamp {vals[0]} not strictly increasing"
-                )
-            ts.append(vals[0])
-            accs.append(vals[1:4])
-            gyrs.append(vals[4:7])
+                raise error(lineno, f"label {lab} outside 0..9")
+            rows.append(vals)
             labels.append(lab)
-    if not ts:
+            linenos.append(lineno)
+    if not rows:
         raise SeriesFormatError(f"{path}: empty file (no data rows)")
+    data = np.array(rows)
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        row, col = bad[0]
+        name = CSV_HEADER.split(",")[col]
+        raise error(linenos[row], f"non-finite {name} value {data[row, col]}")
+    later = np.flatnonzero(np.diff(data[:, 0]) <= 0)
+    if later.size:
+        row = later[0] + 1
+        raise error(linenos[row], f"timestamp {data[row, 0]} not strictly increasing")
     return SampleSeries(
         participant_id=participant_id,
         location_id=location_id,
         procedure_id=procedure_id,
-        t=np.array(ts),
-        accel=np.array(accs).T,
-        gyro=np.array(gyrs).T,
+        t=data[:, 0],
+        accel=data[:, 1:4].T,
+        gyro=data[:, 4:7].T,
         label=np.array(labels, dtype=np.int64),
         rate_hz=rate_hz,
     )

@@ -36,6 +36,18 @@ def maxpool1d_loops(x, window, stride):
     return out
 
 
+def maxpool1d_backward_loops(x, grad_out, window, stride):
+    """Each output's gradient goes to the first position holding its window's max."""
+    bsz, c, t = x.shape
+    grad_x = np.zeros_like(x)
+    for n in range(bsz):
+        for ch in range(c):
+            for j in range(grad_out.shape[2]):
+                win = list(x[n, ch, j * stride : j * stride + window])
+                grad_x[n, ch, j * stride + win.index(max(win))] += grad_out[n, ch, j]
+    return grad_x
+
+
 def avgpool1d_loops(x, window, stride):
     bsz, c, t = x.shape
     t_out = (t - window) // stride + 1

@@ -97,3 +97,42 @@ class TestModelCheckpoint:
         bits = model.save(tmp_path / "m.ckpt")
         assert bits == rep["total_bits"]
         assert rep["payload_bits"] == 32 * rep["parameter_count"]
+
+
+class TestStrictApply:
+    """Incomplete or corrupt tensor sets fail at load, naming the tensor."""
+
+    @staticmethod
+    def _resave(tmp_path, edit):
+        model = GestureNet(ArchConfig(), seed=4)
+        tensors = model.named_tensors()
+        edit(tensors)
+        path = tmp_path / "edited.ckpt"
+        ckpt.save_checkpoint(path, model.config.to_text(), tensors)
+        return path
+
+    @pytest.mark.parametrize("name", ["bn_stats.0.mean", "bn_stats.5.var", "head.w"])
+    def test_missing_tensor_named(self, tmp_path, name):
+        path = self._resave(tmp_path, lambda t: t.pop(name))
+        with pytest.raises(ckpt.CheckpointError, match=f"missing tensor '{name}'"):
+            GestureNet.load(path)
+
+    @pytest.mark.parametrize("name", ["bn_stats.2.mean", "bn_stats.8.var", "dec.0.bn.gamma"])
+    def test_wrong_shape_named(self, tmp_path, name):
+        def edit(t):
+            t[name] = np.zeros(t[name].size + 1)
+
+        path = self._resave(tmp_path, edit)
+        with pytest.raises(ckpt.CheckpointError, match=f"'{name}' has shape"):
+            GestureNet.load(path)
+
+    @pytest.mark.parametrize("name,value", [("head.w", np.nan), ("enc_a.0.conv.b", np.inf),
+                                            ("bn_stats.3.var", -np.inf)])
+    def test_non_finite_named(self, tmp_path, name, value):
+        def edit(t):
+            t[name] = t[name].copy()
+            t[name].reshape(-1)[0] = value
+
+        path = self._resave(tmp_path, edit)
+        with pytest.raises(ckpt.CheckpointError, match=f"'{name}' contains NaN/Inf"):
+            GestureNet.load(path)

@@ -35,6 +35,24 @@ def layer_loss_check(layer, inputs, seed=0, **kwargs):
     return grad_check(loss_fn, layer.params(), tolerance=1e-6, rng=rng)
 
 
+def input_grad_check(layer, x, mode="train", tol=1e-6):
+    """Central differences of a random linear readout against the input gradient."""
+    probes = np.random.default_rng(7).standard_normal(layer.forward(x, mode=mode).shape)
+    layer.forward(x, mode=mode)
+    gx = layer.backward(probes)
+    h = 1e-6
+    flat = x.reshape(-1)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + h
+        lp = float((layer.forward(x, mode=mode) * probes).sum())
+        flat[i] = orig - h
+        lm = float((layer.forward(x, mode=mode) * probes).sum())
+        flat[i] = orig
+        fd = (lp - lm) / (2 * h)
+        assert abs(fd - gx.reshape(-1)[i]) < tol * max(1.0, abs(fd)), (i, fd, gx.reshape(-1)[i])
+
+
 class TestConv1d:
     def test_edge_detector_fixture(self):
         # [1,2,3,4] * [1,0,-1], pad 1: hand-computed sliding dot products
@@ -78,6 +96,34 @@ class TestConv1d:
         conv = Conv1d(3, 4, 3, stride=2, pad=1, rng=rng)
         rep = layer_loss_check(conv, rng.standard_normal((2, 3, 12)))
         assert rep.max_error < 1e-6, rep.failures
+
+    @pytest.mark.parametrize("kernel,pad", [(3, 1), (1, 2)])
+    def test_stride1_padded_gradients(self, rng, kernel, pad):
+        conv = Conv1d(3, 4, kernel, pad=pad, rng=rng)
+        x = rng.standard_normal((2, 3, 9))
+        rep = layer_loss_check(conv, x)
+        assert rep.max_error < 1e-6, rep.failures
+        input_grad_check(conv, x)
+
+    def test_outputs_reaching_only_padding_equal_bias(self, rng):
+        conv = Conv1d(2, 3, 1, pad=2, rng=rng)
+        conv.b.value[:] = [0.5, -1.0, 2.0]
+        x = rng.standard_normal((2, 2, 7))
+        out = conv.forward(x)
+        assert out.shape == (2, 3, 11)
+        for t in (0, 1, 9, 10):
+            np.testing.assert_array_equal(out[:, :, t], np.broadcast_to(conv.b.value, (2, 3)))
+        expected = oracle.conv1d_loops(x, conv.w.value, conv.b.value, 1, 2)
+        np.testing.assert_allclose(out, expected, atol=1e-12)
+
+    def test_strided_padded_input_gradients(self, rng):
+        for _ in range(6):
+            k = int(rng.integers(1, 5))
+            stride = int(rng.integers(1, 4))
+            pad = int(rng.integers(0, 3))
+            t = int(rng.integers(max(k - 2 * pad, 1), 12))
+            conv = Conv1d(2, 3, k, stride=stride, pad=pad, rng=rng)
+            input_grad_check(conv, rng.standard_normal((2, 2, t)))
 
     def test_zero_grad_out_gives_zero_grads(self, rng):
         conv = Conv1d(2, 2, 3, rng=rng)
@@ -161,6 +207,30 @@ class TestBatchNorm:
             fd = (lp - lm) / (2 * h)
             assert abs(fd - gx[idx]) / max(abs(fd), abs(gx[idx]), 1e-8) < 1e-5
 
+    def test_eval_backward(self, rng):
+        bn = BatchNorm1d(3)
+        bn.running_mean[:] = [0.5, -1.0, 2.0]
+        bn.running_var[:] = [0.25, 4.0, 1.5]
+        bn.gamma.value[:] = [1.5, -0.5, 2.0]
+        x = rng.standard_normal((3, 3, 6))
+        rep = layer_loss_check(bn, x, mode="eval")
+        assert rep.max_error < 1e-6, rep.failures
+        input_grad_check(bn, x, mode="eval")
+        np.testing.assert_array_equal(bn.running_mean, [0.5, -1.0, 2.0])
+
+    def test_eval_is_affine_in_running_stats(self, rng):
+        bn = BatchNorm1d(2)
+        bn.running_mean[:] = [1.0, -2.0]
+        bn.running_var[:] = [4.0, 0.5]
+        bn.gamma.value[:] = [2.0, 3.0]
+        bn.beta.value[:] = [0.5, -0.5]
+        x = rng.standard_normal((2, 2, 5))
+        expected = (
+            bn.gamma.value[:, None] * (x - bn.running_mean[:, None])
+            / np.sqrt(bn.running_var[:, None] + bn.eps) + bn.beta.value[:, None]
+        )
+        np.testing.assert_allclose(bn.forward(x, mode="eval"), expected, atol=1e-12)
+
 
 class TestSimpleLayers:
     def test_leaky_relu_definition(self):
@@ -168,6 +238,46 @@ class TestSimpleLayers:
         np.testing.assert_allclose(
             act.forward(np.array([[[-1.0, 2.0]]])), [[[-0.01, 2.0]]]
         )
+
+    def test_leaky_relu_bits_match_where(self, rng):
+        act = LeakyReLU(0.01)
+        x = np.concatenate([rng.standard_normal(50), [0.0, -0.0, 1e-300, -1e-300]])
+        x = x.reshape(1, 2, -1)
+        np.testing.assert_array_equal(act.forward(x), np.where(x > 0, x, 0.01 * x))
+
+    def test_leaky_relu_slope_outside_unit_interval_rejected(self):
+        for slope in (-0.1, 1.5):
+            with pytest.raises(ValueError):
+                LeakyReLU(slope)
+
+    def test_leaky_relu_eval_backward(self, rng):
+        act = LeakyReLU(0.2)
+        x = rng.standard_normal((2, 3, 7)) + 0.05
+        act.forward(x, mode="eval")
+        g = rng.standard_normal(x.shape)
+        np.testing.assert_array_equal(act.backward(g), np.where(x > 0, g, 0.2 * g))
+        input_grad_check(act, x, mode="eval")
+
+    def test_maxpool_oracle_on_ties_odd_lengths_overlap(self, rng):
+        for window, stride, t in [(2, 2, 9), (3, 1, 7), (3, 2, 11), (4, 3, 13), (2, 1, 5)]:
+            pool = MaxPool1d(window, stride)
+            x = rng.integers(0, 3, size=(2, 3, t)).astype(float)  # many tied maxima
+            out = pool.forward(x)
+            np.testing.assert_array_equal(out, oracle.maxpool1d_loops(x, window, stride))
+            g = rng.standard_normal(out.shape)
+            np.testing.assert_allclose(
+                pool.backward(g), oracle.maxpool1d_backward_loops(x, g, window, stride),
+                atol=1e-12,
+            )
+
+    def test_maxpool_tie_gradient_goes_to_earliest(self):
+        pool = MaxPool1d(3, 1)
+        x = np.array([[[1.0, 5.0, 5.0, 2.0, 5.0]]])
+        out = pool.forward(x)
+        np.testing.assert_array_equal(out, [[[5.0, 5.0, 5.0]]])
+        grad = pool.backward(np.array([[[1.0, 10.0, 100.0]]]))
+        # windows [1,5,5], [5,5,2], [5,2,5]: first maxima at 1, 1 and 2
+        np.testing.assert_array_equal(grad, [[[0.0, 11.0, 100.0, 0.0, 0.0]]])
 
     def test_avgpool_full_window(self):
         pool = AvgPool1d(8, 8)

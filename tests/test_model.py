@@ -96,6 +96,21 @@ class TestForwardSemantics:
         alone = m.forward(a[2:3], g[2:3], mode="eval")
         np.testing.assert_array_equal(full[2:3], alone)
 
+    def test_eval_batch_invariance_at_pipeline_batch_sizes(self, rng):
+        # 512 is infer_track's batch; 35 is a stride-64 request and 72 the
+        # last batch of a 2120-window stride-1 request
+        m = GestureNet(ArchConfig(), seed=1)
+        for bn in m._bn_layers():
+            bn.running_mean = rng.standard_normal(bn.channels)
+            bn.running_var = rng.uniform(0.5, 2.0, bn.channels)
+        a = rng.standard_normal((600, 3, 64))
+        g = rng.standard_normal((600, 3, 64))
+        full = m.forward(a, g, mode="eval")
+        for batch in (1, 35, 72, 512):
+            parts = [m.forward(a[s : s + batch], g[s : s + batch], mode="eval")
+                     for s in range(0, 600, batch)]
+            np.testing.assert_array_equal(np.concatenate(parts), full, err_msg=f"batch {batch}")
+
     def test_batch_permutation_equivariance(self, rng):
         m = GestureNet(ArchConfig(), seed=1)
         a = rng.standard_normal((4, 3, 64))

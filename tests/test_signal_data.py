@@ -50,6 +50,14 @@ class TestLoadCsv:
         with pytest.raises(SeriesFormatError, match="increasing"):
             load_csv(p)
 
+    def test_decreasing_timestamp_names_line(self, tmp_path):
+        rows = valid_rows(10)
+        rows[7][0] = rows[2][0]  # line 9
+        p = tmp_path / "back.csv"
+        write_rows(p, rows)
+        with pytest.raises(SeriesFormatError, match="line 9: timestamp .* not strictly increasing"):
+            load_csv(p)
+
     def test_wrong_column_count_names_line(self, tmp_path):
         rows = valid_rows(5)
         rows[2] = rows[2][:6]
@@ -68,6 +76,17 @@ class TestLoadCsv:
         p = tmp_path / "hdr.csv"
         write_rows(p, valid_rows(3), header="time,ax,ay,az,gx,gy,gz,label")
         with pytest.raises(SeriesFormatError, match="header"):
+            load_csv(p)
+
+    @pytest.mark.parametrize("field", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("col", [0, 2, 6])
+    def test_non_finite_field_names_file_and_line(self, tmp_path, field, col):
+        rows = valid_rows(130)
+        rows[100][col] = field  # line 102
+        p = tmp_path / "nonfinite.csv"
+        write_rows(p, rows)
+        name = CSV_HEADER.split(",")[col]
+        with pytest.raises(SeriesFormatError, match=rf"nonfinite\.csv: line 102: non-finite {name}"):
             load_csv(p)
 
     def test_round_trip_9_significant_digits(self, tmp_path, rng):
