@@ -19,6 +19,7 @@ from .nn import (
     Adam,
     BatchNorm1d,
     Conv1d,
+    Layer,
     LeakyReLU,
     MaxPool1d,
     PPMBlock,
@@ -87,7 +88,7 @@ class ArchConfig:
         return cls(**kwargs).validate()
 
 
-class _EncStage:
+class _EncStage(Layer):
     """conv(k=3, pad=1) -> batchnorm -> leaky relu -> maxpool/2."""
 
     def __init__(self, in_ch, out_ch, slope, rng):
@@ -95,6 +96,9 @@ class _EncStage:
         self.bn = BatchNorm1d(out_ch)
         self.act = LeakyReLU(slope)
         self.pool = MaxPool1d(2, 2)
+
+    def children(self):
+        return {"conv": self.conv, "bn": self.bn}
 
     def forward(self, x, mode):
         act = self.act.forward(self.bn.forward(self.conv.forward(x, mode), mode), mode)
@@ -104,11 +108,8 @@ class _EncStage:
         g = self.pool.backward(grad_pooled) + grad_skip
         return self.conv.backward(self.bn.backward(self.act.backward(g)))
 
-    def layers(self):
-        return {"conv": self.conv, "bn": self.bn}
 
-
-class _DecStage:
+class _DecStage(Layer):
     """upsample x2 -> concat both branches' skip features -> conv -> bn -> leaky."""
 
     def __init__(self, in_ch, out_ch, slope, rng):
@@ -117,6 +118,9 @@ class _DecStage:
         self.bn = BatchNorm1d(out_ch)
         self.act = LeakyReLU(slope)
         self._split = None
+
+    def children(self):
+        return {"conv": self.conv, "bn": self.bn}
 
     def forward(self, x, skip_a, skip_g, mode):
         up = self.up.forward(x, mode)
@@ -132,11 +136,8 @@ class _DecStage:
         grad_skip_g = g[:, c_up + c_a :]
         return grad_up, grad_skip_a, grad_skip_g
 
-    def layers(self):
-        return {"conv": self.conv, "bn": self.bn}
 
-
-class GestureNet:
+class GestureNet(Layer):
     """The assembled dual-branch model."""
 
     def __init__(self, config: ArchConfig, seed: int = 0):
@@ -172,39 +173,19 @@ class GestureNet:
 
     # -- parameter bookkeeping ------------------------------------------------
 
-    def params(self) -> dict:
-        out = {}
-
-        def add(prefix, layer):
-            for name, p in layer.params().items():
-                out[f"{prefix}.{name}"] = p
-
-        for tag, stages in (("enc_a", self.enc_a), ("enc_g", self.enc_g)):
-            for i, st in enumerate(stages):
-                for lname, layer in st.layers().items():
-                    add(f"{tag}.{i}.{lname}", layer)
-        add("se_a", self.se_a)
-        add("se_g", self.se_g)
-        add("ppm", self.ppm)
-        for i, st in enumerate(self.dec):
-            for lname, layer in st.layers().items():
-                add(f"dec.{i}.{lname}", layer)
-        add("head", self.head)
-        return out
-
-    def zero_grad(self):
-        for p in self.params().values():
-            p.zero_grad()
+    def children(self) -> dict:
+        return {
+            **{f"enc_a.{i}": st for i, st in enumerate(self.enc_a)},
+            **{f"enc_g.{i}": st for i, st in enumerate(self.enc_g)},
+            "se_a": self.se_a,
+            "se_g": self.se_g,
+            "ppm": self.ppm,
+            **{f"dec.{i}": st for i, st in enumerate(self.dec)},
+            "head": self.head,
+        }
 
     def parameter_count(self) -> int:
         return sum(p.value.size for p in self.params().values())
-
-    def _bn_layers(self):
-        for stages in (self.enc_a, self.enc_g):
-            for st in stages:
-                yield st.bn
-        for st in self.dec:
-            yield st.bn
 
     # -- forward / backward ---------------------------------------------------
 
@@ -262,8 +243,9 @@ class GestureNet:
     # -- persistence ----------------------------------------------------------
 
     def named_tensors(self) -> dict:
+        """Checkpoint name -> the live array it is saved from and loaded into."""
         out = {name: p.value for name, p in self.params().items()}
-        for i, bn in enumerate(self._bn_layers()):
+        for i, bn in enumerate(m for m in self.modules() if isinstance(m, BatchNorm1d)):
             out[f"bn_stats.{i}.mean"] = bn.running_mean
             out[f"bn_stats.{i}.var"] = bn.running_var
         return out
@@ -283,24 +265,25 @@ class GestureNet:
         return bits
 
     def _apply_tensors(self, tensors: dict):
-        def take(name, shape):
+        """Check every tensor against its slot, then copy all of them in."""
+        slots = self.named_tensors()
+        for name in tensors:
+            if name not in slots:
+                raise ckpt.CheckpointError(f"checkpoint has unknown tensor '{name}'")
+        for name, slot in slots.items():
             if name not in tensors:
                 raise ckpt.CheckpointError(f"checkpoint missing tensor '{name}'")
             value = np.asarray(tensors[name], dtype=np.float64)
-            if value.shape != shape:
+            if value.shape != slot.shape:
                 raise ckpt.CheckpointError(
-                    f"checkpoint tensor '{name}' has shape {value.shape}, expected {shape}"
+                    f"checkpoint tensor '{name}' has shape {value.shape}, expected {slot.shape}"
                 )
             if not np.isfinite(value).all():
                 raise ckpt.CheckpointError(f"checkpoint tensor '{name}' contains NaN/Inf")
-            return value
-
-        for name, p in self.params().items():
-            p.value = take(name, p.value.shape)
-            p.grad = np.zeros_like(p.value)
-        for i, bn in enumerate(self._bn_layers()):
-            bn.running_mean = take(f"bn_stats.{i}.mean", (bn.channels,))
-            bn.running_var = take(f"bn_stats.{i}.var", (bn.channels,))
+            if name.startswith("bn_stats.") and name.endswith(".var") and (value < 0).any():
+                raise ckpt.CheckpointError(f"checkpoint tensor '{name}' is negative")
+        for name, slot in slots.items():
+            slot[...] = tensors[name]
 
     @classmethod
     def load(cls, path) -> "GestureNet":

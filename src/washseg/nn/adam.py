@@ -22,14 +22,12 @@ class Adam:
         self.v = {}
 
     def step(self, params: dict):
-        """Apply one update to every trainable parameter in ``params``."""
+        """Apply one update to every parameter in ``params``."""
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - self.beta1**t
         bc2 = 1.0 - self.beta2**t
         for name, p in params.items():
-            if not p.trainable:
-                continue
             if name not in self.m:
                 self.m[name] = np.zeros_like(p.value)
                 self.v[name] = np.zeros_like(p.value)

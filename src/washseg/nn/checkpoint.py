@@ -17,6 +17,7 @@ Parameters are stored as float32 and widened to float64 on load.
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 
@@ -44,6 +45,13 @@ class TruncatedError(CheckpointError):
 
 class ChecksumError(CheckpointError):
     pass
+
+
+def _utf8(raw: bytes, what: str) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise CheckpointError(f"checkpoint {what} is not UTF-8") from e
 
 
 def serialize(config_text: str, tensors: dict) -> bytes:
@@ -84,7 +92,7 @@ def deserialize(blob: bytes):
     off += 4
     if off + cfg_len > len(body):
         raise TruncatedError("checkpoint truncated in config block")
-    config_text = body[off : off + cfg_len].decode("utf-8")
+    config_text = _utf8(body[off : off + cfg_len], "config")
     off += cfg_len
     tensors = {}
     while off < len(body):
@@ -94,7 +102,9 @@ def deserialize(blob: bytes):
         off += 2
         if off + nm_len + 1 > len(body):
             raise TruncatedError("checkpoint truncated in tensor name")
-        name = body[off : off + nm_len].decode("utf-8")
+        name = _utf8(body[off : off + nm_len], f"tensor name at byte {off}")
+        if name in tensors:
+            raise CheckpointError(f"checkpoint repeats tensor '{name}'")
         off += nm_len
         rank = body[off]
         off += 1
@@ -102,11 +112,13 @@ def deserialize(blob: bytes):
             raise TruncatedError(f"checkpoint truncated in dims of '{name}'")
         dims = struct.unpack_from(f"<{rank}I", body, off) if rank else ()
         off += 4 * rank
-        count = int(np.prod(dims)) if rank else 1
-        nbytes = 4 * count
+        nbytes = 4 * math.prod(dims)
         if off + nbytes > len(body):
             raise TruncatedError(f"checkpoint truncated in payload of '{name}'")
-        arr = np.frombuffer(body[off : off + nbytes], dtype="<f4").reshape(dims)
+        try:
+            arr = np.frombuffer(body[off : off + nbytes], dtype="<f4").reshape(dims)
+        except ValueError as e:  # over 64 dims, or a zero dim beside ones too large to size
+            raise CheckpointError(f"checkpoint tensor '{name}' has unsupported shape {dims}") from e
         off += nbytes
         tensors[name] = arr.astype(np.float64)
     return config_text, tensors

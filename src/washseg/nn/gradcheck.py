@@ -53,19 +53,17 @@ def grad_check(
 
     ``loss_fn(compute_grads: bool)`` must return the scalar loss; when
     ``compute_grads`` is true it must also accumulate gradients into the
-    Param slots (which are zeroed here first). Frozen slots are excluded.
+    Param slots (which are zeroed here first).
     """
     if rng is None:
         rng = np.random.default_rng(0)
     for p in params.values():
         p.zero_grad()
     loss_fn(True)
-    analytic = {name: p.grad.copy() for name, p in params.items() if p.trainable}
+    analytic = {name: p.grad.copy() for name, p in params.items()}
 
     report = GradCheckReport(tolerance=tolerance)
     for name, p in params.items():
-        if not p.trainable:
-            continue
         flat = p.value.reshape(-1)
         n = flat.size
         if max_coords_per_slot is not None and n > max_coords_per_slot:

@@ -6,6 +6,11 @@ derive masks, normalized inputs and argmax positions in backward, which
 raises ``RuntimeError`` without a prior forward. Kernels read strided slices
 and never copy their input. Parameter values are only ever mutated by an
 optimizer — forward/backward touch gradients exclusively.
+
+Layers form one tree: leaves (``Conv1d``, ``BatchNorm1d``, ``Linear``) own
+their ``Param`` slots, composites only declare their sublayers in ``children``,
+and the base ``params`` names every slot by its dotted path (``dec.0.bn.gamma``),
+which is also its checkpoint tensor name. ``modules`` walks the same tree.
 """
 
 from __future__ import annotations
@@ -18,22 +23,33 @@ import numpy as np
 class Param:
     """A trainable tensor slot with a same-shaped gradient slot."""
 
-    __slots__ = ("value", "grad", "trainable")
+    __slots__ = ("value", "grad")
 
-    def __init__(self, value: np.ndarray, trainable: bool = True):
+    def __init__(self, value: np.ndarray):
         self.value = np.asarray(value, dtype=np.float64)
         self.grad = np.zeros_like(self.value)
-        self.trainable = trainable
 
     def zero_grad(self):
         self.grad.fill(0.0)
 
 
 class Layer:
-    """Base class: forward/backward pair plus named parameter slots."""
+    """Base class: forward/backward pair plus a tree of named sublayers."""
+
+    def children(self) -> dict:
+        """Direct sublayers by name, in parameter order."""
+        return {}
 
     def params(self) -> dict:
-        return {}
+        """Every descendant's slots under their dotted paths; leaves override."""
+        return {f"{name}.{k}": p for name, child in self.children().items()
+                for k, p in child.params().items()}
+
+    def modules(self):
+        """This layer, then every descendant, depth first in ``children`` order."""
+        yield self
+        for child in self.children().values():
+            yield from child.modules()
 
     def zero_grad(self):
         for p in self.params().values():
@@ -318,12 +334,8 @@ class SEBlock(Layer):
         self.gate = Sigmoid()
         self._cache = None
 
-    def params(self):
-        out = {}
-        for prefix, layer in (("fc1", self.fc1), ("fc2", self.fc2)):
-            for name, p in layer.params().items():
-                out[f"{prefix}.{name}"] = p
-        return out
+    def children(self):
+        return {"fc1": self.fc1, "fc2": self.fc2}
 
     def forward(self, x, mode="train"):
         squeeze = x.mean(axis=2)
@@ -366,12 +378,8 @@ class PPMBlock(Layer):
     def out_channels(self):
         return self.channels + len(self.POOL_SIZES) * self.reduce_ch
 
-    def params(self):
-        out = {}
-        for i, conv in enumerate(self.reducers):
-            for name, p in conv.params().items():
-                out[f"reduce{i}.{name}"] = p
-        return out
+    def children(self):
+        return {f"reduce{i}": conv for i, conv in enumerate(self.reducers)}
 
     def forward(self, x, mode="train"):
         t = x.shape[2]

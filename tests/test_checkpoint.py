@@ -1,10 +1,31 @@
+import math
 import struct
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from washseg.nn import checkpoint as ckpt
 from washseg.model import ArchConfig, GestureNet
+
+
+def seal(body):
+    """``body`` followed by its valid CRC."""
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def crafted(rest):
+    """A sealed blob of a valid header followed by ``rest``."""
+    return seal(ckpt.MAGIC + struct.pack("<H", ckpt.VERSION) + rest)
+
+
+def block(name, dims, payload=None):
+    """One tensor block; the payload defaults to zeros of the declared size."""
+    if payload is None:
+        payload = bytes(4 * math.prod(dims))
+    return (struct.pack("<H", len(name)) + name + struct.pack("<B", len(dims))
+            + struct.pack(f"<{len(dims)}I", *dims) + payload)
 
 
 @pytest.fixture
@@ -57,12 +78,82 @@ class TestFormat:
         with pytest.raises(ckpt.ChecksumError):
             ckpt.deserialize(bytes(blob))
 
+    def test_repeated_tensor_name_rejected(self):
+        body = struct.pack("<I", 0) + block(b"a.w", (2,)) + block(b"a.w", (3,))
+        with pytest.raises(ckpt.CheckpointError, match="repeats tensor 'a.w'"):
+            ckpt.deserialize(crafted(body))
+
+    def test_non_utf8_config_rejected(self):
+        body = struct.pack("<I", 2) + b"\xff\xfe" + block(b"a.w", (2,))
+        with pytest.raises(ckpt.CheckpointError, match="config is not UTF-8"):
+            ckpt.deserialize(crafted(body))
+
+    def test_non_utf8_tensor_name_rejected(self):
+        body = struct.pack("<I", 0) + block(b"a.\xc3", (2,))
+        with pytest.raises(ckpt.CheckpointError, match="tensor name at byte 12 is not UTF-8"):
+            ckpt.deserialize(crafted(body))
+
+    def test_overflowing_dims_are_truncation(self):
+        # 2**64 elements: an int64 element count wraps to 0
+        body = struct.pack("<I", 0) + block(b"a.w", (2**16,) * 4, payload=b"")
+        with pytest.raises(ckpt.TruncatedError, match="payload of 'a.w'"):
+            ckpt.deserialize(crafted(body))
+
+    @pytest.mark.parametrize("dims", [(0, 2**32 - 1, 2**32 - 1), (1,) * 65])
+    def test_shape_numpy_cannot_hold_rejected(self, dims):
+        body = struct.pack("<I", 0) + block(b"a.w", dims)
+        with pytest.raises(ckpt.CheckpointError, match="'a.w' has unsupported shape"):
+            ckpt.deserialize(crafted(body))
+
     def test_size_report_accounting(self, tensors):
         rep = ckpt.size_report("cfg\n", tensors)
         count = 12 + 4 + 8
         assert rep["parameter_count"] == count
         assert rep["payload_bits"] == 32 * count
         assert rep["total_bits"] == rep["payload_bits"] + rep["header_bits"]
+
+
+REFERENCE_BLOB = ckpt.serialize("key=1\n", {"a.w": np.arange(6.0).reshape(2, 3),
+                                            "a.b": np.ones(2), "s": np.float64(0.5)})
+
+
+class TestCorruptionProperties:
+    """Any damaged checkpoint fails with a CheckpointError subclass, nothing else."""
+
+    @given(st.integers(min_value=0, max_value=len(REFERENCE_BLOB) - 1))
+    def test_truncation_rejected(self, cut):
+        with pytest.raises(ckpt.CheckpointError):
+            ckpt.deserialize(REFERENCE_BLOB[:cut])
+
+    @given(st.integers(min_value=0, max_value=8 * len(REFERENCE_BLOB) - 1))
+    def test_bit_flip_rejected(self, bit):
+        blob = bytearray(REFERENCE_BLOB)
+        blob[bit // 8] ^= 1 << (bit % 8)
+        with pytest.raises(ckpt.CheckpointError):
+            ckpt.deserialize(bytes(blob))
+
+    # Re-sealing with a fresh CRC sends the damage past the checksum into the
+    # parser, which may then read a shorter or altered but well-formed file.
+    # Every cut and every single-bit flip of this small blob is tried, since
+    # a random sample of the flips can miss the few that reach numpy.
+
+    @staticmethod
+    def _parses_or_rejects(body):
+        try:
+            ckpt.deserialize(seal(body))
+        except ckpt.CheckpointError:
+            pass
+
+    def test_every_resealed_truncation_parses_or_raises_checkpoint_error(self):
+        body = REFERENCE_BLOB[:-4]
+        for cut in range(len(body)):
+            self._parses_or_rejects(body[:cut])
+
+    def test_every_resealed_bit_flip_parses_or_raises_checkpoint_error(self):
+        for bit in range(8 * (len(REFERENCE_BLOB) - 4)):
+            body = bytearray(REFERENCE_BLOB[:-4])
+            body[bit // 8] ^= 1 << (bit % 8)
+            self._parses_or_rejects(bytes(body))
 
 
 class TestModelCheckpoint:
@@ -135,4 +226,20 @@ class TestStrictApply:
 
         path = self._resave(tmp_path, edit)
         with pytest.raises(ckpt.CheckpointError, match=f"'{name}' contains NaN/Inf"):
+            GestureNet.load(path)
+
+    @pytest.mark.parametrize("name", ["bogus.extra", "bn_stats.9.mean", "se_a.fc3.w"])
+    def test_unknown_tensor_named(self, tmp_path, name):
+        path = self._resave(tmp_path, lambda t: t.setdefault(name, np.zeros(4)))
+        with pytest.raises(ckpt.CheckpointError, match=f"unknown tensor '{name}'"):
+            GestureNet.load(path)
+
+    @pytest.mark.parametrize("name", ["bn_stats.0.var", "bn_stats.4.var"])
+    def test_negative_variance_named(self, tmp_path, name):
+        def edit(t):
+            t[name] = t[name].copy()
+            t[name][-1] = -1.0
+
+        path = self._resave(tmp_path, edit)
+        with pytest.raises(ckpt.CheckpointError, match=f"'{name}' is negative"):
             GestureNet.load(path)

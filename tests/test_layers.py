@@ -374,6 +374,12 @@ class TestSEBlock:
         rep = layer_loss_check(se, rng.standard_normal((2, 8, 16)))
         assert rep.max_error < 1e-6, rep.failures
 
+    def test_params_are_dotted_child_slots(self, rng):
+        se = SEBlock(8, reduction=4, rng=rng)
+        params = se.params()
+        assert list(params) == ["fc1.w", "fc1.b", "fc2.w", "fc2.b"]
+        assert params["fc2.w"] is se.fc2.w
+
 
 class TestPPMBlock:
     def test_output_shape(self, rng):
@@ -386,6 +392,13 @@ class TestPPMBlock:
         x = np.full((1, 8, 8), 3.0)
         out = ppm.forward(x)
         np.testing.assert_allclose(out[:, :8], x)
+
+    def test_params_are_dotted_child_slots(self, rng):
+        ppm = PPMBlock(8, 4, rng=rng)
+        params = ppm.params()
+        assert list(params) == [f"reduce{i}.{k}" for i in range(3) for k in ("w", "b")]
+        assert params["reduce1.b"] is ppm.reducers[1].b
+        assert list(ppm.modules()) == [ppm, *ppm.reducers]
 
     def test_bad_length_rejected(self, rng):
         ppm = PPMBlock(8, 4, rng=rng)

@@ -94,12 +94,6 @@ class TestAdam:
             x -= 0.002 * (m / (1 - 0.9**t)) / (math.sqrt(v / (1 - 0.999**t)) + 1e-8)
             assert abs(p.value[0] - x) < 1e-14
 
-    def test_frozen_param_untouched(self):
-        p = Param(np.array([1.0]), trainable=False)
-        p.grad[:] = 1.0
-        Adam(lr=0.1).step({"p": p})
-        assert p.value[0] == 1.0
-
     def test_step_counter_increases(self):
         p = Param(np.array([1.0]))
         opt = Adam()

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,8 @@ from washseg.model import (
     train,
     windows_to_arrays,
 )
-from washseg.nn import softmax, softmax_cross_entropy
+from washseg.nn import BatchNorm1d, softmax, softmax_cross_entropy
+from washseg.nn import checkpoint as ckpt
 from washseg.signal_data import extract_windows
 from washseg.synth import GenSpec, generate_procedure
 
@@ -87,6 +90,36 @@ class TestShapes:
             m.forward(rng.standard_normal((1, 3, 32)), rng.standard_normal((1, 3, 32)))
 
 
+PINNED_CKPT = Path(__file__).resolve().parent.parent / "perfbench" / "user_dep.ckpt"
+
+
+class TestModuleTree:
+    def test_tensor_names_match_pinned_checkpoint(self):
+        _, stored = ckpt.load_checkpoint(PINNED_CKPT)
+        assert list(GestureNet(ArchConfig()).named_tensors()) == list(stored)
+
+    def test_pinned_checkpoint_resaves_byte_identical(self, tmp_path):
+        out = tmp_path / "resaved.ckpt"
+        GestureNet.load(PINNED_CKPT).save(out)
+        assert out.read_bytes() == PINNED_CKPT.read_bytes()
+
+    def test_batchnorm_modules_in_branch_then_decoder_order(self):
+        m = GestureNet(ArchConfig(), seed=0)
+        bns = [l for l in m.modules() if isinstance(l, BatchNorm1d)]
+        expected = [st.bn for st in m.enc_a + m.enc_g + m.dec]
+        assert len(bns) == 9
+        assert bns == expected
+
+    def test_zero_grad_clears_every_slot(self, rng):
+        m = GestureNet(ArchConfig(), seed=0)
+        logits = m.forward(rng.standard_normal((2, 3, 64)), rng.standard_normal((2, 3, 64)),
+                           mode="train")
+        m.backward(np.ones_like(logits))
+        assert any(p.grad.any() for p in m.params().values())
+        m.zero_grad()
+        assert not any(p.grad.any() for p in m.params().values())
+
+
 class TestForwardSemantics:
     def test_eval_batch_invariance(self, rng):
         m = GestureNet(ArchConfig(), seed=1)
@@ -100,7 +133,7 @@ class TestForwardSemantics:
         # 512 is infer_track's batch; 35 is a stride-64 request and 72 the
         # last batch of a 2120-window stride-1 request
         m = GestureNet(ArchConfig(), seed=1)
-        for bn in m._bn_layers():
+        for bn in (l for l in m.modules() if isinstance(l, BatchNorm1d)):
             bn.running_mean = rng.standard_normal(bn.channels)
             bn.running_var = rng.uniform(0.5, 2.0, bn.channels)
         a = rng.standard_normal((600, 3, 64))
