@@ -69,9 +69,8 @@ def cmd_train(args) -> int:
 def cmd_infer(args) -> int:
     model = GestureNet.load(args.checkpoint)
     series = load_csv(args.series)
-    stride = 1 if args.smooth in ("mtv", "mtv+tmf") else 64
-    track = pipeline.infer_track(model, series, stride=stride)
-    track = pipeline.smooth(track, "none" if args.smooth == "none" else args.smooth)
+    stride = 1 if args.smooth in ("mtv", "mtv+tmf") else model.config.input_length
+    track = pipeline.smooth(pipeline.infer_track(model, series, stride=stride), args.smooth)
     pipeline.export_track_csv(args.out, track, series)
     svg_path = os.path.splitext(args.out)[0] + ".svg"
     pipeline.export_timeline_svg(svg_path, track, series.rate_hz)

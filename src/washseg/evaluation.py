@@ -23,8 +23,7 @@ from .pipeline import (
     detect_procedure,
     gesture_durations,
     infer_track,
-    mode_filter,
-    multiple_test_voting,
+    smooth,
 )
 from .scoring import score, score_error
 
@@ -250,24 +249,14 @@ def evaluate_tracks(test_series, tracks) -> VariantMetrics:
     )
 
 
-def predict_variants(model, test_series, variants=SMOOTH_VARIANTS, mode_window=128):
-    """Inference tracks for each requested smoothing variant, per series."""
+def predict_variants(model, test_series, variants=SMOOTH_VARIANTS):
+    """Each smoothing variant's tracks, per series, from one stride-1 pass
+    (variant ``raw`` is smoothing method ``none``)."""
     out = {v: [] for v in variants}
-    need_votes = any(v in ("mtv", "mtv+tmf") for v in variants)
     for s in test_series:
-        raw64 = infer_track(model, s, stride=64)
-        voted = None
-        if need_votes:
-            voted = multiple_test_voting(infer_track(model, s, stride=1))
+        track = infer_track(model, s, stride=1)
         for v in variants:
-            if v == "raw":
-                out[v].append(raw64)
-            elif v == "tmf":
-                out[v].append(mode_filter(raw64, mode_window))
-            elif v == "mtv":
-                out[v].append(voted)
-            elif v == "mtv+tmf":
-                out[v].append(mode_filter(voted, mode_window))
+            out[v].append(smooth(track, "none" if v == "raw" else v))
     return out
 
 
@@ -316,9 +305,8 @@ def run_evaluation(
         for variant, variant_tracks in tracks.items():
             m = evaluate_tracks(test_series, variant_tracks)
             fold_metrics[variant] = m
-            n = sum(len(s) for s in test_series)
-            totals[variant][0] += int(round(m.accuracy * n))
-            totals[variant][1] += n
+            totals[variant][0] += int(np.trace(m.confusion))
+            totals[variant][1] += int(m.confusion.sum())
         results[fold_name] = fold_metrics
         if verbose:
             acc = fold_metrics["mtv+tmf"].accuracy

@@ -51,7 +51,7 @@ class ArchConfig:
         if self.bottleneck_channels != 2 * self.encoder_channels[-1]:
             raise ValueError("bottleneck_channels must be twice the last encoder stage")
         if len(self.decoder_channels) != stages:
-            raise ValueError("decoder needs one stage per encoder stage")
+            raise ValueError("decoder_channels needs one stage per encoder stage")
         if self.num_classes != 10:
             raise ValueError("num_classes must be 10")
         return self
@@ -70,21 +70,23 @@ class ArchConfig:
 
     @classmethod
     def from_text(cls, text: str) -> "ArchConfig":
+        defaults = asdict(cls())
         kwargs = {}
         for line in text.splitlines():
             line = line.strip()
             if not line:
                 continue
-            key, _, value = line.partition("=")
-            if key in ("encoder_channels", "decoder_channels"):
-                kwargs[key] = tuple(int(v) for v in value.split(","))
-            elif key in ("input_length", "in_channels_per_branch", "bottleneck_channels",
-                         "ppm_reduce", "se_reduction", "num_classes"):
-                kwargs[key] = int(value)
-            elif key == "leaky_slope":
-                kwargs[key] = float(value)
-            else:
+            key, sep, value = line.partition("=")
+            if not sep:
+                raise ValueError(f"architecture line '{line}' has no '='")
+            if key not in defaults:
                 raise ValueError(f"unknown architecture key '{key}'")
+            kind = type(defaults[key])
+            try:
+                kwargs[key] = (tuple(int(v) for v in value.split(",")) if kind is tuple
+                               else kind(value))
+            except ValueError:
+                raise ValueError(f"architecture key '{key}' has bad value '{value}'") from None
         return cls(**kwargs).validate()
 
 
@@ -288,7 +290,10 @@ class GestureNet(Layer):
     @classmethod
     def load(cls, path) -> "GestureNet":
         config_text, tensors = ckpt.load_checkpoint(path)
-        model = cls(ArchConfig.from_text(config_text))
+        try:
+            model = cls(ArchConfig.from_text(config_text))
+        except ValueError as e:
+            raise ckpt.CheckpointError(f"checkpoint architecture: {e}") from None
         model._apply_tensors(tensors)
         return model
 

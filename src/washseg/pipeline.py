@@ -1,7 +1,7 @@
 """From model outputs to smoothed label tracks, onsets, and durations.
 
 A LabelTrack carries one predicted label per sample of a series, plus the
-per-sample vote counts accumulated during stride-1 inference. Smoothing:
+per-sample vote counts of every window that covered it. Smoothing:
 multiple-test voting (per-sample mode over all covering windows) and a
 centered running mode filter. Ties always break toward the smallest label
 so every stage is deterministic.
@@ -19,8 +19,8 @@ from .model import windows_to_arrays
 
 @dataclass
 class LabelTrack:
-    labels: np.ndarray  # (N,) ints 0..9
-    votes: np.ndarray | None = None  # (N, 10) counts, stride-1 inference only
+    labels: np.ndarray  # (N,) ints 0..9, the input-length tiling segmentation
+    votes: np.ndarray | None = None  # (N, 10) counts over the windows inferred
 
     def __post_init__(self):
         self.labels = np.asarray(self.labels, dtype=np.int64)
@@ -40,30 +40,29 @@ class LabelTrack:
 def infer_track(model, series: SampleSeries, stride: int = 64, batch: int = 512) -> LabelTrack:
     """Run sliding-window inference over a whole series.
 
-    stride 64: every sample is labeled by the one window that covers it
-    (the end-aligned tail window only fills samples no earlier window
-    reached). stride 1: per-sample argmax votes from every covering window
-    are recorded for later voting.
+    Windows start every ``stride`` samples, plus one end-aligned window when
+    the last of them stops short of the end. ``votes`` counts, per sample,
+    the argmax of every window covering it (multiple-test voting wants
+    stride 1). ``labels`` is the same at every stride: the segmentation of
+    the windows tiling the series at 0, L, 2L, ... (L = the model input),
+    with the end-aligned window filling only the samples they leave. The
+    stride must divide L so that every tile is one of the windows inferred.
     """
     n = len(series)
     length = model.config.input_length
     if n < length:
         raise ValueError(f"series length {n} is shorter than the model input {length}")
+    if stride < 1 or length % stride:
+        raise ValueError(f"stride {stride} does not divide the model input_length {length}")
     windows = extract_windows(series, length, stride)
     preds = _predict_windows(model, windows, batch)
 
     starts = np.array([w.start_index for w in windows])
     sample = starts[:, None] + np.arange(length)  # (windows, length) sample indices
     votes = np.bincount((sample * NUM_CLASSES + preds).ravel(), minlength=n * NUM_CLASSES)
-    # a sample takes its label from the last window over it; the end-aligned
-    # tail window only fills samples no earlier window reached, and samples
-    # no window reached (stride > length) stay 0
     i = np.arange(n)
-    regular = starts[:-1] if windows[-1].tail else starts
-    owner = np.searchsorted(regular, i, side="right") - 1
-    owner[i - starts[owner] >= length] = len(starts) - 1
-    offset = i - starts[owner]
-    labels = np.where((offset >= 0) & (offset < length), preds[owner, offset % length], 0)
+    tile = np.minimum(i // length * length, n - length)
+    labels = preds[np.searchsorted(starts, tile), i - tile]
     return LabelTrack(labels=labels, votes=votes.reshape(n, NUM_CLASSES))
 
 

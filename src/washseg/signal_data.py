@@ -64,7 +64,6 @@ class Window:
     source: SampleSeries
     start_index: int
     length: int
-    tail: bool = False
 
     def __post_init__(self):
         if self.start_index < 0 or self.start_index + self.length > len(self.source):
@@ -153,7 +152,7 @@ def extract_windows(series: SampleSeries, length=DEFAULT_WINDOW, stride=1):
     """Windows at starts 0, stride, 2*stride, ... while they fit.
 
     If stride > 1 and the last stride-aligned window stops short of the
-    series end, one extra end-aligned window is appended and flagged tail.
+    series end, one extra end-aligned window is appended.
     """
     n = len(series)
     if length > n:
@@ -167,7 +166,7 @@ def extract_windows(series: SampleSeries, length=DEFAULT_WINDOW, stride=1):
         start += stride
     last_end = windows[-1].start_index + length
     if stride > 1 and last_end < n:
-        windows.append(Window(series, n - length, length, tail=True))
+        windows.append(Window(series, n - length, length))
     return windows
 
 

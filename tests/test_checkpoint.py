@@ -234,6 +234,18 @@ class TestStrictApply:
         with pytest.raises(ckpt.CheckpointError, match=f"unknown tensor '{name}'"):
             GestureNet.load(path)
 
+    @pytest.mark.parametrize("line,key", [("input_length=6x4", "input_length"),
+                                          ("input_length=63", "input_length"),
+                                          ("bogus=3", "bogus"),
+                                          ("input_length", "input_length")])
+    def test_bad_config_named(self, tmp_path, line, key):
+        model = GestureNet(ArchConfig(), seed=4)
+        text = model.config.to_text().replace("input_length=64\n", "") + line + "\n"
+        path = tmp_path / "config.ckpt"
+        ckpt.save_checkpoint(path, text, model.named_tensors())
+        with pytest.raises(ckpt.CheckpointError, match=f"architecture.*{key}"):
+            GestureNet.load(path)
+
     @pytest.mark.parametrize("name", ["bn_stats.0.var", "bn_stats.4.var"])
     def test_negative_variance_named(self, tmp_path, name):
         def edit(t):

@@ -5,8 +5,9 @@ import pytest
 
 from washseg.cli import main
 from washseg.model import ArchConfig, GestureNet
+from washseg.pipeline import infer_track, smooth as smooth_track
 from washseg.scoring import PROFESSIONAL_DURATIONS
-from washseg.signal_data import write_csv
+from washseg.signal_data import load_csv, write_csv
 from washseg.synth import GenSpec, generate_procedure
 from conftest import make_series
 
@@ -67,6 +68,27 @@ def test_infer_writes_track_and_svg(tmp_path, checkpoint):
     assert header == "index,t,predicted,ground_truth"
 
 
+@pytest.mark.parametrize("smooth", ["none", "tmf"])
+def test_infer_strides_by_the_model_input(tmp_path, smooth):
+    # a 32-sample model: a 64-sample stride would leave samples uncovered
+    ckpt_path = tmp_path / "short.ckpt"
+    arch = ArchConfig(input_length=32, encoder_channels=(8, 16), bottleneck_channels=32,
+                      decoder_channels=(16, 16))
+    model = GestureNet(arch, seed=1)
+    model.save(ckpt_path)
+    series = generate_procedure(GenSpec(seed=5, participants=2), 0, 0, 5)
+    csv_path = tmp_path / "series.csv"
+    write_csv(series, csv_path)
+    out = tmp_path / "track.csv"
+    rc = main(["infer", "--checkpoint", str(ckpt_path), "--series", str(csv_path),
+               "--smooth", smooth, "--out", str(out)])
+    assert rc == 0
+    predicted = np.genfromtxt(out, delimiter=",", names=True)["predicted"].astype(int)
+    loaded = GestureNet.load(ckpt_path)
+    expected = smooth_track(infer_track(loaded, load_csv(csv_path), stride=1), smooth)
+    np.testing.assert_array_equal(predicted, expected.labels)
+
+
 def test_score_on_perfect_track(tmp_path):
     # durations all meet the targets -> total 100
     labels = np.concatenate(
@@ -105,6 +127,9 @@ def test_eval_emits_reports(tmp_path, corpus_dir):
     metrics = json.loads((out / "metrics.json").read_text())
     fold = metrics["user-dependent"]
     assert set(fold) == {"raw", "mtv", "tmf", "mtv+tmf"}
+    for variant, entry in metrics["_aggregate"].items():
+        cms = [np.array(m[variant]["confusion"]) for f, m in metrics.items() if f != "_aggregate"]
+        assert entry["accuracy"] == sum(np.trace(c) for c in cms) / sum(c.sum() for c in cms)
     assert (out / "user-dependent_confusion.csv").exists()
     assert (out / "user-dependent_participants.csv").exists()
 

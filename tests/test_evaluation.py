@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from washseg.evaluation import (
+    SMOOTH_VARIANTS,
     SplitPlan,
     accuracy_global,
     accuracy_per_participant,
@@ -11,8 +12,10 @@ from washseg.evaluation import (
     mean_sd,
     onset_offset_error,
     per_participant_csv,
+    predict_variants,
     prf_confusion,
 )
+from washseg.pipeline import infer_track, smooth
 from washseg.synth import GenSpec, generate
 from conftest import make_series
 
@@ -156,3 +159,35 @@ def test_csv_report_helpers():
     assert text.splitlines()[1].startswith("0,3,0")
     pp = per_participant_csv({"loc0_p01": 0.5, "loc0_p00": 1.0})
     assert pp.splitlines()[1] == "loc0_p00,1.000000"
+
+
+class SpyModel:
+    """Stub model predicting from the sign of accel channel 0; records the
+    number of windows in every forward call."""
+
+    class _Cfg:
+        input_length = 64
+
+    config = _Cfg()
+
+    def __init__(self):
+        self.batches = []
+
+    def forward(self, accel, gyro, mode="eval"):
+        self.batches.append(accel.shape[0])
+        logits = np.zeros((accel.shape[0], 10, accel.shape[2]))
+        logits[:, 1] = accel[:, 0]
+        return logits
+
+
+def test_predict_variants_is_one_stride1_pass():
+    series = [make_series(np.zeros(n, dtype=int), seed=n) for n in (64, 100, 300)]
+    spy = SpyModel()
+    tracks = predict_variants(spy, series)
+    assert spy.batches == [len(s) - 64 + 1 for s in series]
+    assert tuple(tracks) == SMOOTH_VARIANTS
+    for i, s in enumerate(series):
+        track = infer_track(SpyModel(), s, stride=1)
+        for variant in SMOOTH_VARIANTS:
+            expected = smooth(track, "none" if variant == "raw" else variant)
+            np.testing.assert_array_equal(tracks[variant][i].labels, expected.labels)

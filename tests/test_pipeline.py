@@ -1,6 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from washseg.model import GestureNet
 from washseg.pipeline import (
     LabelTrack,
     detect_procedure,
@@ -13,6 +16,7 @@ from washseg.pipeline import (
     export_timeline_svg,
 )
 from washseg.signal_data import SampleSeries
+from washseg.synth import GenSpec, generate_procedure
 import oracle
 from conftest import make_series
 
@@ -47,6 +51,43 @@ class ConstantModel:
         logits = np.zeros((accel.shape[0], 10, accel.shape[2]))
         logits[:, self.label, :] = 5.0
         return logits
+
+
+class StartModel:
+    """Stub model whose prediction at offset k of a window depends on the
+    window's start (read from accel channel 0, which carries the sample
+    index), so a label shows which window it was taken from."""
+
+    class _Cfg:
+        input_length = 64
+
+    config = _Cfg()
+
+    @staticmethod
+    def label(start, k):
+        return (7 * start + k // 5) % 10
+
+    def forward(self, accel, gyro, mode="eval"):
+        start = np.rint(accel[:, 0, :1]).astype(np.int64)
+        b, t = accel.shape[0], accel.shape[2]
+        labels = self.label(start, np.arange(t)[None, :])
+        logits = np.zeros((b, 10, t))
+        logits[np.arange(b)[:, None], labels, np.arange(t)[None, :]] = 10.0
+        return logits
+
+
+def tiling_oracle(n, length=64):
+    """StartModel's labels from windows at 0, L, 2L, ... plus an end-aligned
+    window that fills only the samples they leave."""
+    starts = list(range(0, n - length + 1, length))
+    if starts[-1] + length < n:
+        starts.append(n - length)
+    out = [None] * n
+    for start in starts:
+        for k in range(length):
+            if out[start + k] is None:
+                out[start + k] = StartModel.label(start, k)
+    return out
 
 
 def planted_series(labels, noisy_labels=None):
@@ -100,6 +141,32 @@ class TestInferTrack:
         series = planted_series(labels)
         track = infer_track(PlantedModel(), series, stride=64)
         np.testing.assert_array_equal(track.labels, labels)
+
+
+    @pytest.mark.parametrize("stride", [1, 2, 4, 8, 16, 32, 64])
+    def test_labels_are_the_input_length_tiling(self, stride, rng):
+        lengths = [64, 65, 100, 127, 128, 129, 192, 200, 256, 320, 383]
+        lengths += rng.integers(64, 400, size=10).tolist()
+        for n in lengths:
+            series = planted_series(np.zeros(n, dtype=int), noisy_labels=np.arange(n))
+            track = infer_track(StartModel(), series, stride=stride)
+            assert track.labels.tolist() == tiling_oracle(n), (n, stride)
+
+    @pytest.mark.parametrize("stride", [0, 3, 48, 65, 128])
+    def test_stride_must_divide_input_length(self, stride):
+        series = planted_series(np.zeros(200, dtype=int))
+        with pytest.raises(ValueError, match=f"stride {stride} does not divide .*input_length 64"):
+            infer_track(PlantedModel(), series, stride=stride)
+
+    def test_pinned_checkpoint_stride1_labels_equal_stride64(self):
+        # the held-out procedure 5 of the seed-42 user-dependent fold
+        model = GestureNet.load(Path(__file__).resolve().parent.parent / "perfbench" / "user_dep.ckpt")
+        spec = GenSpec(seed=42)
+        for part in range(spec.participants):
+            series = generate_procedure(spec, part % spec.locations, part, 5)
+            dense = infer_track(model, series, stride=1)
+            tiled = infer_track(model, series, stride=64)
+            np.testing.assert_array_equal(dense.labels, tiled.labels)
 
 
 class TestMultipleTestVoting:

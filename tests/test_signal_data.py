@@ -1,8 +1,13 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from washseg.signal_data import (
     CSV_HEADER,
+    SampleSeries,
     SeriesFormatError,
     extract_windows,
     load_csv,
@@ -99,6 +104,36 @@ class TestLoadCsv:
         np.testing.assert_array_equal(s2.label, s.label)
 
 
+def rounded(values):
+    """What ``write_csv`` keeps of each value: 9 significant digits."""
+    return np.vectorize(lambda v: float(f"{v:.9g}"), otypes=[float])(values)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def written_series(draw):
+    # timestamps distinct after rounding, so the reloaded file stays strictly increasing
+    t = np.unique(rounded(draw(st.lists(finite, min_size=1, max_size=20))))
+    n = t.size
+    sensors = np.array(draw(st.lists(finite, min_size=6 * n, max_size=6 * n))).reshape(6, n)
+    labels = np.array(draw(st.lists(st.integers(0, 9), min_size=n, max_size=n)))
+    return SampleSeries("p00", "loc0", 1, t, sensors[:3], sensors[3:], labels)
+
+
+@given(written_series())
+def test_write_csv_reloads_to_9_significant_digits(series):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "s.csv"
+        write_csv(series, path)
+        back = load_csv(path)
+    np.testing.assert_array_equal(back.t, series.t)
+    np.testing.assert_array_equal(back.accel, rounded(series.accel))
+    np.testing.assert_array_equal(back.gyro, rounded(series.gyro))
+    np.testing.assert_array_equal(back.label, series.label)
+
+
 class TestExtractWindows:
     def test_stride1_count(self):
         s = make_series(np.zeros(128, dtype=int))
@@ -107,12 +142,12 @@ class TestExtractWindows:
     def test_exact_fit_single_window(self):
         s = make_series(np.zeros(64, dtype=int))
         ws = extract_windows(s, 64, 64)
-        assert len(ws) == 1 and not ws[0].tail
+        assert [w.start_index for w in ws] == [0]
 
     def test_tail_window_appended(self):
         s = make_series(np.zeros(100, dtype=int))
         ws = extract_windows(s, 64, 64)
-        assert [(w.start_index, w.tail) for w in ws] == [(0, False), (36, True)]
+        assert [w.start_index for w in ws] == [0, 36]
 
     def test_too_long_window_rejected(self):
         s = make_series(np.zeros(32, dtype=int))
