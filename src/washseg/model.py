@@ -6,6 +6,9 @@ gates the 8-length bottleneck features, the branches concatenate, a
 pyramid-pooling block widens the channel mix, and a shared decoder with
 skip connections from both branches restores full temporal resolution for
 a per-sample 10-way classifier head.
+
+The model computes in float32, the precision its checkpoints store, in
+training and inference alike; inputs are cast to it at ``forward``.
 """
 
 from __future__ import annotations
@@ -44,9 +47,24 @@ class ArchConfig:
 
     def validate(self):
         stages = len(self.encoder_channels)
+        if stages == 0:
+            raise ValueError("encoder_channels needs at least one stage")
+        sizes = (self.input_length, self.in_channels_per_branch, self.bottleneck_channels,
+                 self.ppm_reduce, self.se_reduction, *self.encoder_channels,
+                 *self.decoder_channels)
+        if min(sizes) < 1:
+            raise ValueError("lengths, channel counts and se_reduction must be positive")
+        if not 0.0 <= self.leaky_slope <= 1.0:
+            raise ValueError(f"leaky_slope {self.leaky_slope} outside [0, 1]")
         if self.input_length % (2**stages) != 0:
             raise ValueError(
                 f"input_length {self.input_length} not divisible by 2^{stages}"
+            )
+        bins = max(PPMBlock.POOL_SIZES)
+        if self.bottleneck_length % bins != 0:
+            raise ValueError(
+                f"input_length {self.input_length} gives bottleneck length "
+                f"{self.bottleneck_length}, not divisible by the largest PPM bin {bins}"
             )
         if self.bottleneck_channels != 2 * self.encoder_channels[-1]:
             raise ValueError("bottleneck_channels must be twice the last encoder stage")
@@ -81,6 +99,8 @@ class ArchConfig:
                 raise ValueError(f"architecture line '{line}' has no '='")
             if key not in defaults:
                 raise ValueError(f"unknown architecture key '{key}'")
+            if key in kwargs:
+                raise ValueError(f"architecture key '{key}' is repeated")
             kind = type(defaults[key])
             try:
                 kwargs[key] = (tuple(int(v) for v in value.split(",")) if kind is tuple
@@ -172,6 +192,12 @@ class GestureNet(Layer):
         self.head = Conv1d(in_ch, config.num_classes, 1, rng=rng)
         # damp the classifier init so fresh-model logits stay near uniform
         self.head.w.value *= 0.5
+        for p in self.params().values():
+            p.value = p.value.astype(np.float32)
+            p.grad = np.zeros_like(p.value)
+        for bn in self._batchnorms():
+            bn.running_mean = bn.running_mean.astype(np.float32)
+            bn.running_var = bn.running_var.astype(np.float32)
 
     # -- parameter bookkeeping ------------------------------------------------
 
@@ -189,11 +215,19 @@ class GestureNet(Layer):
     def parameter_count(self) -> int:
         return sum(p.value.size for p in self.params().values())
 
+    def _batchnorms(self):
+        return [m for m in self.modules() if isinstance(m, BatchNorm1d)]
+
     # -- forward / backward ---------------------------------------------------
 
     def forward(self, accel, gyro, mode="eval"):
-        """(B,3,L)+(B,3,L) -> logits (B,10,L)."""
+        """(B,3,L)+(B,3,L) -> logits (B,10,L), in the parameters' dtype."""
         L = self.config.input_length
+        dtype = self.head.w.value.dtype
+        # a finite value beyond the compute dtype's range becomes inf here,
+        # and the finiteness check below names the input
+        with np.errstate(over="ignore"):
+            accel, gyro = np.asarray(accel, dtype=dtype), np.asarray(gyro, dtype=dtype)
         for name, x in (("accel", accel), ("gyro", gyro)):
             if x.shape[1:] != (self.config.in_channels_per_branch, L):
                 raise ValueError(f"{name} input must be (B,{self.config.in_channels_per_branch},{L})")
@@ -247,24 +281,14 @@ class GestureNet(Layer):
     def named_tensors(self) -> dict:
         """Checkpoint name -> the live array it is saved from and loaded into."""
         out = {name: p.value for name, p in self.params().items()}
-        for i, bn in enumerate(m for m in self.modules() if isinstance(m, BatchNorm1d)):
+        for i, bn in enumerate(self._batchnorms()):
             out[f"bn_stats.{i}.mean"] = bn.running_mean
             out[f"bn_stats.{i}.var"] = bn.running_var
         return out
 
     def save(self, path) -> int:
-        """Write a checkpoint and snap live parameters to stored precision.
-
-        Storage is float32, so the in-memory float64 values are rounded to
-        their stored representation here; predictions after save therefore
-        match predictions after a later load exactly.
-        """
-        tensors = self.named_tensors()
-        bits = ckpt.save_checkpoint(path, self.config.to_text(), tensors)
-        self._apply_tensors(
-            {k: v.astype(np.float32).astype(np.float64) for k, v in tensors.items()}
-        )
-        return bits
+        """Write a checkpoint; returns its size in bits."""
+        return ckpt.save_checkpoint(path, self.config.to_text(), self.named_tensors())
 
     def _apply_tensors(self, tensors: dict):
         """Check every tensor against its slot, then copy all of them in."""

@@ -12,7 +12,9 @@ Layout, all little-endian:
         payload     32-bit IEEE-754 values
     CRC32 of all preceding bytes, u32
 
-Parameters are stored as float32 and widened to float64 on load.
+Tensors are stored as float32, the precision ``GestureNet`` computes in.
+``deserialize`` widens them exactly to float64 for checking; the model copies
+them back into its float32 slots, so a load-save round trip is bit for bit.
 """
 
 from __future__ import annotations

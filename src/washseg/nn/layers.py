@@ -1,7 +1,10 @@
 """Dense 1D layer library with hand-derived backward passes.
 
-All tensors are numpy float64 arrays shaped (batch, channels, time) unless
-noted otherwise. Layers cache their input (activations: their output) and
+Tensors are numpy arrays shaped (batch, channels, time) unless noted
+otherwise. Layers compute in the dtype of their input and parameters and
+allocate nothing wider: ``GestureNet`` holds float32, the precision its
+checkpoints store, and tests cast a model to float64 to gradcheck it through
+the same code. Layers cache their input (activations: their output) and
 derive masks, normalized inputs and argmax positions in backward, which
 raises ``RuntimeError`` without a prior forward. Kernels read strided slices
 and never copy their input. Parameter values are only ever mutated by an
@@ -129,7 +132,7 @@ class Conv1d(Layer):
 
     def backward(self, grad_out):
         x, taps, spans = _require_cache(self._cache, "Conv1d")
-        grad_x = np.zeros(x.shape)
+        grad_x = np.zeros_like(x)
         for k, o_sl, i_sl in spans:
             g = grad_out[:, :, o_sl]
             grad_x[:, :, i_sl] += taps[k].T @ g
@@ -216,7 +219,10 @@ class Sigmoid(Layer):
         self._cache = None
 
     def forward(self, x, mode="train"):
-        out = 1.0 / (1.0 + np.exp(-x))
+        # exp(-x) overflows to inf below x = -88.7 in float32; 1/(1+inf) = 0
+        # is the correct limit, so the overflow is not an error
+        with np.errstate(over="ignore"):
+            out = 1.0 / (1.0 + np.exp(-x))
         self._cache = out
         return out
 
@@ -245,7 +251,7 @@ class MaxPool1d(Layer):
 
     def backward(self, grad_out):
         x, out = _require_cache(self._cache, "MaxPool1d")
-        grad_x = np.zeros(x.shape)
+        grad_x = np.zeros_like(x)
         free = np.ones(out.shape, dtype=bool)  # gradient not yet routed
         for sl in _window_slices(x.shape[2], self.window, self.stride):
             hit = free & (x[:, :, sl] == out)
@@ -264,14 +270,14 @@ class AvgPool1d(Layer):
         if x.shape[2] < self.window:
             raise ValueError("avgpool1d: input shorter than pooling window")
         slices = _window_slices(x.shape[2], self.window, self.stride)
-        self._cache = x.shape
+        self._cache = x
         return sum(x[:, :, sl] for sl in slices) / self.window
 
     def backward(self, grad_out):
-        x_shape = _require_cache(self._cache, "AvgPool1d")
-        grad_x = np.zeros(x_shape)
+        x = _require_cache(self._cache, "AvgPool1d")
+        grad_x = np.zeros_like(x)
         share = grad_out / self.window
-        for sl in _window_slices(x_shape[2], self.window, self.stride):
+        for sl in _window_slices(x.shape[2], self.window, self.stride):
             grad_x[:, :, sl] += share
         return grad_x
 

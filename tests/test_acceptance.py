@@ -40,6 +40,7 @@ from washseg.nn import (
 from washseg.pipeline import LabelTrack, mode_filter, multiple_test_voting
 from washseg.scoring import PROFESSIONAL_DURATIONS, score, trimmed_average
 from washseg.synth import GenSpec, generate
+from conftest import cast_model
 import oracle
 
 
@@ -160,7 +161,7 @@ def test_criterion_1_gradient_fidelity(rng):
 
     layer_worst = max(errs.values())
 
-    model = GestureNet(ArchConfig(), seed=3)
+    model = cast_model(GestureNet(ArchConfig(), seed=3), np.float64)
     a = rng.standard_normal((2, 3, 64))
     g = rng.standard_normal((2, 3, 64))
     y = rng.integers(0, 10, size=(2, 64))

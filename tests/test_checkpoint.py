@@ -246,6 +246,14 @@ class TestStrictApply:
         with pytest.raises(ckpt.CheckpointError, match=f"architecture.*{key}"):
             GestureNet.load(path)
 
+    def test_repeated_config_key_named(self, tmp_path):
+        model = GestureNet(ArchConfig(), seed=4)
+        path = tmp_path / "config.ckpt"
+        ckpt.save_checkpoint(path, model.config.to_text() + "input_length=128\n",
+                             model.named_tensors())
+        with pytest.raises(ckpt.CheckpointError, match="architecture key 'input_length' is repeated"):
+            GestureNet.load(path)
+
     @pytest.mark.parametrize("name", ["bn_stats.0.var", "bn_stats.4.var"])
     def test_negative_variance_named(self, tmp_path, name):
         def edit(t):

@@ -14,6 +14,7 @@ from washseg.nn import (
     Upsample1d,
     grad_check,
 )
+from conftest import cast_model
 import oracle
 
 
@@ -341,6 +342,37 @@ class TestSimpleLayers:
                 flat[i] = orig
                 fd = (lp - lm) / (2 * h)
                 assert abs(fd - gx.reshape(-1)[i]) < 1e-5 * max(1.0, abs(fd))
+
+
+class TestFloat32:
+    """Every layer computes and allocates in its input's dtype: float32 in
+    and float32 parameters give float32 out, forward and backward."""
+
+    @pytest.mark.parametrize("make,shape,mode", [
+        (lambda r: Conv1d(3, 4, 3, stride=2, pad=1, rng=r), (2, 3, 12), "train"),
+        (lambda r: BatchNorm1d(3), (4, 3, 8), "train"),
+        (lambda r: BatchNorm1d(3), (4, 3, 8), "eval"),
+        (lambda r: LeakyReLU(0.01), (2, 3, 8), "train"),
+        (lambda r: Sigmoid(), (2, 3, 8), "train"),
+        (lambda r: MaxPool1d(2, 2), (2, 3, 8), "train"),
+        (lambda r: AvgPool1d(3, 2), (2, 3, 9), "train"),
+        (lambda r: Upsample1d(2), (2, 3, 4), "train"),
+        (lambda r: Linear(5, 4, rng=r), (3, 5), "train"),
+        (lambda r: SEBlock(8, 4, rng=r), (2, 8, 16), "train"),
+        (lambda r: PPMBlock(8, 4, rng=r), (2, 8, 8), "train"),
+    ], ids=["conv", "bn-train", "bn-eval", "leaky", "sigmoid", "maxpool", "avgpool",
+            "upsample", "linear", "se", "ppm"])
+    def test_forward_and_backward_keep_float32(self, rng, make, shape, mode):
+        layer = cast_model(make(rng), np.float32)
+        out = layer.forward(rng.standard_normal(shape).astype(np.float32), mode=mode)
+        grad_x = layer.backward(np.ones_like(out))
+        assert out.dtype == grad_x.dtype == np.float32
+        assert all(p.grad.dtype == np.float32 for p in layer.params().values())
+
+    def test_sigmoid_saturates_without_overflow(self):
+        # exp(100) overflows float32; the gate is exactly 0 there, not an error
+        out = Sigmoid().forward(np.array([-100.0, 0.0, 100.0], dtype=np.float32))
+        np.testing.assert_array_equal(out, np.array([0.0, 0.5, 1.0], dtype=np.float32))
 
 
 class TestLinear:

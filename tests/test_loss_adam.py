@@ -20,6 +20,14 @@ class TestSoftmaxCrossEntropy:
         loss, _ = softmax_cross_entropy(logits, labels)
         assert loss < 1e-12
 
+    def test_float32_true_class_probability_underflow_gives_finite_loss(self):
+        # exp(-200) underflows float32 to 0; the loss must still read ~200 nats
+        logits = np.zeros((1, 10, 3), dtype=np.float32)
+        logits[0, 4, :] = 200.0
+        loss, grad = softmax_cross_entropy(logits, np.zeros((1, 3), dtype=int))
+        assert np.isfinite(loss) and abs(loss - 200.0) < 1e-3
+        assert grad.dtype == np.float32 and np.isfinite(grad).all()
+
     def test_label_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             softmax_cross_entropy(np.zeros((1, 10, 2)), np.array([[0, 10]]))

@@ -1,7 +1,10 @@
+import dataclasses
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from washseg.model import (
     ArchConfig,
@@ -10,10 +13,43 @@ from washseg.model import (
     train,
     windows_to_arrays,
 )
-from washseg.nn import BatchNorm1d, softmax, softmax_cross_entropy
+from washseg.nn import Adam, BatchNorm1d, softmax, softmax_cross_entropy
 from washseg.nn import checkpoint as ckpt
 from washseg.signal_data import extract_windows
 from washseg.synth import GenSpec, generate_procedure
+from conftest import cast_model
+
+
+@st.composite
+def arch_configs(draw):
+    """A valid architecture, then half the time one field drawn from values
+    around the valid ones: zero sizes, short inputs, untied widths, bad slopes."""
+    small = st.integers(1, 6)
+    stages = draw(st.integers(1, 3))
+    enc = tuple(draw(st.lists(small, min_size=stages, max_size=stages)))
+    cfg = ArchConfig(
+        input_length=8 * 2**stages * draw(st.integers(1, 2)),
+        in_channels_per_branch=draw(st.integers(1, 4)),
+        encoder_channels=enc,
+        bottleneck_channels=2 * enc[-1],
+        ppm_reduce=draw(st.integers(1, 4)),
+        se_reduction=draw(st.integers(1, 6)),
+        decoder_channels=tuple(draw(st.lists(small, min_size=stages, max_size=stages))),
+        leaky_slope=draw(st.sampled_from([0.01, 0.0, 1.0])),
+    )
+    bad = {
+        "input_length": st.sampled_from([0, -64, 8, 16, 24, 32, 40, 48]),
+        "in_channels_per_branch": st.just(0),
+        "encoder_channels": st.lists(st.integers(0, 6), max_size=3).map(tuple),
+        "bottleneck_channels": st.integers(0, 12),
+        "ppm_reduce": st.just(0),
+        "se_reduction": st.just(0),
+        "decoder_channels": st.lists(st.integers(0, 6), max_size=4).map(tuple),
+        "num_classes": st.just(9),
+        "leaky_slope": st.sampled_from([-0.1, 1.5, float("nan")]),
+    }
+    field = draw(st.sampled_from([None, *bad]))
+    return cfg if field is None else dataclasses.replace(cfg, **{field: draw(bad[field])})
 
 
 class TestArchConfig:
@@ -36,6 +72,38 @@ class TestArchConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError):
             ArchConfig.from_text("bogus=3\n")
+
+    def test_repeated_key_rejected(self):
+        with pytest.raises(ValueError, match="'input_length' is repeated"):
+            ArchConfig.from_text("input_length=64\ninput_length=128\n")
+
+    def test_bottleneck_shorter_than_ppm_bin_rejected(self):
+        # 32 / 2^3 = 4 samples cannot be pooled by the PPM's 8-bin
+        with pytest.raises(ValueError, match="bottleneck length 4"):
+            ArchConfig(input_length=32).validate()
+
+    @settings(max_examples=100, deadline=None)
+    @given(arch_configs())
+    def test_validate_accepts_exactly_the_configs_that_run(self, cfg):
+        # accepted: builds, forwards a batch in float32 and round-trips a
+        # checkpoint; rejected: fails at validate, before any layer is built
+        try:
+            cfg.validate()
+        except ValueError:
+            with pytest.raises(ValueError):
+                GestureNet(cfg)
+            return
+        m = GestureNet(cfg, seed=2)
+        x = np.random.default_rng(0).standard_normal((2, cfg.in_channels_per_branch,
+                                                      cfg.input_length))
+        out = m.forward(x, -x)
+        assert out.shape == (2, 10, cfg.input_length) and out.dtype == np.float32
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "cfg.ckpt"
+            m.save(path)
+            loaded = GestureNet.load(path)
+        assert loaded.config == cfg
+        np.testing.assert_array_equal(loaded.forward(x, -x), out)
 
 
 class TestShapes:
@@ -89,6 +157,14 @@ class TestShapes:
         with pytest.raises(ValueError):
             m.forward(rng.standard_normal((1, 3, 32)), rng.standard_normal((1, 3, 32)))
 
+    @pytest.mark.parametrize("name", ["accel", "gyro"])
+    def test_finite_input_beyond_float32_range_rejected(self, rng, name):
+        # 1e39 is finite in float64 and inf in float32, the compute dtype
+        x = {"accel": rng.standard_normal((2, 3, 64)), "gyro": rng.standard_normal((2, 3, 64))}
+        x[name][1, 2, 5] = 1e39
+        with pytest.raises(ValueError, match=f"{name} input contains NaN/Inf"):
+            GestureNet(ArchConfig(), seed=0).forward(x["accel"], x["gyro"])
+
 
 PINNED_CKPT = Path(__file__).resolve().parent.parent / "perfbench" / "user_dep.ckpt"
 
@@ -120,14 +196,35 @@ class TestModuleTree:
         assert not any(p.grad.any() for p in m.params().values())
 
 
+class TestPrecision:
+    def test_float32_from_init_through_training_and_load(self, rng, tmp_path):
+        m = GestureNet(ArchConfig(), seed=0)
+        a = rng.standard_normal((4, 3, 64))  # float64 input is cast at forward
+        logits = m.forward(a, a[::-1], mode="train")
+        loss, grad = softmax_cross_entropy(logits, rng.integers(0, 10, size=(4, 64)))
+        m.backward(grad)
+        opt = Adam()
+        opt.step(m.params())
+        assert logits.dtype == grad.dtype == np.float32
+        assert {p.grad.dtype for p in m.params().values()} == {np.dtype(np.float32)}
+        assert {v.dtype for v in opt.m.values()} | {v.dtype for v in opt.v.values()} == {
+            np.dtype(np.float32)}
+        m.save(tmp_path / "m.ckpt")
+        for model in (m, GestureNet.load(tmp_path / "m.ckpt")):
+            assert {v.dtype for v in model.named_tensors().values()} == {np.dtype(np.float32)}
+
+
 class TestForwardSemantics:
     def test_eval_batch_invariance(self, rng):
         m = GestureNet(ArchConfig(), seed=1)
         a = rng.standard_normal((4, 3, 64))
         g = rng.standard_normal((4, 3, 64))
-        full = m.forward(a, g, mode="eval")
-        alone = m.forward(a[2:3], g[2:3], mode="eval")
-        np.testing.assert_array_equal(full[2:3], alone)
+        for dtype in (np.float32, np.float64):
+            cast_model(m, dtype)
+            full = m.forward(a, g, mode="eval")
+            alone = m.forward(a[2:3], g[2:3], mode="eval")
+            assert full.dtype == dtype
+            np.testing.assert_array_equal(full[2:3], alone)
 
     def test_eval_batch_invariance_at_pipeline_batch_sizes(self, rng):
         # 512 is infer_track's batch; 35 is a stride-64 request and 72 the
@@ -138,11 +235,15 @@ class TestForwardSemantics:
             bn.running_var = rng.uniform(0.5, 2.0, bn.channels)
         a = rng.standard_normal((600, 3, 64))
         g = rng.standard_normal((600, 3, 64))
-        full = m.forward(a, g, mode="eval")
-        for batch in (1, 35, 72, 512):
-            parts = [m.forward(a[s : s + batch], g[s : s + batch], mode="eval")
-                     for s in range(0, 600, batch)]
-            np.testing.assert_array_equal(np.concatenate(parts), full, err_msg=f"batch {batch}")
+        for dtype in (np.float32, np.float64):
+            cast_model(m, dtype)
+            full = m.forward(a, g, mode="eval")
+            assert full.dtype == dtype
+            for batch in (1, 35, 72, 512):
+                parts = [m.forward(a[s : s + batch], g[s : s + batch], mode="eval")
+                         for s in range(0, 600, batch)]
+                np.testing.assert_array_equal(np.concatenate(parts), full,
+                                              err_msg=f"{dtype.__name__} batch {batch}")
 
     def test_batch_permutation_equivariance(self, rng):
         m = GestureNet(ArchConfig(), seed=1)
@@ -162,7 +263,7 @@ class TestForwardSemantics:
         assert not np.allclose(out, swapped)
 
     def test_softmax_sums_to_one(self, rng):
-        m = GestureNet(ArchConfig(), seed=1)
+        m = cast_model(GestureNet(ArchConfig(), seed=1), np.float64)
         logits = m.forward(rng.standard_normal((2, 3, 64)), rng.standard_normal((2, 3, 64)))
         p = softmax(logits, axis=1)
         np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-9)

@@ -18,7 +18,7 @@ from washseg.pipeline import (
 from washseg.signal_data import SampleSeries
 from washseg.synth import GenSpec, generate_procedure
 import oracle
-from conftest import make_series
+from conftest import cast_model, make_series
 
 
 class PlantedModel:
@@ -167,6 +167,19 @@ class TestInferTrack:
             dense = infer_track(model, series, stride=1)
             tiled = infer_track(model, series, stride=64)
             np.testing.assert_array_equal(dense.labels, tiled.labels)
+
+    def test_pinned_checkpoint_float32_tracks_equal_float64(self):
+        # float32 compute against the same checkpoint cast to float64, on the
+        # held-out procedure 5 of the seed-42 user-dependent fold
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "user_dep.ckpt"
+        f32, f64 = GestureNet.load(path), cast_model(GestureNet.load(path), np.float64)
+        spec = GenSpec(seed=42)
+        for part in range(spec.participants):
+            series = generate_procedure(spec, part % spec.locations, part, 5)
+            t32, t64 = infer_track(f32, series, stride=1), infer_track(f64, series, stride=1)
+            for method in ("none", "mtv+tmf"):
+                np.testing.assert_array_equal(smooth(t32, method).labels,
+                                              smooth(t64, method).labels, err_msg=method)
 
 
 class TestMultipleTestVoting:
