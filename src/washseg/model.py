@@ -72,6 +72,9 @@ class ArchConfig:
             raise ValueError("decoder_channels needs one stage per encoder stage")
         if self.num_classes != 10:
             raise ValueError("num_classes must be 10")
+        if self.in_channels_per_branch != 3:
+            raise ValueError("in_channels_per_branch must be 3: every recording has "
+                             "three accelerometer and three gyroscope axes")
         return self
 
     @property
@@ -110,48 +113,64 @@ class ArchConfig:
         return cls(**kwargs).validate()
 
 
-class _EncStage(Layer):
-    """conv(k=3, pad=1) -> batchnorm -> leaky relu -> maxpool/2."""
+class _ConvBnAct(Layer):
+    """conv(k=3, pad=1) -> batchnorm -> leaky relu, the core of every stage.
+
+    In eval mode the conv applies the batch norm folded into its taps and
+    bias, so the norm makes no pass of its own; in both modes the activation
+    writes into the stage's own fresh array, never into the caller's input.
+    """
 
     def __init__(self, in_ch, out_ch, slope, rng):
         self.conv = Conv1d(in_ch, out_ch, 3, pad=1, rng=rng)
         self.bn = BatchNorm1d(out_ch)
         self.act = LeakyReLU(slope)
-        self.pool = MaxPool1d(2, 2)
 
     def children(self):
         return {"conv": self.conv, "bn": self.bn}
 
+    def _conv_bn_act(self, x, mode):
+        if mode == "train":
+            y = self.bn.forward(self.conv.forward(x, mode), mode)
+        else:
+            y = self.conv.forward(x, mode, fold=self.bn)
+        return self.act.forward(y, mode, out=y)
+
+    def _conv_bn_act_backward(self, grad_out):
+        return self.conv.backward(self.bn.backward(self.act.backward(grad_out)))
+
+
+class _EncStage(_ConvBnAct):
+    """conv -> batchnorm -> leaky relu -> maxpool/2."""
+
+    def __init__(self, in_ch, out_ch, slope, rng):
+        super().__init__(in_ch, out_ch, slope, rng)
+        self.pool = MaxPool1d(2, 2)
+
     def forward(self, x, mode):
-        act = self.act.forward(self.bn.forward(self.conv.forward(x, mode), mode), mode)
+        act = self._conv_bn_act(x, mode)
         return act, self.pool.forward(act, mode)
 
     def backward(self, grad_pooled, grad_skip):
-        g = self.pool.backward(grad_pooled) + grad_skip
-        return self.conv.backward(self.bn.backward(self.act.backward(g)))
+        return self._conv_bn_act_backward(self.pool.backward(grad_pooled) + grad_skip)
 
 
-class _DecStage(Layer):
+class _DecStage(_ConvBnAct):
     """upsample x2 -> concat both branches' skip features -> conv -> bn -> leaky."""
 
     def __init__(self, in_ch, out_ch, slope, rng):
         self.up = Upsample1d(2)
-        self.conv = Conv1d(in_ch, out_ch, 3, pad=1, rng=rng)
-        self.bn = BatchNorm1d(out_ch)
-        self.act = LeakyReLU(slope)
+        super().__init__(in_ch, out_ch, slope, rng)
         self._split = None
-
-    def children(self):
-        return {"conv": self.conv, "bn": self.bn}
 
     def forward(self, x, skip_a, skip_g, mode):
         up = self.up.forward(x, mode)
         self._split = (up.shape[1], skip_a.shape[1], skip_g.shape[1])
         cat = np.concatenate([up, skip_a, skip_g], axis=1)
-        return self.act.forward(self.bn.forward(self.conv.forward(cat, mode), mode), mode)
+        return self._conv_bn_act(cat, mode)
 
     def backward(self, grad_out):
-        g = self.conv.backward(self.bn.backward(self.act.backward(grad_out)))
+        g = self._conv_bn_act_backward(grad_out)
         c_up, c_a, c_g = self._split
         grad_up = self.up.backward(g[:, :c_up])
         grad_skip_a = g[:, c_up : c_up + c_a]
@@ -344,10 +363,15 @@ class EpochLog:
 
 
 def windows_to_arrays(windows):
-    """Stack a window list into (N,3,L) accel/gyro and (N,L) label arrays."""
-    accel = np.stack([w.accel_slice for w in windows]).astype(np.float64)
-    gyro = np.stack([w.gyro_slice for w in windows]).astype(np.float64)
-    labels = np.stack([w.label_slice for w in windows]).astype(np.int64)
+    """Stack a window list into (N,3,L) float32 accel/gyro and (N,L) int64 labels.
+
+    float32 is the model's compute dtype, so ``GestureNet.forward`` casts
+    nothing; a value beyond its range becomes inf, which forward rejects.
+    """
+    with np.errstate(over="ignore"):
+        accel = np.stack([w.accel_slice for w in windows], dtype=np.float32)
+        gyro = np.stack([w.gyro_slice for w in windows], dtype=np.float32)
+    labels = np.stack([w.label_slice for w in windows], dtype=np.int64)
     return accel, gyro, labels
 
 

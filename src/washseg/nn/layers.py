@@ -112,7 +112,9 @@ class Conv1d(Layer):
                 spans.append((k, slice(lo, hi), slice(lo * s + k - p, (hi - 1) * s + k - p + 1, s)))
         return t_out, spans
 
-    def forward(self, x, mode="train"):
+    def forward(self, x, mode="train", fold=None):
+        """conv(x); with ``fold``, a ``BatchNorm1d``, its eval bn(conv(x)) from
+        taps and bias scaled on this call, keeping no cache for backward."""
         if x.shape[1] != self.in_ch:
             raise ValueError(
                 f"conv1d: input has {x.shape[1]} channels, weights expect {self.in_ch}"
@@ -120,14 +122,18 @@ class Conv1d(Layer):
         if x.shape[2] + 2 * self.pad < self.kernel:
             raise ValueError("conv1d: padded input shorter than kernel")
         t_out, spans = self._spans(x.shape[2])
-        taps = np.ascontiguousarray(self.w.value.transpose(2, 0, 1))  # (K, O, C)
-        out = np.broadcast_to(self.b.value[:, None], (x.shape[0], self.out_ch, t_out)).copy()
+        w, b = self.w.value, self.b.value
+        if fold is not None:
+            scale, shift = fold.eval_affine()
+            w, b = w * scale[:, None, None], b * scale + shift
+        taps = np.ascontiguousarray(w.transpose(2, 0, 1))  # (K, O, C)
+        out = np.broadcast_to(b[:, None], (x.shape[0], self.out_ch, t_out)).copy()
         # (O, C) @ (C, T') per example keeps the reduction order independent of
         # batch size, so eval outputs are bit-identical however windows are
         # batched; one flat (B*T', C*K) GEMM is not (README, "Layer kernels")
         for k, o_sl, i_sl in spans:
             out[:, :, o_sl] += taps[k] @ x[:, :, i_sl]
-        self._cache = (x, taps, spans)
+        self._cache = None if fold is not None else (x, taps, spans)
         return out
 
     def backward(self, grad_out):
@@ -173,11 +179,20 @@ class BatchNorm1d(Layer):
         else:
             mean = self.running_mean
             var = self.running_var
-        inv_std = 1.0 / np.sqrt(var + self.eps)
-        scale = self.gamma.value * inv_std
-        shift = self.beta.value - mean * scale
+        inv_std, scale, shift = self._affine(mean, var)
         self._cache = (x, mean, inv_std, mode)
         return x * scale[:, None] + shift[:, None]
+
+    def _affine(self, mean, var):
+        """(1/std, scale, shift) with normalize(x) = x * scale + shift per channel."""
+        inv_std = 1.0 / np.sqrt(var + self.eps)
+        scale = self.gamma.value * inv_std
+        return inv_std, scale, self.beta.value - mean * scale
+
+    def eval_affine(self):
+        """The per-channel (scale, shift) that eval mode applies."""
+        _, scale, shift = self._affine(self.running_mean, self.running_var)
+        return scale, shift
 
     def backward(self, grad_out):
         x, mean, inv_std, mode = _require_cache(self._cache, "BatchNorm1d")
@@ -204,8 +219,9 @@ class LeakyReLU(Layer):
         self.slope = slope
         self._cache = None
 
-    def forward(self, x, mode="train"):
-        out = np.maximum(x, self.slope * x)
+    def forward(self, x, mode="train", out=None):
+        """``out`` receives the result; a caller that owns ``x`` may pass ``x``."""
+        out = np.maximum(x, self.slope * x, out=out)
         self._cache = out  # out > 0 exactly where x > 0, for slope in [0, 1]
         return out
 

@@ -148,26 +148,24 @@ def write_csv(series: SampleSeries, path):
             f.write(f",{series.label[i]}\n")
 
 
-def extract_windows(series: SampleSeries, length=DEFAULT_WINDOW, stride=1):
-    """Windows at starts 0, stride, 2*stride, ... while they fit.
-
-    If stride > 1 and the last stride-aligned window stops short of the
-    series end, one extra end-aligned window is appended.
-    """
-    n = len(series)
+def window_starts(n, length, stride) -> np.ndarray:
+    """Start indices of the windows over an ``n``-sample series: 0, stride,
+    2*stride, ... while they fit, plus one end-aligned start when the last of
+    them stops short of the end."""
     if length > n:
         raise ValueError(f"window length {length} exceeds series length {n}")
     if stride < 1:
         raise ValueError("stride must be >= 1")
-    windows = []
-    start = 0
-    while start + length <= n:
-        windows.append(Window(series, start, length))
-        start += stride
-    last_end = windows[-1].start_index + length
-    if stride > 1 and last_end < n:
-        windows.append(Window(series, n - length, length))
-    return windows
+    starts = np.arange(0, n - length + 1, stride)
+    if starts[-1] + length < n:
+        starts = np.append(starts, n - length)
+    return starts
+
+
+def extract_windows(series: SampleSeries, length=DEFAULT_WINDOW, stride=1):
+    """One ``Window`` per start of ``window_starts``."""
+    return [Window(series, start, length)
+            for start in window_starts(len(series), length, stride).tolist()]
 
 
 def parse_corpus_filename(name: str):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .scoring import PROFESSIONAL_DURATIONS
-from .signal_data import SampleSeries, extract_windows, write_csv
+from .signal_data import SampleSeries, write_csv
 
 # distinct base frequencies (Hz) for gestures 1..9, within hand-motion range
 BASE_FREQS = np.arange(1.0, 3.7, 0.3)[:9]

@@ -1,7 +1,7 @@
 """Brute-force reference implementations used as independent oracles.
 
 Everything here is written as plain loops, deliberately sharing no code
-with the library implementations it checks.
+with the library implementations it checks, except ``unfolded_forward``.
 """
 
 import numpy as np
@@ -91,3 +91,25 @@ def mode_filter_loops(labels, window, num_classes=10):
         hi = min(n, i + right + 1)
         out.append(mode_smallest(labels[lo:hi], num_classes))
     return np.array(out)
+
+
+def unfolded_forward(model, accel, gyro):
+    """``GestureNet``'s eval forward with every stage run as separate conv,
+    batch-norm and activation passes, each into a new array: the path the
+    folded, in-place eval stages replace. It reuses the layer kernels (checked
+    against the loops above) and differs from the model only in the fold."""
+    def stage(st, x):
+        return st.act.forward(st.bn.forward(st.conv.forward(x, "eval"), "eval"), "eval")
+
+    dtype = model.head.w.value.dtype
+    xa, xg = np.asarray(accel, dtype=dtype), np.asarray(gyro, dtype=dtype)
+    skips = []
+    for st_a, st_g in zip(model.enc_a, model.enc_g):
+        act_a, act_g = stage(st_a, xa), stage(st_g, xg)
+        skips.append((act_a, act_g))
+        xa, xg = st_a.pool.forward(act_a, "eval"), st_g.pool.forward(act_g, "eval")
+    x = model.ppm.forward(np.concatenate([model.se_a.forward(xa, "eval"),
+                                          model.se_g.forward(xg, "eval")], axis=1), "eval")
+    for st, (skip_a, skip_g) in zip(model.dec, reversed(skips)):
+        x = stage(st, np.concatenate([st.up.forward(x, "eval"), skip_a, skip_g], axis=1))
+    return model.head.forward(x, "eval")

@@ -246,6 +246,18 @@ class TestStrictApply:
         with pytest.raises(ckpt.CheckpointError, match=f"architecture.*{key}"):
             GestureNet.load(path)
 
+    @pytest.mark.parametrize("channels", [1, 2, 4])
+    def test_sensor_channel_count_named(self, tmp_path, channels):
+        # every recording has three accelerometer and three gyroscope axes
+        model = GestureNet(ArchConfig(), seed=4)
+        text = model.config.to_text().replace("in_channels_per_branch=3",
+                                              f"in_channels_per_branch={channels}")
+        path = tmp_path / "config.ckpt"
+        ckpt.save_checkpoint(path, text, model.named_tensors())
+        with pytest.raises(ckpt.CheckpointError,
+                           match="architecture: in_channels_per_branch must be 3"):
+            GestureNet.load(path)
+
     def test_repeated_config_key_named(self, tmp_path):
         model = GestureNet(ArchConfig(), seed=4)
         path = tmp_path / "config.ckpt"

@@ -246,6 +246,17 @@ class TestSimpleLayers:
         x = x.reshape(1, 2, -1)
         np.testing.assert_array_equal(act.forward(x), np.where(x > 0, x, 0.01 * x))
 
+    def test_leaky_relu_leaves_caller_input_untouched(self, rng):
+        # only a caller that owns x passes out=x (the model's stages do)
+        act = LeakyReLU(0.01)
+        x = rng.standard_normal((2, 3, 9))
+        kept = x.copy()
+        out = act.forward(x)
+        np.testing.assert_array_equal(x, kept)
+        assert not np.shares_memory(out, x)
+        assert act.forward(x, out=x) is x
+        np.testing.assert_array_equal(x, out)
+
     def test_leaky_relu_slope_outside_unit_interval_rejected(self):
         for slope in (-0.1, 1.5):
             with pytest.raises(ValueError):

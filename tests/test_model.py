@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 from washseg.model import (
     ArchConfig,
     GestureNet,
+    _DecStage,
+    _EncStage,
     TrainHyper,
     train,
     windows_to_arrays,
@@ -18,18 +20,20 @@ from washseg.nn import checkpoint as ckpt
 from washseg.signal_data import extract_windows
 from washseg.synth import GenSpec, generate_procedure
 from conftest import cast_model
+import oracle
 
 
 @st.composite
 def arch_configs(draw):
     """A valid architecture, then half the time one field drawn from values
-    around the valid ones: zero sizes, short inputs, untied widths, bad slopes."""
+    around the valid ones: zero sizes, short inputs, untied widths, bad slopes,
+    sensor channel counts other than the recordings' three axes."""
     small = st.integers(1, 6)
     stages = draw(st.integers(1, 3))
     enc = tuple(draw(st.lists(small, min_size=stages, max_size=stages)))
     cfg = ArchConfig(
         input_length=8 * 2**stages * draw(st.integers(1, 2)),
-        in_channels_per_branch=draw(st.integers(1, 4)),
+        in_channels_per_branch=draw(st.just(3)),
         encoder_channels=enc,
         bottleneck_channels=2 * enc[-1],
         ppm_reduce=draw(st.integers(1, 4)),
@@ -39,7 +43,7 @@ def arch_configs(draw):
     )
     bad = {
         "input_length": st.sampled_from([0, -64, 8, 16, 24, 32, 40, 48]),
-        "in_channels_per_branch": st.just(0),
+        "in_channels_per_branch": st.sampled_from([0, 1, 2, 4]),
         "encoder_channels": st.lists(st.integers(0, 6), max_size=3).map(tuple),
         "bottleneck_channels": st.integers(0, 12),
         "ppm_reduce": st.just(0),
@@ -214,6 +218,72 @@ class TestPrecision:
             assert {v.dtype for v in model.named_tensors().values()} == {np.dtype(np.float32)}
 
 
+def _stage_with_stats(rng, cls, in_ch, out_ch):
+    """A float64 stage whose batch norm and bias are far from their init."""
+    stage = cls(in_ch, out_ch, 0.1, rng)
+    stage.conv.b.value = rng.standard_normal(out_ch)
+    stage.bn.gamma.value = rng.uniform(0.5, 2.0, out_ch) * rng.choice([-1, 1], out_ch)
+    stage.bn.beta.value = rng.standard_normal(out_ch)
+    stage.bn.running_mean = rng.standard_normal(out_ch)
+    stage.bn.running_var = rng.uniform(0.2, 3.0, out_ch)
+    return stage
+
+
+class TestFoldedStages:
+    def test_folded_eval_equals_unfolded_within_float32_rounding(self, rng):
+        stage = _stage_with_stats(rng, _EncStage, 5, 8)
+        x = rng.standard_normal((4, 5, 32))
+        ref = stage.act.forward(stage.bn.forward(stage.conv.forward(x), "eval"))
+        # float32 evaluation of a (C*K)-term dot product plus bias, scale and
+        # shift: at most C*K + 4 roundings of the sum of the terms' magnitudes
+        # (the leaky activation is 1-Lipschitz)
+        scale, shift = stage.bn.eval_affine()
+        mag = oracle.conv1d_loops(np.abs(x), np.abs(stage.conv.w.value * scale[:, None, None]),
+                                  np.abs(stage.conv.b.value * scale) + np.abs(shift), pad=1)
+        tol = (5 * 3 + 4) * np.finfo(np.float32).eps * mag
+        cast_model(stage, np.float32)
+        x32 = x.astype(np.float32)
+        folded, _ = stage.forward(x32, "eval")
+        unfolded = stage.act.forward(stage.bn.forward(stage.conv.forward(x32), "eval"))
+        assert folded.dtype == np.float32
+        for got in (folded, unfolded):
+            assert (np.abs(got - ref) <= tol).all()
+        # the fold is recomputed from the live parameters on every call
+        stage.bn.running_mean = stage.bn.running_mean + np.float32(1.0)
+        moved, _ = stage.forward(x32, "eval")
+        assert not np.array_equal(moved, folded)
+
+    def test_folded_conv_keeps_no_backward_cache(self, rng):
+        stage = _stage_with_stats(rng, _EncStage, 3, 4)
+        x = rng.standard_normal((2, 3, 8))
+        stage.forward(x, "train")
+        stage.forward(x, "eval")
+        with pytest.raises(RuntimeError, match="Conv1d.backward called without a forward cache"):
+            stage.conv.backward(np.ones((2, 4, 8)))
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_stages_activate_in_place_only_into_their_own_output(self, rng, mode):
+        enc = _stage_with_stats(rng, _EncStage, 3, 4)
+        dec = _stage_with_stats(rng, _DecStage, 4 + 2 + 2, 4)
+        x, low, skip_a, skip_g = (rng.standard_normal(shape) for shape in
+                                  [(2, 3, 8), (2, 4, 4), (2, 2, 8), (2, 2, 8)])
+        inputs = [x, low, skip_a, skip_g]
+        kept = [a.copy() for a in inputs]
+        pre = []  # each stage's fresh pre-activation array
+        for stage in (enc, dec):
+            layer = stage.bn if mode == "train" else stage.conv  # eval: bn folded into conv
+            def spy(*args, _forward=layer.forward, **kwargs):
+                pre.append(_forward(*args, **kwargs))
+                return pre[-1]
+            layer.forward = spy
+        act, _ = enc.forward(x, mode)
+        out = dec.forward(low, skip_a, skip_g, mode)
+        assert act is pre[0] and out is pre[1]
+        for a, k in zip(inputs, kept):
+            np.testing.assert_array_equal(a, k)
+            assert not np.shares_memory(a, act) and not np.shares_memory(a, out)
+
+
 class TestForwardSemantics:
     def test_eval_batch_invariance(self, rng):
         m = GestureNet(ArchConfig(), seed=1)
@@ -274,6 +344,27 @@ def training_windows(n_windows=32, seed=5):
     series = generate_procedure(spec, 0, 0, 1)
     stride = max(1, (len(series) - 64) // n_windows)
     return extract_windows(series, 64, stride)[:n_windows]
+
+
+class TestWindowsToArrays:
+    def test_float32_stack_equals_float64_stack_cast(self):
+        windows = training_windows()
+        accel, gyro, labels = windows_to_arrays(windows)
+        assert (accel.dtype, gyro.dtype, labels.dtype) == (np.float32, np.float32, np.int64)
+        for got, part in ((accel, "accel_slice"), (gyro, "gyro_slice")):
+            wide = np.stack([getattr(w, part) for w in windows]).astype(np.float64)
+            np.testing.assert_array_equal(got, wide.astype(np.float32))
+        np.testing.assert_array_equal(labels, np.stack([w.label_slice for w in windows]))
+
+    def test_value_beyond_float32_range_becomes_inf_that_forward_rejects(self):
+        series = generate_procedure(GenSpec(seed=5, participants=1), 0, 0, 1)
+        accel = series.accel.copy()
+        accel[1, 70] = 1e39
+        series = dataclasses.replace(series, accel=accel)
+        a, g, _ = windows_to_arrays(extract_windows(series, 64, 64)[:2])
+        assert np.isinf(a[1, 1, 70 - 64]) and np.isfinite(a[0]).all()
+        with pytest.raises(ValueError, match="accel input contains NaN/Inf"):
+            GestureNet(ArchConfig(), seed=0).forward(a, g)
 
 
 class TestTraining:

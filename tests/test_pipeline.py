@@ -15,7 +15,7 @@ from washseg.pipeline import (
     export_track_csv,
     export_timeline_svg,
 )
-from washseg.signal_data import SampleSeries
+from washseg.signal_data import SampleSeries, window_starts
 from washseg.synth import GenSpec, generate_procedure
 import oracle
 from conftest import cast_model, make_series
@@ -167,6 +167,23 @@ class TestInferTrack:
             dense = infer_track(model, series, stride=1)
             tiled = infer_track(model, series, stride=64)
             np.testing.assert_array_equal(dense.labels, tiled.labels)
+
+    def test_pinned_checkpoint_folded_argmax_equals_unfolded(self):
+        # every stride-1 window of the held-out procedure 5 of the seed-42
+        # user-dependent fold, through the folded eval stages and through
+        # separate conv, batch-norm and activation passes
+        model = GestureNet.load(Path(__file__).resolve().parent.parent / "perfbench" / "user_dep.ckpt")
+        spec = GenSpec(seed=42)
+        for part in range(spec.participants):
+            series = generate_procedure(spec, part % spec.locations, part, 5)
+            starts = window_starts(len(series), 64, 1)
+            for lo in range(0, starts.size, 512):
+                rows = starts[lo : lo + 512]
+                a = np.stack([series.accel[:, s : s + 64] for s in rows])
+                g = np.stack([series.gyro[:, s : s + 64] for s in rows])
+                folded = model.forward(a, g, mode="eval").argmax(axis=1)
+                unfolded = oracle.unfolded_forward(model, a, g).argmax(axis=1)
+                np.testing.assert_array_equal(folded, unfolded, err_msg=f"participant {part}")
 
     def test_pinned_checkpoint_float32_tracks_equal_float64(self):
         # float32 compute against the same checkpoint cast to float64, on the

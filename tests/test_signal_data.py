@@ -12,6 +12,7 @@ from washseg.signal_data import (
     extract_windows,
     load_csv,
     parse_corpus_filename,
+    window_starts,
     write_csv,
 )
 from conftest import make_series
@@ -155,14 +156,20 @@ class TestExtractWindows:
             extract_windows(s, 64, 1)
 
     def test_every_sample_covered_when_stride_le_length(self, rng):
-        for _ in range(20):
-            n = int(rng.integers(64, 400))
-            stride = int(rng.integers(1, 65))
+        # strides 1, 7 and 64 at lengths that end on a stride-aligned window
+        # (64, 71, 128) and that need an end-aligned tail (100, 130), then random
+        cases = [(n, stride) for stride in (1, 7, 64) for n in (64, 71, 100, 128, 130)]
+        cases += [(int(rng.integers(64, 400)), int(rng.integers(1, 65))) for _ in range(20)]
+        for n, stride in cases:
             s = make_series(np.zeros(n, dtype=int))
+            starts = window_starts(n, 64, stride)
+            assert starts.dtype.kind == "i"
+            assert [w.start_index for w in extract_windows(s, 64, stride)] == starts.tolist()
+            assert (np.diff(starts) > 0).all() and starts[-1] == n - 64, (n, stride)
             covered = np.zeros(n, dtype=bool)
-            for w in extract_windows(s, 64, stride):
-                covered[w.start_index : w.start_index + 64] = True
-            assert covered.all()
+            for start in starts:
+                covered[start : start + 64] = True
+            assert covered.all(), (n, stride)
 
     def test_augmentation_relation_for_64k_series(self):
         # stride-1 windows ~= 63x the disjoint-window count, up to boundary
