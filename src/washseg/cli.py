@@ -24,17 +24,19 @@ def _fail(origin: str, message: str) -> int:
     return 1
 
 
+def _hyper(args) -> TrainHyper:
+    return TrainHyper(lr=args.lr, batch=args.batch, epochs=args.epochs, seed=args.seed)
+
+
 def cmd_synth(args) -> int:
+    spec = synth.GenSpec()
     if args.spec:
         with open(args.spec) as f:
             spec = synth.GenSpec.from_text(f.read())
-        if args.seed is not None:
-            spec.seed = args.seed
-    else:
-        spec = synth.GenSpec(seed=args.seed)
-    if args.participants:
+    spec.seed = args.seed
+    if args.participants is not None:
         spec.participants = args.participants
-    if args.locations:
+    if args.locations is not None:
         spec.locations = args.locations
     corpus = synth.generate(spec)
     synth.write_corpus(corpus, args.out)
@@ -49,13 +51,12 @@ def cmd_train(args) -> int:
     if args.arch_config:
         with open(args.arch_config) as f:
             arch = ArchConfig.from_text(f.read())
-    hyper = TrainHyper(lr=args.lr, batch=args.batch, epochs=args.epochs, seed=args.seed)
     model = GestureNet(arch, seed=args.seed)
     windows = evaluation.fold_windows(
         corpus, arch.input_length, args.stride,
         max_windows=args.max_windows, rng=np.random.default_rng(args.seed),
     )
-    logs = train(model, windows, hyper, verbose=not args.quiet)
+    logs = train(model, windows, _hyper(args), verbose=not args.quiet)
     bits = model.save(args.out)
     log_path = args.out + ".log.csv"
     with open(log_path, "w") as f:
@@ -105,10 +106,9 @@ def cmd_eval(args) -> int:
     corpus = load_corpus(args.data)
     kind = {"user-dep": "user-dependent", "lopo": "lopo", "lolo": "lolo"}[args.split]
     split = evaluation.make_split(corpus, kind)
-    hyper = TrainHyper(lr=args.lr, batch=args.batch, epochs=args.epochs, seed=args.seed)
     results = evaluation.run_evaluation(
         split,
-        hyper=hyper,
+        hyper=_hyper(args),
         window_stride=args.stride,
         max_windows=args.max_windows,
         verbose=not args.quiet,
@@ -146,21 +146,23 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--out", required=True, help="output corpus directory")
     sp.add_argument("--spec", help="generator key-value config file")
-    sp.add_argument("--participants", type=int, default=0)
-    sp.add_argument("--locations", type=int, default=0)
+    sp.add_argument("--participants", type=int)
+    sp.add_argument("--locations", type=int)
     sp.set_defaults(func=cmd_synth)
 
-    tp = sub.add_parser("train", help="train a model on a corpus directory")
-    tp.add_argument("--data", required=True)
-    tp.add_argument("--seed", type=int, required=True)
+    fit = argparse.ArgumentParser(add_help=False)
+    fit.add_argument("--data", required=True, help="corpus directory")
+    fit.add_argument("--seed", type=int, required=True)
+    fit.add_argument("--epochs", type=int, default=500)
+    fit.add_argument("--lr", type=float, default=0.001)
+    fit.add_argument("--batch", type=int, default=256)
+    fit.add_argument("--stride", type=int, default=1, help="training window stride")
+    fit.add_argument("--max-windows", type=int, default=None)
+    fit.add_argument("--quiet", action="store_true")
+
+    tp = sub.add_parser("train", parents=[fit], help="train a model on a corpus directory")
     tp.add_argument("--out", required=True, help="output checkpoint path")
     tp.add_argument("--arch-config", help="architecture key-value file")
-    tp.add_argument("--epochs", type=int, default=500)
-    tp.add_argument("--lr", type=float, default=0.001)
-    tp.add_argument("--batch", type=int, default=256)
-    tp.add_argument("--stride", type=int, default=1, help="training window stride")
-    tp.add_argument("--max-windows", type=int, default=None)
-    tp.add_argument("--quiet", action="store_true")
     tp.set_defaults(func=cmd_train)
 
     ip = sub.add_parser("infer", help="label one series with a trained model")
@@ -178,17 +180,9 @@ def build_parser() -> argparse.ArgumentParser:
     scp.add_argument("--out")
     scp.set_defaults(func=cmd_score)
 
-    ep = sub.add_parser("eval", help="train+evaluate under a split protocol")
-    ep.add_argument("--data", required=True)
+    ep = sub.add_parser("eval", parents=[fit], help="train+evaluate under a split protocol")
     ep.add_argument("--split", choices=["user-dep", "lopo", "lolo"], default="user-dep")
-    ep.add_argument("--seed", type=int, required=True)
     ep.add_argument("--out", required=True, help="output report directory")
-    ep.add_argument("--epochs", type=int, default=500)
-    ep.add_argument("--lr", type=float, default=0.001)
-    ep.add_argument("--batch", type=int, default=256)
-    ep.add_argument("--stride", type=int, default=1)
-    ep.add_argument("--max-windows", type=int, default=None)
-    ep.add_argument("--quiet", action="store_true")
     ep.set_defaults(func=cmd_eval)
 
     np_ = sub.add_parser("inspect", help="dump a checkpoint's architecture and size")

@@ -32,20 +32,6 @@ SMOOTH_VARIANTS = ("raw", "mtv", "tmf", "mtv+tmf")
 
 # -- metric kernels ----------------------------------------------------------
 
-def accuracy_global(predictions, ground_truths) -> float:
-    """Total correct samples over total samples, pooled across participants."""
-    correct = 0
-    total = 0
-    for pred, truth in zip(predictions, ground_truths, strict=True):
-        pred = np.asarray(pred)
-        truth = np.asarray(truth)
-        if pred.shape != truth.shape:
-            raise ValueError("prediction/ground-truth length mismatch")
-        correct += int((pred == truth).sum())
-        total += pred.size
-    return correct / total
-
-
 def accuracy_per_participant(prediction, ground_truth) -> float:
     prediction = np.asarray(prediction)
     ground_truth = np.asarray(ground_truth)
@@ -58,39 +44,37 @@ def accuracy_per_participant(prediction, ground_truth) -> float:
 
 def confusion_matrix(predictions, ground_truths) -> np.ndarray:
     """10x10 counts; rows are ground truth, columns are prediction."""
-    cm = np.zeros((NUM_CLASSES, NUM_CLASSES), dtype=np.int64)
+    cm = np.zeros(NUM_CLASSES * NUM_CLASSES, dtype=np.int64)
     for pred, truth in zip(predictions, ground_truths, strict=True):
-        pred = np.asarray(pred)
-        truth = np.asarray(truth)
-        np.add.at(cm, (truth, pred), 1)
-    return cm
+        pred, truth = np.asarray(pred), np.asarray(truth)
+        if pred.shape != truth.shape:
+            raise ValueError("prediction/ground-truth length mismatch")
+        cm += np.bincount((truth * NUM_CLASSES + pred).ravel(), minlength=cm.size)
+    return cm.reshape(NUM_CLASSES, NUM_CLASSES)
+
+
+def accuracy_global(predictions, ground_truths) -> float:
+    """Total correct samples over total samples, pooled across participants:
+    the confusion matrix's trace over its sum."""
+    cm = confusion_matrix(predictions, ground_truths)
+    return int(np.trace(cm)) / int(cm.sum())
 
 
 def prf_confusion(predictions, ground_truths):
     """Confusion matrix plus per-class P/R/F1 and macro means.
 
-    Classes with a zero denominator score 0 and are listed in the
-    ``degenerate`` set so macro means stay well-defined.
+    Classes never predicted or never present have a zero denominator; they
+    score 0 and are listed in the ``degenerate`` set so macro means stay
+    well-defined.
     """
     cm = confusion_matrix(predictions, ground_truths)
     tp = np.diag(cm).astype(np.float64)
-    fp = cm.sum(axis=0) - tp
-    fn = cm.sum(axis=1) - tp
-    degenerate = set()
-    precision = np.zeros(NUM_CLASSES)
-    recall = np.zeros(NUM_CLASSES)
-    f1 = np.zeros(NUM_CLASSES)
-    for c in range(NUM_CLASSES):
-        if tp[c] + fp[c] > 0:
-            precision[c] = tp[c] / (tp[c] + fp[c])
-        else:
-            degenerate.add(c)
-        if tp[c] + fn[c] > 0:
-            recall[c] = tp[c] / (tp[c] + fn[c])
-        else:
-            degenerate.add(c)
-        if precision[c] + recall[c] > 0:
-            f1[c] = 2 * precision[c] * recall[c] / (precision[c] + recall[c])
+    predicted = cm.sum(axis=0)
+    actual = cm.sum(axis=1)
+    precision = np.divide(tp, predicted, out=np.zeros(NUM_CLASSES), where=predicted > 0)
+    recall = np.divide(tp, actual, out=np.zeros(NUM_CLASSES), where=actual > 0)
+    both = precision + recall
+    f1 = np.divide(2 * precision * recall, both, out=np.zeros(NUM_CLASSES), where=both > 0)
     return {
         "confusion": cm,
         "precision": precision,
@@ -99,7 +83,7 @@ def prf_confusion(predictions, ground_truths):
         "m_precision": float(precision.mean()),
         "m_recall": float(recall.mean()),
         "m_f1": float(f1.mean()),
-        "degenerate_classes": sorted(degenerate),
+        "degenerate_classes": np.flatnonzero((predicted == 0) | (actual == 0)).tolist(),
     }
 
 
@@ -207,6 +191,7 @@ def evaluate_tracks(test_series, tracks) -> VariantMetrics:
     preds = [t.labels for t in tracks]
     truths = [s.label for s in test_series]
     prf = prf_confusion(preds, truths)
+    cm = prf["confusion"]
     per_participant = {}
     for s, t in zip(test_series, tracks):
         key = f"{s.location_id}_{s.participant_id}"
@@ -233,7 +218,7 @@ def evaluate_tracks(test_series, tracks) -> VariantMetrics:
     offset_mean, offset_sd = mean_sd(offset_errs)
     se_mean, se_sd = mean_sd(score_errs)
     return VariantMetrics(
-        accuracy=accuracy_global(preds, truths),
+        accuracy=int(np.trace(cm)) / int(cm.sum()),
         m_precision=prf["m_precision"],
         m_recall=prf["m_recall"],
         m_f1=prf["m_f1"],
@@ -245,7 +230,7 @@ def evaluate_tracks(test_series, tracks) -> VariantMetrics:
         score_error_mean=se_mean,
         score_error_sd=se_sd,
         detection_failures=failures,
-        confusion=prf["confusion"],
+        confusion=cm,
     )
 
 

@@ -14,7 +14,7 @@ training and inference alike; inputs are cast to it at ``forward``.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,10 +31,13 @@ from .nn import (
     softmax_cross_entropy,
 )
 from .nn import checkpoint as ckpt
+from .textconfig import TextConfig
 
 
 @dataclass
-class ArchConfig:
+class ArchConfig(TextConfig):
+    _label = "architecture"
+
     input_length: int = 64
     in_channels_per_branch: int = 3
     encoder_channels: tuple = (8, 16, 32)
@@ -80,37 +83,6 @@ class ArchConfig:
     @property
     def bottleneck_length(self) -> int:
         return self.input_length // (2 ** len(self.encoder_channels))
-
-    def to_text(self) -> str:
-        lines = []
-        for key, value in asdict(self).items():
-            if isinstance(value, tuple):
-                value = ",".join(str(v) for v in value)
-            lines.append(f"{key}={value}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "ArchConfig":
-        defaults = asdict(cls())
-        kwargs = {}
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise ValueError(f"architecture line '{line}' has no '='")
-            if key not in defaults:
-                raise ValueError(f"unknown architecture key '{key}'")
-            if key in kwargs:
-                raise ValueError(f"architecture key '{key}' is repeated")
-            kind = type(defaults[key])
-            try:
-                kwargs[key] = (tuple(int(v) for v in value.split(",")) if kind is tuple
-                               else kind(value))
-            except ValueError:
-                raise ValueError(f"architecture key '{key}' has bad value '{value}'") from None
-        return cls(**kwargs).validate()
 
 
 class _ConvBnAct(Layer):

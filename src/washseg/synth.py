@@ -10,26 +10,30 @@ corpus is a pure function of the spec.
 
 from __future__ import annotations
 
+import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .scoring import PROFESSIONAL_DURATIONS
 from .signal_data import SampleSeries, write_csv
+from .textconfig import TextConfig
 
 # distinct base frequencies (Hz) for gestures 1..9, within hand-motion range
 BASE_FREQS = np.arange(1.0, 3.7, 0.3)[:9]
 
 
 @dataclass
-class GenSpec:
+class GenSpec(TextConfig):
+    _label = "generator"
+
     seed: int = 0
     participants: int = 10
     locations: int = 1
     procedures_per_participant: int = 5
     rate_hz: float = 50.0
-    duration_means: np.ndarray = field(default_factory=lambda: PROFESSIONAL_DURATIONS.copy())
+    duration_means: tuple = tuple(PROFESSIONAL_DURATIONS.tolist())
     duration_jitter: float = 0.2
     noise_sigma: float = 0.1
     background_range_s: tuple = (2.0, 5.0)
@@ -39,49 +43,31 @@ class GenSpec:
     participant_variation: float = 0.35
 
     def validate(self):
-        for p in (self.sequence_shuffle_prob, self.gesture_drop_prob):
-            if not 0.0 <= p <= 1.0:
-                raise ValueError("probabilities must lie in [0, 1]")
+        """Reject, naming the field, every spec that generation cannot run."""
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
+        for name in ("participants", "locations", "procedures_per_participant"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
+        if not 0.0 < self.rate_hz < math.inf:
+            raise ValueError("rate_hz must be finite and positive")
+        if len(self.duration_means) != 9 or not all(0.0 < d < math.inf
+                                                   for d in self.duration_means):
+            raise ValueError("duration_means needs 9 finite, positive values")
+        for name in ("noise_sigma", "background_walk_sigma", "participant_variation"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative")
+        lo_hi = self.background_range_s
+        if len(lo_hi) != 2 or not 0.0 <= lo_hi[0] <= lo_hi[1] < math.inf:
+            raise ValueError("background_range_s needs two finite values 0 <= lo <= hi")
+        for name in ("sequence_shuffle_prob", "gesture_drop_prob"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1]")
         if not 0.0 <= self.duration_jitter < 1.0:
             raise ValueError("duration_jitter must lie in [0, 1)")
         if len(set(np.round(BASE_FREQS, 6))) != 9:
             raise ValueError("gesture base frequencies must be distinct")
         return self
-
-    def to_text(self) -> str:
-        lines = []
-        for key, value in self.__dict__.items():
-            if isinstance(value, np.ndarray):
-                value = ",".join(f"{v:g}" for v in value)
-            elif isinstance(value, tuple):
-                value = ",".join(f"{v:g}" for v in value)
-            lines.append(f"{key}={value}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "GenSpec":
-        kwargs = {}
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key == "duration_means":
-                kwargs[key] = np.array([float(v) for v in value.split(",")])
-            elif key == "background_range_s":
-                kwargs[key] = tuple(float(v) for v in value.split(","))
-            elif key in ("seed", "participants", "locations", "procedures_per_participant"):
-                kwargs[key] = int(value)
-            elif key in (
-                "rate_hz", "duration_jitter", "noise_sigma", "background_walk_sigma",
-                "sequence_shuffle_prob", "gesture_drop_prob", "participant_variation",
-            ):
-                kwargs[key] = float(value)
-            else:
-                raise ValueError(f"unknown generator key '{key}'")
-        return cls(**kwargs).validate()
 
 
 def _gesture_profile(gesture: int):

@@ -113,3 +113,29 @@ def unfolded_forward(model, accel, gyro):
     for st, (skip_a, skip_g) in zip(model.dec, reversed(skips)):
         x = stage(st, np.concatenate([st.up.forward(x, "eval"), skip_a, skip_g], axis=1))
     return model.head.forward(x, "eval")
+
+
+def prf_loops(predictions, ground_truths, num_classes=10):
+    """Confusion counts, per-class P/R/F1 and the degenerate classes (a
+    zero precision or recall denominator), one sample and one class at a time."""
+    cm = np.zeros((num_classes, num_classes), dtype=np.int64)
+    for pred, truth in zip(predictions, ground_truths):
+        for p, t in zip(pred, truth):
+            cm[t, p] += 1
+    precision, recall, f1 = np.zeros(num_classes), np.zeros(num_classes), np.zeros(num_classes)
+    degenerate = set()
+    for c in range(num_classes):
+        tp = float(cm[c, c])
+        fp = cm[:, c].sum() - tp
+        fn = cm[c, :].sum() - tp
+        if tp + fp > 0:
+            precision[c] = tp / (tp + fp)
+        else:
+            degenerate.add(c)
+        if tp + fn > 0:
+            recall[c] = tp / (tp + fn)
+        else:
+            degenerate.add(c)
+        if precision[c] + recall[c] > 0:
+            f1[c] = 2 * precision[c] * recall[c] / (precision[c] + recall[c])
+    return cm, precision, recall, f1, sorted(degenerate)

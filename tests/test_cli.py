@@ -40,6 +40,38 @@ def test_synth_is_deterministic(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+def _csv_bytes(directory):
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+def test_synth_spec_file_matches_flags(tmp_path):
+    spec = tmp_path / "small.spec"
+    spec.write_text("# one participant, two locations\nparticipants=1\nlocations=2\nseed=9\n")
+    via_file, via_flags = tmp_path / "file", tmp_path / "flags"
+    assert main(["synth", "--seed", "9", "--spec", str(spec), "--out", str(via_file)]) == 0
+    assert main(["synth", "--seed", "9", "--participants", "1", "--locations", "2",
+                 "--out", str(via_flags)]) == 0
+    assert _csv_bytes(via_file) == _csv_bytes(via_flags)
+    # --seed overrides the file's seed
+    reseeded, reseeded_flags = tmp_path / "reseeded", tmp_path / "reseeded_flags"
+    assert main(["synth", "--seed", "10", "--spec", str(spec), "--out", str(reseeded)]) == 0
+    assert main(["synth", "--seed", "10", "--participants", "1", "--locations", "2",
+                 "--out", str(reseeded_flags)]) == 0
+    assert _csv_bytes(reseeded) == _csv_bytes(reseeded_flags) != _csv_bytes(via_file)
+
+
+def test_synth_spec_unknown_key_fails(capsys, tmp_path):
+    spec = tmp_path / "bad.spec"
+    spec.write_text("participants=1\nbogus=1\n")
+    assert main(["synth", "--seed", "9", "--spec", str(spec), "--out", str(tmp_path / "c")]) != 0
+    assert capsys.readouterr().err.strip() == "error: ValueError: unknown generator key 'bogus'"
+
+
+def test_synth_zero_participants_fails(capsys, tmp_path):
+    assert main(["synth", "--seed", "9", "--participants", "0", "--out", str(tmp_path)]) != 0
+    assert "participants must be at least 1" in capsys.readouterr().err
+
+
 def test_train_is_deterministic(tmp_path, corpus_dir):
     outs = []
     for tag in ("x", "y"):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from washseg.evaluation import (
     SMOOTH_VARIANTS,
@@ -18,6 +19,7 @@ from washseg.evaluation import (
 from washseg.pipeline import infer_track, smooth
 from washseg.synth import GenSpec, generate
 from conftest import make_series
+import oracle
 
 
 class TestAccuracy:
@@ -86,6 +88,23 @@ class TestPrfConfusion:
         preds = rng.integers(0, 10, size=400)
         out = prf_confusion([preds], [truth])
         assert out["m_f1"] == pytest.approx(out["f1"].mean())
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=40),
+                    max_size=4))
+    def test_matches_loop_oracle_bit_for_bit(self, series):
+        # class subsets, empty series and classes never predicted or never
+        # present all arise from these draws
+        preds = [np.array([p for p, _ in s], dtype=np.int64) for s in series]
+        truths = [np.array([t for _, t in s], dtype=np.int64) for s in series]
+        out = prf_confusion(preds, truths)
+        cm, precision, recall, f1, degenerate = oracle.prf_loops(preds, truths)
+        np.testing.assert_array_equal(out["confusion"], cm)
+        for name, ref in (("precision", precision), ("recall", recall), ("f1", f1)):
+            assert out[name].tobytes() == ref.tobytes(), name
+        assert out["degenerate_classes"] == degenerate
+        if cm.sum():
+            assert accuracy_global(preds, truths) == np.trace(cm) / cm.sum()
 
 
 class TestOnsetOffsetError:

@@ -1,5 +1,10 @@
+import dataclasses
+import math
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from washseg.scoring import PROFESSIONAL_DURATIONS
 from washseg.signal_data import load_corpus
@@ -95,6 +100,92 @@ def test_spec_text_round_trip():
 def test_invalid_probability_rejected():
     with pytest.raises(ValueError):
         GenSpec(gesture_drop_prob=1.5).validate()
+
+
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("field,value", [
+    ("seed", -1),
+    ("participants", 0),
+    ("locations", 0),
+    ("procedures_per_participant", 0),
+    ("rate_hz", 0.0),
+    ("rate_hz", INF),
+    ("rate_hz", NAN),
+    ("duration_means", (1.0, 2.0)),
+    ("duration_means", (0.0,) + (4.0,) * 8),
+    ("duration_means", (4.0,) * 8 + (INF,)),
+    ("duration_means", (NAN,) * 9),
+    ("noise_sigma", -1.0),
+    ("noise_sigma", INF),
+    ("background_walk_sigma", NAN),
+    ("participant_variation", -0.1),
+    ("background_range_s", (5.0, 2.0)),
+    ("background_range_s", (-1.0, 2.0)),
+    ("background_range_s", (1.0, INF)),
+    ("background_range_s", (1.0,)),
+    ("gesture_drop_prob", 1.5),
+    ("sequence_shuffle_prob", NAN),
+    ("duration_jitter", 1.0),
+])
+def test_bad_spec_rejected_naming_field(field, value):
+    spec = dataclasses.replace(GenSpec(), **{field: value})
+    with pytest.raises(ValueError, match=field):
+        spec.validate()
+    with pytest.raises(ValueError, match=field):
+        GenSpec.from_text(spec.to_text())
+
+
+@pytest.mark.parametrize("text,message", [
+    ("seed=1\nseed=2", "generator key 'seed' is repeated"),
+    ("seed", "generator line 'seed' has no '='"),
+    ("participants=x", "generator key 'participants' has bad value 'x'"),
+    ("participants=2.0", "generator key 'participants' has bad value '2.0'"),
+    ("background_range_s=1,x", "generator key 'background_range_s' has bad value '1,x'"),
+    ("bogus=1", "unknown generator key 'bogus'"),
+])
+def test_bad_spec_line_named(text, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        GenSpec.from_text(text)
+
+
+def test_spec_text_skips_comments_and_strips_whitespace():
+    text = "# a small corpus\n\n  participants = 2 \nbackground_range_s= 1.5 , 3\n"
+    assert GenSpec.from_text(text) == GenSpec(participants=2, background_range_s=(1.5, 3.0))
+
+
+def _floats(**bounds):
+    return st.floats(allow_nan=False, allow_infinity=False, **bounds)
+
+
+@st.composite
+def gen_specs(draw):
+    """Any spec ``validate`` accepts, every float at full precision."""
+    positive = _floats(min_value=0.0, exclude_min=True)
+    lo, hi = sorted(draw(st.tuples(_floats(min_value=0.0), _floats(min_value=0.0))))
+    return GenSpec(
+        seed=draw(st.integers(0, 2**128)),
+        participants=draw(st.integers(1, 10**6)),
+        locations=draw(st.integers(1, 10**6)),
+        procedures_per_participant=draw(st.integers(1, 10**6)),
+        rate_hz=draw(positive),
+        duration_means=draw(st.tuples(*[positive] * 9)),
+        duration_jitter=draw(_floats(min_value=0.0, max_value=1.0, exclude_max=True)),
+        noise_sigma=draw(_floats(min_value=0.0)),
+        background_range_s=(lo, hi),
+        background_walk_sigma=draw(_floats(min_value=0.0)),
+        sequence_shuffle_prob=draw(_floats(min_value=0.0, max_value=1.0)),
+        gesture_drop_prob=draw(_floats(min_value=0.0, max_value=1.0)),
+        participant_variation=draw(_floats(min_value=0.0)),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(gen_specs())
+def test_every_accepted_spec_round_trips_exactly(spec):
+    spec.validate()
+    assert GenSpec.from_text(spec.to_text()) == spec
 
 
 def test_write_and_reload_corpus(tmp_path):
