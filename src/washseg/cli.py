@@ -16,7 +16,7 @@ import numpy as np
 
 from . import evaluation, pipeline, scoring, synth
 from .model import ArchConfig, GestureNet, TrainHyper, train
-from .signal_data import load_corpus, load_csv
+from .signal_data import DEFAULT_RATE_HZ, load_corpus, load_csv
 
 
 def _fail(origin: str, message: str) -> int:
@@ -81,8 +81,7 @@ def cmd_infer(args) -> int:
 
 def cmd_score(args) -> int:
     if args.track:
-        rows = np.genfromtxt(args.track, delimiter=",", names=True)
-        track = pipeline.LabelTrack(labels=rows["predicted"].astype(np.int64))
+        track = pipeline.load_track_csv(args.track)
         rate = args.rate_hz
     else:
         if not (args.checkpoint and args.series):
@@ -132,7 +131,8 @@ def cmd_inspect(args) -> int:
     model = GestureNet.load(args.checkpoint)
     report = model.size_report()
     print(model.config.to_text().strip())
-    print(f"parameters: {report['parameter_count']}")
+    print(f"parameters: {model.parameter_count()}")
+    print(f"stored values (parameters and batch-norm statistics): {report['parameter_count']}")
     print(f"payload bits: {report['payload_bits']}")
     print(f"serialized size: {report['total_kbits']:.3f} Kbit")
     return 0
@@ -153,9 +153,9 @@ def build_parser() -> argparse.ArgumentParser:
     fit = argparse.ArgumentParser(add_help=False)
     fit.add_argument("--data", required=True, help="corpus directory")
     fit.add_argument("--seed", type=int, required=True)
-    fit.add_argument("--epochs", type=int, default=500)
-    fit.add_argument("--lr", type=float, default=0.001)
-    fit.add_argument("--batch", type=int, default=256)
+    fit.add_argument("--epochs", type=int, default=TrainHyper.epochs)
+    fit.add_argument("--lr", type=float, default=TrainHyper.lr)
+    fit.add_argument("--batch", type=int, default=TrainHyper.batch)
     fit.add_argument("--stride", type=int, default=1, help="training window stride")
     fit.add_argument("--max-windows", type=int, default=None)
     fit.add_argument("--quiet", action="store_true")
@@ -176,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     scp.add_argument("--track", help="label-track CSV from `infer`")
     scp.add_argument("--checkpoint")
     scp.add_argument("--series")
-    scp.add_argument("--rate-hz", type=float, default=50.0)
+    scp.add_argument("--rate-hz", type=float, default=DEFAULT_RATE_HZ)
     scp.add_argument("--out")
     scp.set_defaults(func=cmd_score)
 

@@ -3,7 +3,7 @@
 Covers global and per-participant sample accuracy, per-class
 precision/recall/F1 with unweighted macro means, the 10x10 confusion
 matrix, onset/offset detection errors, scoring errors, and the three
-split protocols: user-dependent (first 4 procedures train, last tests),
+split protocols: user-dependent (all but the last procedure train, it tests),
 leave-one-participant-out, and leave-one-location-out.
 
 All mean/SD aggregates use the population SD (divide by n).
@@ -119,12 +119,13 @@ class SplitPlan:
         return self
 
 
-def make_split(corpus, kind: str, procedures_per_participant: int = 5) -> SplitPlan:
+def make_split(corpus, kind: str) -> SplitPlan:
     """Build a split plan over a list of SampleSeries.
 
-    user-dependent: per participant, the first 4 procedures train and the
-    last one tests (one fold total). lopo: one fold per participant. lolo:
-    one fold per location.
+    user-dependent: every participant has the same number of procedures, at
+    least 2; per participant, all but the last train and the last one tests
+    (one fold total). lopo: one fold per participant. lolo: one fold per
+    location.
     """
     by_participant = {}
     for s in corpus:
@@ -133,12 +134,14 @@ def make_split(corpus, kind: str, procedures_per_participant: int = 5) -> SplitP
         by_participant[key].sort(key=lambda s: s.procedure_id)
 
     if kind == "user-dependent":
+        counts = [len(v) for v in by_participant.values()]
+        expected = max(counts, key=counts.count, default=2)  # most participants' count
         train_set, test_set = [], []
         for (loc, pid), series_list in sorted(by_participant.items()):
-            if len(series_list) != procedures_per_participant:
+            if len(series_list) != expected or expected < 2:
                 raise ValueError(
                     f"participant '{pid}' at '{loc}' has {len(series_list)} procedures, "
-                    f"expected {procedures_per_participant}"
+                    f"expected {expected if expected >= 2 else 'at least 2'}"
                 )
             train_set.extend(series_list[:-1])
             test_set.append(series_list[-1])

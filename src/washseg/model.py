@@ -13,6 +13,7 @@ training and inference alike; inputs are cast to it at ``forward``.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -98,9 +99,6 @@ class _ConvBnAct(Layer):
         self.bn = BatchNorm1d(out_ch)
         self.act = LeakyReLU(slope)
 
-    def children(self):
-        return {"conv": self.conv, "bn": self.bn}
-
     def _conv_bn_act(self, x, mode):
         if mode == "train":
             y = self.bn.forward(self.conv.forward(x, mode), mode)
@@ -133,21 +131,16 @@ class _DecStage(_ConvBnAct):
     def __init__(self, in_ch, out_ch, slope, rng):
         self.up = Upsample1d(2)
         super().__init__(in_ch, out_ch, slope, rng)
-        self._split = None
 
     def forward(self, x, skip_a, skip_g, mode):
         up = self.up.forward(x, mode)
-        self._split = (up.shape[1], skip_a.shape[1], skip_g.shape[1])
-        cat = np.concatenate([up, skip_a, skip_g], axis=1)
-        return self._conv_bn_act(cat, mode)
+        self._cache = (up.shape[1], up.shape[1] + skip_a.shape[1])  # channel split points
+        return self._conv_bn_act(np.concatenate([up, skip_a, skip_g], axis=1), mode)
 
     def backward(self, grad_out):
-        g = self._conv_bn_act_backward(grad_out)
-        c_up, c_a, c_g = self._split
-        grad_up = self.up.backward(g[:, :c_up])
-        grad_skip_a = g[:, c_up : c_up + c_a]
-        grad_skip_g = g[:, c_up + c_a :]
-        return grad_up, grad_skip_a, grad_skip_g
+        grad_up, grad_skip_a, grad_skip_g = np.split(
+            self._conv_bn_act_backward(grad_out), self._saved(), axis=1)
+        return self.up.backward(grad_up), grad_skip_a, grad_skip_g
 
 
 class GestureNet(Layer):
@@ -158,29 +151,18 @@ class GestureNet(Layer):
         rng = np.random.default_rng(seed)
         slope = config.leaky_slope
         chans = config.encoder_channels
-
-        def branch():
-            stages = []
-            in_ch = config.in_channels_per_branch
-            for out_ch in chans:
-                stages.append(_EncStage(in_ch, out_ch, slope, rng))
-                in_ch = out_ch
-            return stages
-
-        self.enc_a = branch()
-        self.enc_g = branch()
+        enc_in = (config.in_channels_per_branch, *chans[:-1])
+        self.enc_a = [_EncStage(c_in, c_out, slope, rng) for c_in, c_out in zip(enc_in, chans)]
+        self.enc_g = [_EncStage(c_in, c_out, slope, rng) for c_in, c_out in zip(enc_in, chans)]
         self.se_a = SEBlock(chans[-1], config.se_reduction, slope, rng=rng)
         self.se_g = SEBlock(chans[-1], config.se_reduction, slope, rng=rng)
         self.ppm = PPMBlock(config.bottleneck_channels, config.ppm_reduce, rng=rng)
-
-        self.dec = []
-        in_ch = self.ppm.out_channels
-        for i, out_ch in enumerate(config.decoder_channels):
-            stage_idx = len(chans) - 1 - i  # skip resolution used by this stage
-            skip_ch = 2 * chans[stage_idx]
-            self.dec.append(_DecStage(in_ch + skip_ch, out_ch, slope, rng))
-            in_ch = out_ch
-        self.head = Conv1d(in_ch, config.num_classes, 1, rng=rng)
+        dec_out = config.decoder_channels
+        dec_in = (self.ppm.out_channels, *dec_out[:-1])
+        # each decoder stage also takes both branches' skips, deepest first
+        self.dec = [_DecStage(c_in + 2 * c_skip, c_out, slope, rng)
+                    for c_in, c_out, c_skip in zip(dec_in, dec_out, reversed(chans))]
+        self.head = Conv1d(dec_out[-1], config.num_classes, 1, rng=rng)
         # damp the classifier init so fresh-model logits stay near uniform
         self.head.w.value *= 0.5
         for p in self.params().values():
@@ -191,17 +173,6 @@ class GestureNet(Layer):
             bn.running_var = bn.running_var.astype(np.float32)
 
     # -- parameter bookkeeping ------------------------------------------------
-
-    def children(self) -> dict:
-        return {
-            **{f"enc_a.{i}": st for i, st in enumerate(self.enc_a)},
-            **{f"enc_g.{i}": st for i, st in enumerate(self.enc_g)},
-            "se_a": self.se_a,
-            "se_g": self.se_g,
-            "ppm": self.ppm,
-            **{f"dec.{i}": st for i, st in enumerate(self.dec)},
-            "head": self.head,
-        }
 
     def parameter_count(self) -> int:
         return sum(p.value.size for p in self.params().values())
@@ -225,22 +196,20 @@ class GestureNet(Layer):
             if not np.isfinite(x).all():
                 raise ValueError(f"{name} input contains NaN/Inf")
 
-        skips_a, skips_g = [], []
+        skips = []  # (act_a, act_g) per encoder stage, shallowest first
         xa, xg = accel, gyro
         for st_a, st_g in zip(self.enc_a, self.enc_g):
             act_a, xa = st_a.forward(xa, mode)
             act_g, xg = st_g.forward(xg, mode)
-            skips_a.append(act_a)
-            skips_g.append(act_g)
+            skips.append((act_a, act_g))
 
         xa = self.se_a.forward(xa, mode)
         xg = self.se_g.forward(xg, mode)
         bottleneck = np.concatenate([xa, xg], axis=1)
         x = self.ppm.forward(bottleneck, mode)
 
-        for i, st in enumerate(self.dec):
-            stage_idx = len(self.enc_a) - 1 - i
-            x = st.forward(x, skips_a[stage_idx], skips_g[stage_idx], mode)
+        for st, (skip_a, skip_g) in zip(self.dec, reversed(skips)):
+            x = st.forward(x, skip_a, skip_g, mode)
         logits = self.head.forward(x, mode)
         if not np.isfinite(logits).all():
             raise FloatingPointError("non-finite logits produced")
@@ -248,24 +217,18 @@ class GestureNet(Layer):
 
     def backward(self, grad_logits):
         g = self.head.backward(grad_logits)
-        grad_skips_a = [None] * len(self.enc_a)
-        grad_skips_g = [None] * len(self.enc_g)
-        for i in range(len(self.dec) - 1, -1, -1):
-            stage_idx = len(self.enc_a) - 1 - i
-            g, gs_a, gs_g = self.dec[i].backward(g)
-            grad_skips_a[stage_idx] = gs_a
-            grad_skips_g[stage_idx] = gs_g
+        skip_grads = []  # (grad_a, grad_g) per encoder stage, shallowest first
+        for st in reversed(self.dec):
+            g, gs_a, gs_g = st.backward(g)
+            skip_grads.append((gs_a, gs_g))
         g = self.ppm.backward(g)
         c = self.config.encoder_channels[-1]
-        ga = self.se_a.backward(g[:, :c])
-        gg = self.se_g.backward(g[:, c:])
-        for branch, stages, grad, skips in (
-            ("a", self.enc_a, ga, grad_skips_a),
-            ("g", self.enc_g, gg, grad_skips_g),
-        ):
-            x_grad = grad
-            for i in range(len(stages) - 1, -1, -1):
-                x_grad = stages[i].backward(x_grad, skips[i])
+        grads_a, grads_g = zip(*skip_grads)
+        for se, stages, grad, skips in ((self.se_a, self.enc_a, g[:, :c], grads_a),
+                                        (self.se_g, self.enc_g, g[:, c:], grads_g)):
+            grad = se.backward(grad)
+            for st, gs in zip(reversed(stages), reversed(skips)):
+                grad = st.backward(grad, gs)
 
     # -- persistence ----------------------------------------------------------
 
@@ -325,6 +288,16 @@ class TrainHyper:
     plateau_patience: int = 20
     plateau_rel_change: float = 0.001
 
+    def validate(self):
+        """Reject a value training cannot use, naming the field (and CLI flag)."""
+        for name in ("batch", "epochs", "plateau_patience"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        for name in ("lr", "plateau_rel_change"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+        return self
+
 
 @dataclass
 class EpochLog:
@@ -354,6 +327,7 @@ def train(model: GestureNet, windows, hyper: TrainHyper, verbose=False):
     epoch loss changes by less than ``plateau_rel_change`` (relative) over
     ``plateau_patience`` consecutive epochs.
     """
+    hyper.validate()
     if len(windows) == 0:
         raise ValueError("training dataset is empty")
     accel, gyro, labels = (

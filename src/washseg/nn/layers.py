@@ -11,9 +11,11 @@ and never copy their input. Parameter values are only ever mutated by an
 optimizer — forward/backward touch gradients exclusively.
 
 Layers form one tree: leaves (``Conv1d``, ``BatchNorm1d``, ``Linear``) own
-their ``Param`` slots, composites only declare their sublayers in ``children``,
-and the base ``params`` names every slot by its dotted path (``dec.0.bn.gamma``),
-which is also its checkpoint tensor name. ``modules`` walks the same tree.
+their ``Param`` slots; a composite's sublayers, parameter-free ones included,
+are its attributes, which the base ``children`` reads (``PPMBlock``, whose
+checkpoint names follow no attribute, is the one override). The base ``params``
+names every slot by its dotted path (``dec.0.bn.gamma``), also its checkpoint
+tensor name, and ``modules`` walks the same tree.
 """
 
 from __future__ import annotations
@@ -39,9 +41,18 @@ class Param:
 class Layer:
     """Base class: forward/backward pair plus a tree of named sublayers."""
 
+    _cache = None  # what forward saved for backward
+
     def children(self) -> dict:
-        """Direct sublayers by name, in parameter order."""
-        return {}
+        """Direct sublayers by name, in assignment order: each ``Layer``
+        attribute under its name, each list of layers as ``<name>.<i>``."""
+        out = {}
+        for name, value in vars(self).items():
+            if isinstance(value, Layer):
+                out[name] = value
+            elif isinstance(value, list) and all(isinstance(v, Layer) for v in value):
+                out.update((f"{name}.{i}", v) for i, v in enumerate(value))
+        return out
 
     def params(self) -> dict:
         """Every descendant's slots under their dotted paths; leaves override."""
@@ -64,11 +75,10 @@ class Layer:
     def backward(self, grad_out):
         raise NotImplementedError
 
-
-def _require_cache(cache, name):
-    if cache is None:
-        raise RuntimeError(f"{name}.backward called without a forward cache")
-    return cache
+    def _saved(self):
+        if self._cache is None:
+            raise RuntimeError(f"{type(self).__name__}.backward called without a forward cache")
+        return self._cache
 
 
 def _window_slices(t_in, window, stride):
@@ -96,7 +106,6 @@ class Conv1d(Layer):
         bound = math.sqrt(6.0 / (in_ch * kernel))
         self.w = Param(rng.uniform(-bound, bound, size=(out_ch, in_ch, kernel)))
         self.b = Param(np.zeros(out_ch))
-        self._cache = None
 
     def params(self):
         return {"w": self.w, "b": self.b}
@@ -137,7 +146,7 @@ class Conv1d(Layer):
         return out
 
     def backward(self, grad_out):
-        x, taps, spans = _require_cache(self._cache, "Conv1d")
+        x, taps, spans = self._saved()
         grad_x = np.zeros_like(x)
         for k, o_sl, i_sl in spans:
             g = grad_out[:, :, o_sl]
@@ -158,7 +167,6 @@ class BatchNorm1d(Layer):
         self.beta = Param(np.zeros(channels))
         self.running_mean = np.zeros(channels)
         self.running_var = np.ones(channels)
-        self._cache = None
 
     def params(self):
         return {"gamma": self.gamma, "beta": self.beta}
@@ -195,7 +203,7 @@ class BatchNorm1d(Layer):
         return scale, shift
 
     def backward(self, grad_out):
-        x, mean, inv_std, mode = _require_cache(self._cache, "BatchNorm1d")
+        x, mean, inv_std, mode = self._saved()
         xhat = (x - mean[:, None]) * inv_std[:, None]
         d_gamma = (grad_out * xhat).sum(axis=(0, 2))
         d_beta = grad_out.sum(axis=(0, 2))
@@ -217,7 +225,6 @@ class LeakyReLU(Layer):
         if not 0.0 <= slope <= 1.0:
             raise ValueError("leaky relu slope must lie in [0, 1]")
         self.slope = slope
-        self._cache = None
 
     def forward(self, x, mode="train", out=None):
         """``out`` receives the result; a caller that owns ``x`` may pass ``x``."""
@@ -226,14 +233,11 @@ class LeakyReLU(Layer):
         return out
 
     def backward(self, grad_out):
-        out = _require_cache(self._cache, "LeakyReLU")
+        out = self._saved()
         return np.where(out > 0, grad_out, self.slope * grad_out)
 
 
 class Sigmoid(Layer):
-    def __init__(self):
-        self._cache = None
-
     def forward(self, x, mode="train"):
         # exp(-x) overflows to inf below x = -88.7 in float32; 1/(1+inf) = 0
         # is the correct limit, so the overflow is not an error
@@ -243,7 +247,7 @@ class Sigmoid(Layer):
         return out
 
     def backward(self, grad_out):
-        out = _require_cache(self._cache, "Sigmoid")
+        out = self._saved()
         return grad_out * out * (1.0 - out)
 
 
@@ -253,7 +257,6 @@ class MaxPool1d(Layer):
     def __init__(self, window, stride=None):
         self.window = window
         self.stride = stride if stride is not None else window
-        self._cache = None
 
     def forward(self, x, mode="train"):
         if x.shape[2] < self.window:
@@ -266,7 +269,7 @@ class MaxPool1d(Layer):
         return out
 
     def backward(self, grad_out):
-        x, out = _require_cache(self._cache, "MaxPool1d")
+        x, out = self._saved()
         grad_x = np.zeros_like(x)
         free = np.ones(out.shape, dtype=bool)  # gradient not yet routed
         for sl in _window_slices(x.shape[2], self.window, self.stride):
@@ -280,7 +283,6 @@ class AvgPool1d(Layer):
     def __init__(self, window, stride=None):
         self.window = window
         self.stride = stride if stride is not None else window
-        self._cache = None
 
     def forward(self, x, mode="train"):
         if x.shape[2] < self.window:
@@ -290,7 +292,7 @@ class AvgPool1d(Layer):
         return sum(x[:, :, sl] for sl in slices) / self.window
 
     def backward(self, grad_out):
-        x = _require_cache(self._cache, "AvgPool1d")
+        x = self._saved()
         grad_x = np.zeros_like(x)
         share = grad_out / self.window
         for sl in _window_slices(x.shape[2], self.window, self.stride):
@@ -321,7 +323,6 @@ class Linear(Layer):
         bound = math.sqrt(6.0 / in_features)
         self.w = Param(rng.uniform(-bound, bound, size=(in_features, out_features)))
         self.b = Param(np.zeros(out_features))
-        self._cache = None
 
     def params(self):
         return {"w": self.w, "b": self.b}
@@ -334,7 +335,7 @@ class Linear(Layer):
         return (x[:, None, :] @ self.w.value)[:, 0, :] + self.b.value
 
     def backward(self, grad_out):
-        x = _require_cache(self._cache, "Linear")
+        x = self._saved()
         self.w.grad += x.T @ grad_out
         self.b.grad += grad_out.sum(axis=0)
         return grad_out @ self.w.value.T
@@ -354,10 +355,6 @@ class SEBlock(Layer):
         self.act = LeakyReLU(slope)
         self.fc2 = Linear(hidden, channels, rng=rng)
         self.gate = Sigmoid()
-        self._cache = None
-
-    def children(self):
-        return {"fc1": self.fc1, "fc2": self.fc2}
 
     def forward(self, x, mode="train"):
         squeeze = x.mean(axis=2)
@@ -369,7 +366,7 @@ class SEBlock(Layer):
         return x * g[:, :, None]
 
     def backward(self, grad_out):
-        x, g = _require_cache(self._cache, "SEBlock")
+        x, g = self._saved()
         grad_x = grad_out * g[:, :, None]
         grad_g = (grad_out * x).sum(axis=2)
         grad_s = self.fc1.backward(
@@ -401,7 +398,10 @@ class PPMBlock(Layer):
         return self.channels + len(self.POOL_SIZES) * self.reduce_ch
 
     def children(self):
-        return {f"reduce{i}": conv for i, conv in enumerate(self.reducers)}
+        # the checkpoint names the reducers reduce<i>, not reducers.<i>
+        kinds = {"pool": self.pools, "reduce": self.reducers, "up": self.ups}
+        return {f"{kind}{i}": layer for kind, layers in kinds.items()
+                for i, layer in enumerate(layers)}
 
     def forward(self, x, mode="train"):
         t = x.shape[2]

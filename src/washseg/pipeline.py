@@ -9,6 +9,7 @@ so every stage is deterministic.
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -174,6 +175,20 @@ def export_track_csv(path, track: LabelTrack, series: SampleSeries):
         f.write("index,t,predicted,ground_truth\n")
         for i in range(len(track)):
             f.write(f"{i},{series.t[i]:.9g},{track.labels[i]},{series.label[i]}\n")
+
+
+def load_track_csv(path) -> LabelTrack:
+    """The ``predicted`` column of a track CSV, each value an integer label."""
+    labels = []
+    with open(path, encoding="utf-8", newline="") as f:
+        rows = csv.DictReader(f)
+        for row in rows:
+            value = (row.get("predicted") or "").strip()
+            if not (value.isascii() and value.isdigit()):
+                raise ValueError(f"{path}:{rows.line_num}: 'predicted' is not an integer "
+                                 f"label: {value!r}")
+            labels.append(int(value))
+    return LabelTrack(labels=labels)
 
 
 _PALETTE = [

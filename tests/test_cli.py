@@ -1,12 +1,13 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from washseg.cli import main
 from washseg.model import ArchConfig, GestureNet
-from washseg.pipeline import infer_track, smooth as smooth_track
-from washseg.scoring import PROFESSIONAL_DURATIONS
+from washseg.pipeline import LabelTrack, gesture_durations, infer_track, smooth as smooth_track
+from washseg.scoring import PROFESSIONAL_DURATIONS, score
 from washseg.signal_data import load_csv, write_csv
 from washseg.synth import GenSpec, generate_procedure
 from conftest import make_series
@@ -85,6 +86,18 @@ def test_train_is_deterministic(tmp_path, corpus_dir):
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--batch", "0"), ("--epochs", "0"), ("--lr", "nan"), ("--lr", "-1"),
+])
+def test_train_rejects_bad_hyper_naming_flag(capsys, tmp_path, corpus_dir, flag, value):
+    out = tmp_path / "m.ckpt"
+    rc = main(["train", "--data", str(corpus_dir), "--seed", "0", "--out", str(out),
+               "--stride", "32", "--quiet", flag, value])
+    assert rc != 0
+    assert f"error: ValueError: {flag[2:]} must" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_infer_writes_track_and_svg(tmp_path, checkpoint):
     series = generate_procedure(GenSpec(seed=5, participants=2), 0, 0, 5)
     csv_path = tmp_path / "series.csv"
@@ -140,6 +153,29 @@ def test_score_on_perfect_track(tmp_path):
     assert report["total"] == pytest.approx(100.0)
 
 
+def _write_track(path, predicted):
+    with open(path, "w") as f:
+        f.write("index,t,predicted,ground_truth\n")
+        for i, lab in enumerate(predicted):
+            f.write(f"{i},{i / 50.0},{lab},0\n")
+
+
+def test_score_rejects_a_non_integer_label_naming_the_line(capsys, tmp_path):
+    track_path = tmp_path / "track.csv"
+    _write_track(track_path, ["0", "1.7", "2"])
+    assert main(["score", "--track", str(track_path)]) != 0
+    err = capsys.readouterr().err
+    assert f"{track_path}:3:" in err and "1.7" in err
+
+
+def test_score_on_a_one_row_track(capsys, tmp_path):
+    track_path = tmp_path / "track.csv"
+    _write_track(track_path, ["3"])
+    assert main(["score", "--track", str(track_path)]) == 0
+    expected = score(gesture_durations(LabelTrack(labels=[3]), 50.0))
+    assert json.loads(capsys.readouterr().out)["total"] == expected.total > 0
+
+
 def test_inspect_reports_size(capsys, checkpoint):
     assert main(["inspect", "--checkpoint", str(checkpoint)]) == 0
     out = capsys.readouterr().out
@@ -147,6 +183,14 @@ def test_inspect_reports_size(capsys, checkpoint):
     model = GestureNet.load(checkpoint)
     kbits = model.size_report()["total_kbits"]
     assert f"{kbits:.3f} Kbit" in out
+
+
+def test_inspect_counts_parameters_apart_from_batchnorm_statistics(capsys):
+    pinned = Path(__file__).resolve().parent.parent / "perfbench" / "user_dep.ckpt"
+    assert main(["inspect", "--checkpoint", str(pinned)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "parameters: 30410" in lines
+    assert "stored values (parameters and batch-norm statistics): 30762" in lines
 
 
 def test_eval_emits_reports(tmp_path, corpus_dir):

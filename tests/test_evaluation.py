@@ -143,6 +143,17 @@ class TestSplits:
         with pytest.raises(ValueError, match="p03"):
             make_split(corpus, "user-dependent")
 
+    def test_user_dependent_takes_the_corpus_procedure_count(self):
+        corpus = generate(GenSpec(seed=11, participants=2, procedures_per_participant=6))
+        _, train_s, test_s = make_split(corpus, "user-dependent").folds[0]
+        assert len(train_s) == 2 * 5 and len(test_s) == 2
+        assert {s.procedure_id for s in test_s} == {6}
+
+    def test_user_dependent_needs_two_procedures(self):
+        corpus = generate(GenSpec(seed=11, participants=2, procedures_per_participant=1))
+        with pytest.raises(ValueError, match="at least 2"):
+            make_split(corpus, "user-dependent")
+
     def test_lopo_fold_count(self):
         corpus = small_corpus()
         plan = make_split(corpus, "lopo")

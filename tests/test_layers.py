@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from washseg.nn import (
     AvgPool1d,
     BatchNorm1d,
     Conv1d,
+    Layer,
     LeakyReLU,
     Linear,
     MaxPool1d,
@@ -441,7 +444,9 @@ class TestPPMBlock:
         params = ppm.params()
         assert list(params) == [f"reduce{i}.{k}" for i in range(3) for k in ("w", "b")]
         assert params["reduce1.b"] is ppm.reducers[1].b
-        assert list(ppm.modules()) == [ppm, *ppm.reducers]
+        assert list(ppm.modules()) == [ppm, *ppm.pools, *ppm.reducers, *ppm.ups]
+        assert list(ppm.children()) == [f"{kind}{i}" for kind in ("pool", "reduce", "up")
+                                        for i in range(3)]
 
     def test_bad_length_rejected(self, rng):
         ppm = PPMBlock(8, 4, rng=rng)
@@ -470,3 +475,40 @@ class TestPPMBlock:
             flat[i] = orig
             fd = (lp - lm) / (2 * h)
             assert abs(fd - gx.reshape(-1)[i]) < 1e-6 * max(1.0, abs(fd))
+
+
+class TestLayerTree:
+    def test_children_are_layer_attributes_in_assignment_order(self):
+        @dataclass
+        class Settings:
+            width: int = 2
+
+        class Tiny(Layer):
+            def __init__(self):
+                self.size = 3
+                self.shape = (1, 2)
+                self.table = np.zeros(2)
+                self.settings = Settings()
+                self.names = ["a", "b"]
+                self.gate = Sigmoid()
+                self.stages = [LeakyReLU(), MaxPool1d(2)]
+                self.fc = Linear(2, 2)
+                self.forward = self.gate.forward  # a hook bound onto the instance
+                self._cache = (Sigmoid(),)
+
+        t = Tiny()
+        children = t.children()
+        assert list(children) == ["gate", "stages.0", "stages.1", "fc"]
+        assert list(children.values()) == [t.gate, *t.stages, t.fc]
+        assert list(t.params()) == ["fc.w", "fc.b"]
+        assert list(t.modules()) == [t, t.gate, *t.stages, t.fc]
+
+    @pytest.mark.parametrize("make", [
+        lambda: Conv1d(1, 1, 3), lambda: BatchNorm1d(2), LeakyReLU, Sigmoid,
+        lambda: MaxPool1d(2), lambda: AvgPool1d(2), lambda: Linear(2, 2), lambda: SEBlock(4),
+    ])
+    def test_backward_without_forward_names_the_layer(self, make):
+        layer = make()
+        message = f"^{type(layer).__name__}.backward called without a forward cache$"
+        with pytest.raises(RuntimeError, match=message):
+            layer.backward(np.zeros((1, 2, 4)))

@@ -190,6 +190,35 @@ class TestModuleTree:
         assert len(bns) == 9
         assert bns == expected
 
+    def test_every_layer_has_a_dotted_path(self):
+        def named_modules(layer, prefix=""):
+            out = {}
+            for name, child in layer.children().items():
+                out[prefix + name] = child
+                out.update(named_modules(child, f"{prefix}{name}."))
+            return out
+
+        m = GestureNet(ArchConfig(), seed=0)
+        expected = {"ppm": m.ppm, "head": m.head}
+        for branch in ("a", "g"):
+            se = getattr(m, f"se_{branch}")
+            expected.update({f"se_{branch}": se, f"se_{branch}.act": se.act,
+                             f"se_{branch}.gate": se.gate})
+            for i, st in enumerate(getattr(m, f"enc_{branch}")):
+                for part in ("conv", "bn", "act", "pool"):
+                    expected[f"enc_{branch}.{i}.{part}"] = getattr(st, part)
+        for i, st in enumerate(m.dec):
+            for part in ("up", "conv", "bn", "act"):
+                expected[f"dec.{i}.{part}"] = getattr(st, part)
+        for i in range(3):
+            expected[f"ppm.pool{i}"] = m.ppm.pools[i]
+            expected[f"ppm.up{i}"] = m.ppm.ups[i]
+        paths = named_modules(m)
+        for path, layer in expected.items():
+            assert paths[path] is layer, path
+        modules = list(m.modules())
+        assert len(modules) == len({id(l) for l in modules}) == 67
+
     def test_zero_grad_clears_every_slot(self, rng):
         m = GestureNet(ArchConfig(), seed=0)
         logits = m.forward(rng.standard_normal((2, 3, 64)), rng.standard_normal((2, 3, 64)),
@@ -396,6 +425,20 @@ class TestTraining:
         m = GestureNet(ArchConfig(), seed=0)
         with pytest.raises(ValueError):
             train(m, [], TrainHyper())
+
+    @pytest.mark.parametrize("field,value", [
+        ("batch", 0), ("epochs", 0), ("lr", float("nan")), ("lr", float("inf")), ("lr", -1.0),
+        ("plateau_patience", 0), ("plateau_patience", -1),
+        ("plateau_rel_change", -0.001), ("plateau_rel_change", float("nan")),
+    ])
+    def test_bad_hyper_rejected_naming_field(self, field, value):
+        hyper = dataclasses.replace(TrainHyper(epochs=1), **{field: value})
+        m = GestureNet(ArchConfig(), seed=0)
+        before = {k: p.value.copy() for k, p in m.params().items()}
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            train(m, training_windows(n_windows=8), hyper)
+        for k, p in m.params().items():
+            np.testing.assert_array_equal(p.value, before[k])
 
     def test_plateau_stops_early(self):
         windows = training_windows(n_windows=8)
