@@ -234,7 +234,9 @@ class LeakyReLU(Layer):
 
     def backward(self, grad_out):
         out = self._saved()
-        return np.where(out > 0, grad_out, self.slope * grad_out)
+        # exactly 1 or slope, so each product equals the select's operand
+        factor = np.maximum(out > 0, self.slope, dtype=grad_out.dtype)
+        return grad_out * factor
 
 
 class Sigmoid(Layer):
@@ -274,7 +276,7 @@ class MaxPool1d(Layer):
         free = np.ones(out.shape, dtype=bool)  # gradient not yet routed
         for sl in _window_slices(x.shape[2], self.window, self.stride):
             hit = free & (x[:, :, sl] == out)
-            grad_x[:, :, sl] += np.where(hit, grad_out, 0.0)
+            grad_x[:, :, sl] += grad_out * hit
             free &= ~hit
         return grad_x
 

@@ -57,6 +57,28 @@ def input_grad_check(layer, x, mode="train", tol=1e-6):
         assert abs(fd - gx.reshape(-1)[i]) < tol * max(1.0, abs(fd)), (i, fd, gx.reshape(-1)[i])
 
 
+def assert_same_bits(actual, expected):
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+# (window, stride, length): odd lengths, overlapping and gapped windows
+MAXPOOL_TIE_CASES = [(2, 2, 9), (3, 1, 7), (3, 2, 11), (4, 3, 13), (2, 1, 5)]
+
+
+def maxpool_backward_where(x, out, grad_out, window, stride):
+    """The select form of the max-pool routing: earliest tie, one tap at a time."""
+    grad_x = np.zeros_like(x)
+    free = np.ones(out.shape, dtype=bool)
+    span = (x.shape[2] - window) // stride * stride + 1
+    for j in range(window):
+        sl = slice(j, j + span, stride)
+        hit = free & (x[:, :, sl] == out)
+        grad_x[:, :, sl] += np.where(hit, grad_out, 0.0)
+        free &= ~hit
+    return grad_x
+
+
 class TestConv1d:
     def test_edge_detector_fixture(self):
         # [1,2,3,4] * [1,0,-1], pad 1: hand-computed sliding dot products
@@ -249,6 +271,22 @@ class TestSimpleLayers:
         x = x.reshape(1, 2, -1)
         np.testing.assert_array_equal(act.forward(x), np.where(x > 0, x, 0.01 * x))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("slope", [0.0, 0.01, 1.0])
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_leaky_relu_backward_bits_match_where(self, rng, dtype, slope, mode):
+        act = LeakyReLU(slope)
+        tiny = np.finfo(dtype).smallest_subnormal
+        special = np.array([0.0, -0.0, tiny, -tiny, 3 * tiny, -3 * tiny], dtype=dtype)
+        x = np.concatenate([rng.standard_normal(58).astype(dtype), special]).reshape(2, 4, 8)
+        out = act.forward(x, mode=mode)
+        g = rng.standard_normal(x.shape).astype(dtype)
+        g[0, 0] = 0.0
+        g[0, 1] = -0.0
+        g[1] = -np.abs(g[1])
+        expected = np.where(out > 0, g, slope * g)
+        assert_same_bits(act.backward(g), expected)
+
     def test_leaky_relu_leaves_caller_input_untouched(self, rng):
         # only a caller that owns x passes out=x (the model's stages do)
         act = LeakyReLU(0.01)
@@ -274,7 +312,7 @@ class TestSimpleLayers:
         input_grad_check(act, x, mode="eval")
 
     def test_maxpool_oracle_on_ties_odd_lengths_overlap(self, rng):
-        for window, stride, t in [(2, 2, 9), (3, 1, 7), (3, 2, 11), (4, 3, 13), (2, 1, 5)]:
+        for window, stride, t in MAXPOOL_TIE_CASES:
             pool = MaxPool1d(window, stride)
             x = rng.integers(0, 3, size=(2, 3, t)).astype(float)  # many tied maxima
             out = pool.forward(x)
@@ -284,6 +322,18 @@ class TestSimpleLayers:
                 pool.backward(g), oracle.maxpool1d_backward_loops(x, g, window, stride),
                 atol=1e-12,
             )
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_maxpool_backward_bits_match_where(self, rng, dtype):
+        for window, stride, t in MAXPOOL_TIE_CASES:
+            pool = MaxPool1d(window, stride)
+            x = rng.integers(-1, 2, size=(2, 3, t)).astype(dtype)  # ties, +-0.0
+            x[x == 0] *= rng.choice([-1, 1], size=int((x == 0).sum())).astype(dtype)
+            out = pool.forward(x)
+            g = rng.standard_normal(out.shape).astype(dtype)
+            g[:, 0] = 0.0
+            g[:, 1, ::2] = -0.0
+            assert_same_bits(pool.backward(g), maxpool_backward_where(x, out, g, window, stride))
 
     def test_maxpool_tie_gradient_goes_to_earliest(self):
         pool = MaxPool1d(3, 1)
