@@ -46,17 +46,18 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
+    hyper = _hyper(args).validate()
     corpus = load_corpus(args.data)
     arch = ArchConfig()
     if args.arch_config:
         with open(args.arch_config) as f:
             arch = ArchConfig.from_text(f.read())
-    model = GestureNet(arch, seed=args.seed)
+    model = GestureNet(arch, seed=hyper.seed)
     windows = evaluation.fold_windows(
         corpus, arch.input_length, args.stride,
-        max_windows=args.max_windows, rng=np.random.default_rng(args.seed),
+        max_windows=args.max_windows, rng=np.random.default_rng(hyper.seed),
     )
-    logs = train(model, windows, _hyper(args), verbose=not args.quiet)
+    logs = train(model, windows, hyper, verbose=not args.quiet)
     bits = model.save(args.out)
     log_path = args.out + ".log.csv"
     with open(log_path, "w") as f:

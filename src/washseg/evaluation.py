@@ -275,7 +275,7 @@ def run_evaluation(
     entry whose accuracy is the sample-weighted combination over folds.
     """
     arch = arch or ArchConfig()
-    hyper = hyper or TrainHyper()
+    hyper = (hyper or TrainHyper()).validate()
     results = {}
     totals = {v: [0, 0] for v in SMOOTH_VARIANTS}  # correct, total
     for fold_name, train_series, test_series in split.folds:

@@ -290,9 +290,9 @@ class TrainHyper:
 
     def validate(self):
         """Reject a value training cannot use, naming the field (and CLI flag)."""
-        for name in ("batch", "epochs", "plateau_patience"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        for name, least in (("batch", 1), ("epochs", 1), ("plateau_patience", 1), ("seed", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
         for name in ("lr", "plateau_rel_change"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")

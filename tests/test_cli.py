@@ -87,7 +87,7 @@ def test_train_is_deterministic(tmp_path, corpus_dir):
 
 
 @pytest.mark.parametrize("flag,value", [
-    ("--batch", "0"), ("--epochs", "0"), ("--lr", "nan"), ("--lr", "-1"),
+    ("--batch", "0"), ("--epochs", "0"), ("--lr", "nan"), ("--lr", "-1"), ("--seed", "-1"),
 ])
 def test_train_rejects_bad_hyper_naming_flag(capsys, tmp_path, corpus_dir, flag, value):
     out = tmp_path / "m.ckpt"

@@ -15,7 +15,9 @@ from washseg.evaluation import (
     per_participant_csv,
     predict_variants,
     prf_confusion,
+    run_evaluation,
 )
+from washseg.model import TrainHyper
 from washseg.pipeline import infer_track, smooth
 from washseg.synth import GenSpec, generate
 from conftest import make_series
@@ -180,6 +182,12 @@ class TestSplits:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             make_split(small_corpus(), "bogus")
+
+
+def test_run_evaluation_rejects_bad_hyper_before_training():
+    plan = make_split(small_corpus(participants=1, locations=1), "user-dependent")
+    with pytest.raises(ValueError, match="^seed must be at least 0, got -1"):
+        run_evaluation(plan, hyper=TrainHyper(seed=-1))
 
 
 def test_csv_report_helpers():

@@ -439,6 +439,104 @@ class TestFloat32:
         np.testing.assert_array_equal(out, np.array([0.0, 0.5, 1.0], dtype=np.float32))
 
 
+U32 = np.finfo(np.float32).eps / 2  # float32 unit roundoff, 2**-24
+
+
+def float32_layer(layer, rng):
+    cast_model(layer, np.float32)
+    for p in layer.params().values():  # away from the init's 1s and 0s
+        p.value += rng.uniform(-0.5, 0.5, p.value.shape).astype(np.float32)
+    return layer
+
+
+class TestChannelReductions:
+    """Per-channel sums over batch and time, run in float32, against float64.
+
+    A sum over batch then time is a chain of at most k = B + T roundings, so
+    it lies within k*u*sum|terms| of the exact sum (u = 2**-24). The bounds
+    below carry that through the statistics that use it; every reference is
+    float64 on the same float32 values.
+    """
+
+    SHAPES = [(256, 8, 16), (64, 5, 64), (3, 2, 7)]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_batchnorm_train_agrees_with_float64(self, rng, shape):
+        b, c, t = shape
+        k, n = b + t, b * t
+        bn = float32_layer(BatchNorm1d(c, momentum=1.0), rng)  # running stats = batch stats
+        x = (3.0 + 2.0 * rng.standard_normal(shape)).astype(np.float32)
+        g = (0.5 + rng.standard_normal(shape)).astype(np.float32)
+        y = bn.forward(x, mode="train")
+        mean, var = bn.running_mean, bn.running_var
+        bn.backward(g)
+
+        x64, g64 = x.astype(np.float64), g.astype(np.float64)
+        gamma, beta = bn.gamma.value.astype(np.float64), bn.beta.value.astype(np.float64)
+        m, v = x64.mean(axis=(0, 2)), x64.var(axis=(0, 2))
+        s = np.sqrt(v + bn.eps)
+        xhat = (x64 - m[:, None]) / s[:, None]
+        sc = (gamma / s)[:, None]
+        want_y = gamma[:, None] * xhat + beta[:, None]
+
+        # first-order bounds; a spare u per step absorbs the second-order terms
+        # mean: k additions, one division
+        tol_mean = (k + 1) * U32 * np.abs(x64).sum(axis=(0, 2)) / n
+        # var: centring, squaring, k additions, one division; the mean's error
+        # enters squared
+        tol_var = (k + 5) * U32 * v + 2 * tol_mean**2
+        rel_inv = tol_var / (2 * (v + bn.eps)) + 3 * U32  # of 1/sqrt(var + eps)
+        # y = x*scale + shift with shift = beta - mean*scale
+        tol_y = (np.abs(sc) * (tol_mean[:, None]
+                               + (np.abs(x64) + np.abs(m)[:, None]) * (rel_inv[:, None] + 3 * U32))
+                 + 2 * U32 * (np.abs(want_y) + np.abs(beta)[:, None]))
+        # backward recomputes xhat from the cached mean and 1/std
+        tol_xhat = (tol_mean / s)[:, None] + np.abs(xhat) * (rel_inv[:, None] + 3 * U32)
+        tol_dgamma = ((np.abs(g64) * tol_xhat).sum(axis=(0, 2))
+                      + (k + 1) * U32 * np.abs(g64 * xhat).sum(axis=(0, 2)))
+        tol_dbeta = k * U32 * np.abs(g64).sum(axis=(0, 2))
+
+        assert mean.dtype == y.dtype == bn.gamma.grad.dtype == np.float32
+        assert np.all(np.abs(mean - m) <= tol_mean)
+        assert np.all(np.abs(var - v) <= tol_var)
+        assert np.all(np.abs(y - want_y) <= tol_y)
+        assert np.all(np.abs(bn.gamma.grad - (g64 * xhat).sum(axis=(0, 2))) <= tol_dgamma)
+        assert np.all(np.abs(bn.beta.grad - g64.sum(axis=(0, 2))) <= tol_dbeta)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_conv_bias_grad_agrees_with_float64(self, rng, shape):
+        b, c, t = shape
+        conv = float32_layer(Conv1d(c, 4, 3, stride=2, pad=1, rng=rng), rng)
+        out = conv.forward(rng.standard_normal(shape).astype(np.float32))
+        g = (0.5 + rng.standard_normal(out.shape)).astype(np.float32)
+        conv.backward(g)
+        g64 = g.astype(np.float64)
+        tol = (b + out.shape[2]) * U32 * np.abs(g64).sum(axis=(0, 2))
+        assert conv.b.grad.dtype == np.float32
+        assert np.all(np.abs(conv.b.grad - g64.sum(axis=(0, 2))) <= tol)
+
+    @pytest.mark.parametrize("view", [lambda a: a[:, :, ::2], lambda a: a[:, 1:-1]],
+                             ids=["time-stride", "channel-slice"])
+    def test_noncontiguous_input_gives_its_contiguous_copys_bits(self, rng, view):
+        base = (3.0 + 2.0 * rng.standard_normal((32, 6, 24))).astype(np.float32)
+        grad = rng.standard_normal(base.shape).astype(np.float32)
+        x, g = view(base), view(grad)
+        assert not x.flags.c_contiguous
+        results = []
+        for xs, gs in [(x, g), (np.ascontiguousarray(x), np.ascontiguousarray(g))]:
+            bn = float32_layer(BatchNorm1d(xs.shape[1]), np.random.default_rng(3))
+            y = bn.forward(xs, mode="train")
+            gx = bn.backward(gs)
+            conv = float32_layer(Conv1d(xs.shape[1], xs.shape[1], 1, rng=np.random.default_rng(4)),
+                                 np.random.default_rng(5))
+            conv.forward(xs)
+            conv.backward(gs)
+            results.append([y, gx, bn.running_mean, bn.running_var,
+                            bn.gamma.grad, bn.beta.grad, conv.b.grad])
+        for got, want in zip(*results):
+            assert_same_bits(got, want)
+
+
 class TestLinear:
     def test_affine(self, rng):
         lin = Linear(3, 2, rng=rng)

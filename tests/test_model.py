@@ -428,7 +428,7 @@ class TestTraining:
 
     @pytest.mark.parametrize("field,value", [
         ("batch", 0), ("epochs", 0), ("lr", float("nan")), ("lr", float("inf")), ("lr", -1.0),
-        ("plateau_patience", 0), ("plateau_patience", -1),
+        ("plateau_patience", 0), ("plateau_patience", -1), ("seed", -1),
         ("plateau_rel_change", -0.001), ("plateau_rel_change", float("nan")),
     ])
     def test_bad_hyper_rejected_naming_field(self, field, value):
