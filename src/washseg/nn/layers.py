@@ -184,8 +184,7 @@ class BatchNorm1d(Layer):
             if n < 2:
                 raise ValueError("batchnorm train mode needs at least 2 samples per channel")
             mean = _channel_sum(x) / n
-            # numpy squares the unnamed centred temporary in place and frees it
-            # before the output exists; a named one peaked 1.5 MB higher
+            # unnamed, so numpy squares it in place and frees it before the output
             var = _channel_sum((x - mean[:, None]) ** 2) / n
             self.running_mean = (
                 (1 - self.momentum) * self.running_mean + self.momentum * mean
