@@ -249,7 +249,9 @@ def predict_variants(model, test_series, variants=SMOOTH_VARIANTS):
 
 
 def fold_windows(train_series, length=64, stride=1, max_windows=None, rng=None):
-    """Pool training windows from every series; optionally subsample."""
+    """Pool training windows from every series; keep at most ``max_windows`` (None: all)."""
+    if max_windows is not None and max_windows < 1:
+        raise ValueError(f"max_windows must be at least 1, got {max_windows}")
     windows = []
     for s in train_series:
         windows.extend(extract_windows(s, length, stride))

@@ -165,12 +165,6 @@ class GestureNet(Layer):
         self.head = Conv1d(dec_out[-1], config.num_classes, 1, rng=rng)
         # damp the classifier init so fresh-model logits stay near uniform
         self.head.w.value *= 0.5
-        for p in self.params().values():
-            p.value = p.value.astype(np.float32)
-            p.grad = np.zeros_like(p.value)
-        for bn in self._batchnorms():
-            bn.running_mean = bn.running_mean.astype(np.float32)
-            bn.running_var = bn.running_var.astype(np.float32)
 
     # -- parameter bookkeeping ------------------------------------------------
 
@@ -253,7 +247,7 @@ class GestureNet(Layer):
         for name, slot in slots.items():
             if name not in tensors:
                 raise ckpt.CheckpointError(f"checkpoint missing tensor '{name}'")
-            value = np.asarray(tensors[name], dtype=np.float64)
+            value = tensors[name]
             if value.shape != slot.shape:
                 raise ckpt.CheckpointError(
                     f"checkpoint tensor '{name}' has shape {value.shape}, expected {slot.shape}"

@@ -14,7 +14,6 @@ from .layers import (
 )
 from .loss import softmax, softmax_cross_entropy
 from .adam import Adam
-from .gradcheck import GradCheckReport, grad_check
 from . import checkpoint
 
 __all__ = [
@@ -22,7 +21,6 @@ __all__ = [
     "AvgPool1d",
     "BatchNorm1d",
     "Conv1d",
-    "GradCheckReport",
     "Layer",
     "LeakyReLU",
     "Linear",
@@ -33,7 +31,6 @@ __all__ = [
     "Sigmoid",
     "Upsample1d",
     "checkpoint",
-    "grad_check",
     "softmax",
     "softmax_cross_entropy",
 ]

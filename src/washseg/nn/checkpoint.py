@@ -12,9 +12,9 @@ Layout, all little-endian:
         payload     32-bit IEEE-754 values
     CRC32 of all preceding bytes, u32
 
-Tensors are stored as float32, the precision ``GestureNet`` computes in.
-``deserialize`` widens them exactly to float64 for checking; the model copies
-them back into its float32 slots, so a load-save round trip is bit for bit.
+Tensors are stored as float32, the precision ``GestureNet`` is built and
+computes in. ``deserialize`` loads them as float32 too, so a load-save round
+trip is bit for bit and no dtype changes on the way.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ def serialize(config_text: str, tensors: dict) -> bytes:
 
 
 def deserialize(blob: bytes):
-    """Decode a checkpoint blob into (config_text, name -> float64 array)."""
+    """Decode a checkpoint blob into (config_text, name -> writable native float32 array)."""
     if len(blob) < 4 or blob[:4] != MAGIC:
         raise BadMagicError("not a checkpoint file (bad magic)")
     if len(blob) < 14:
@@ -117,12 +117,12 @@ def deserialize(blob: bytes):
         nbytes = 4 * math.prod(dims)
         if off + nbytes > len(body):
             raise TruncatedError(f"checkpoint truncated in payload of '{name}'")
+        stored = np.frombuffer(body[off : off + nbytes], dtype="<f4")
         try:
-            arr = np.frombuffer(body[off : off + nbytes], dtype="<f4").reshape(dims)
+            tensors[name] = np.array(stored, dtype=np.float32).reshape(dims)
         except ValueError as e:  # over 64 dims, or a zero dim beside ones too large to size
             raise CheckpointError(f"checkpoint tensor '{name}' has unsupported shape {dims}") from e
         off += nbytes
-        tensors[name] = arr.astype(np.float64)
     return config_text, tensors
 
 

@@ -1,16 +1,16 @@
 """Dense 1D layer library with hand-derived backward passes.
 
 Tensors are numpy arrays shaped (batch, channels, time) unless noted
-otherwise. Layers compute in the dtype of their input and parameters and
-allocate nothing wider: ``GestureNet`` holds float32, the precision its
-checkpoints store, and tests cast a model to float64 to gradcheck it through
-the same code. Layers cache their input (activations: their output) and
-derive masks, normalized inputs and argmax positions in backward, which
-raises ``RuntimeError`` without a prior forward. Kernels read strided slices
-and never copy their input; selects are multiplies by an exact factor, and
-per-channel sums reduce the (B, C*T) view over the batch first. Parameter
-values are only ever mutated by an optimizer — forward/backward touch
-gradients exclusively.
+otherwise. ``Param`` slots and batch-norm buffers are built as float32, the
+precision checkpoints store and load; layers compute in the dtype of their
+input and parameters and allocate nothing wider, so tests cast a model to
+float64 to gradcheck it through the same code. Layers cache their input
+(activations: their output) and derive masks, normalized inputs and argmax
+positions in backward, which raises ``RuntimeError`` without a prior forward.
+Kernels read strided slices and never copy their input; selects are
+multiplies by an exact factor, and per-channel sums reduce the (B, C*T) view
+over the batch first. Parameter values are only ever mutated by an optimizer
+— forward/backward touch gradients exclusively.
 
 Layers form one tree: leaves (``Conv1d``, ``BatchNorm1d``, ``Linear``) own
 their ``Param`` slots; a composite's sublayers, parameter-free ones included,
@@ -28,12 +28,12 @@ import numpy as np
 
 
 class Param:
-    """A trainable tensor slot with a same-shaped gradient slot."""
+    """A trainable float32 tensor slot with a same-shaped gradient slot."""
 
     __slots__ = ("value", "grad")
 
     def __init__(self, value: np.ndarray):
-        self.value = np.asarray(value, dtype=np.float64)
+        self.value = np.asarray(value, dtype=np.float32)
         self.grad = np.zeros_like(self.value)
 
     def zero_grad(self):
@@ -172,8 +172,8 @@ class BatchNorm1d(Layer):
         self.momentum = momentum
         self.gamma = Param(np.ones(channels))
         self.beta = Param(np.zeros(channels))
-        self.running_mean = np.zeros(channels)
-        self.running_var = np.ones(channels)
+        self.running_mean = np.zeros(channels, dtype=np.float32)
+        self.running_var = np.ones(channels, dtype=np.float32)
 
     def params(self):
         return {"gamma": self.gamma, "beta": self.beta}

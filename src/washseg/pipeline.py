@@ -119,6 +119,8 @@ def detect_procedure(track: LabelTrack, rate_hz: float, gap_merge: int = 64):
     Returns (onset_seconds, offset_seconds) with an exclusive offset, or
     None when the track has no non-background sample.
     """
+    if not 0 < rate_hz < np.inf:
+        raise ValueError(f"rate_hz must be finite and positive, got {rate_hz}")
     if len(track) == 0:
         raise ValueError("empty track")
     nz = np.flatnonzero(track.labels != 0)

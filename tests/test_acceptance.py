@@ -34,13 +34,13 @@ from washseg.nn import (
     SEBlock,
     Sigmoid,
     Upsample1d,
-    grad_check,
     softmax_cross_entropy,
 )
 from washseg.pipeline import LabelTrack, mode_filter, multiple_test_voting
 from washseg.scoring import PROFESSIONAL_DURATIONS, score, trimmed_average
 from washseg.synth import GenSpec, generate
 from conftest import cast_model
+from gradcheck import grad_check
 import oracle
 
 
@@ -126,13 +126,15 @@ def test_criterion_1_gradient_fidelity(rng):
         return worst
 
     errs = {}
-    errs["conv1d"] = check_params(Conv1d(3, 4, 3, stride=2, pad=1, rng=rng),
+    errs["conv1d"] = check_params(cast_model(Conv1d(3, 4, 3, stride=2, pad=1, rng=rng)),
                                   rng.standard_normal((2, 3, 12)))
-    errs["batchnorm1d"] = check_params(BatchNorm1d(3), rng.standard_normal((4, 3, 8)),
-                                       mode="train")
-    errs["linear"] = check_params(Linear(5, 4, rng=rng), rng.standard_normal((3, 5)))
-    errs["se_block"] = check_params(SEBlock(8, 4, rng=rng), rng.standard_normal((2, 8, 16)))
-    errs["ppm_block"] = check_params(PPMBlock(8, 4, rng=rng), rng.standard_normal((2, 8, 8)))
+    errs["batchnorm1d"] = check_params(cast_model(BatchNorm1d(3)),
+                                       rng.standard_normal((4, 3, 8)), mode="train")
+    errs["linear"] = check_params(cast_model(Linear(5, 4, rng=rng)), rng.standard_normal((3, 5)))
+    errs["se_block"] = check_params(cast_model(SEBlock(8, 4, rng=rng)),
+                                    rng.standard_normal((2, 8, 16)))
+    errs["ppm_block"] = check_params(cast_model(PPMBlock(8, 4, rng=rng)),
+                                     rng.standard_normal((2, 8, 8)))
     errs["leaky_relu"] = check_input(LeakyReLU(0.01), rng.standard_normal((2, 3, 8)) + 0.05)
     errs["sigmoid"] = check_input(Sigmoid(), rng.standard_normal((2, 3, 8)))
     errs["maxpool1d"] = check_input(MaxPool1d(2, 2), rng.standard_normal((2, 3, 8)))
@@ -190,7 +192,7 @@ def test_criterion_2_oracle_equivalence(rng):
         k = int(rng.integers(1, 5))
         stride, pad = int(rng.integers(1, 4)), int(rng.integers(0, 3))
         t = int(rng.integers(k, 16))
-        conv = Conv1d(cin, cout, k, stride=stride, pad=pad, rng=rng)
+        conv = cast_model(Conv1d(cin, cout, k, stride=stride, pad=pad, rng=rng))
         x = rng.standard_normal((2, cin, t))
         ref = oracle.conv1d_loops(x, conv.w.value, conv.b.value, stride, pad)
         worst = max(worst, float(np.abs(conv.forward(x) - ref).max()))

@@ -45,7 +45,8 @@ class TestFormat:
         assert list(loaded) == list(tensors)
         for name in tensors:
             np.testing.assert_array_equal(loaded[name], tensors[name])
-            assert loaded[name].dtype == np.float64
+            assert loaded[name].dtype == np.float32 and loaded[name].dtype.isnative
+            assert loaded[name].flags.writeable
 
     def test_double_round_trip_byte_identical(self, tensors):
         blob1 = ckpt.serialize("cfg\n", tensors)

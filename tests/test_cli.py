@@ -176,6 +176,27 @@ def test_score_on_a_one_row_track(capsys, tmp_path):
     assert json.loads(capsys.readouterr().out)["total"] == expected.total > 0
 
 
+@pytest.mark.parametrize("rate", ["0", "nan", "inf", "-50"])
+def test_score_rejects_a_bad_rate_naming_it(capsys, tmp_path, rate):
+    track_path = tmp_path / "track.csv"
+    _write_track(track_path, ["0", "3", "3", "0"])
+    assert main(["score", "--track", str(track_path), "--rate-hz", rate]) != 0
+    assert capsys.readouterr().err == (
+        f"error: ValueError: rate_hz must be finite and positive, got {float(rate)}\n")
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("value", ["-5", "0"])
+def test_max_windows_below_one_rejected_naming_it(capsys, tmp_path, corpus_dir, command, value):
+    out = tmp_path / "out"
+    rc = main([command, "--data", str(corpus_dir), "--seed", "0", "--out", str(out),
+               "--stride", "32", "--quiet", "--max-windows", value])
+    assert rc != 0
+    assert capsys.readouterr().err == (
+        f"error: ValueError: max_windows must be at least 1, got {value}\n")
+    assert not out.exists()
+
+
 def test_inspect_reports_size(capsys, checkpoint):
     assert main(["inspect", "--checkpoint", str(checkpoint)]) == 0
     out = capsys.readouterr().out

@@ -9,6 +9,7 @@ from washseg.evaluation import (
     accuracy_per_participant,
     confusion_matrix,
     confusion_to_csv,
+    fold_windows,
     make_split,
     mean_sd,
     onset_offset_error,
@@ -188,6 +189,20 @@ def test_run_evaluation_rejects_bad_hyper_before_training():
     plan = make_split(small_corpus(participants=1, locations=1), "user-dependent")
     with pytest.raises(ValueError, match="^seed must be at least 0, got -1"):
         run_evaluation(plan, hyper=TrainHyper(seed=-1))
+
+
+@pytest.mark.parametrize("max_windows", [-5, 0])
+def test_fold_windows_rejects_max_windows_below_one(max_windows):
+    series = [make_series(np.zeros(100, dtype=int))]
+    with pytest.raises(ValueError, match=f"^max_windows must be at least 1, got {max_windows}$"):
+        fold_windows(series, 64, 1, max_windows)
+
+
+def test_fold_windows_keeps_at_most_max_windows_and_none_keeps_all():
+    series = [make_series(np.zeros(100, dtype=int))]  # 37 stride-1 windows
+    assert len(fold_windows(series, 64, 1, None)) == len(fold_windows(series, 64, 1, 37)) == 37
+    assert len(fold_windows(series, 64, 1, 1)) == 1
+    assert len(fold_windows(series, 64, 1, 100)) == 37
 
 
 def test_csv_report_helpers():

@@ -15,9 +15,9 @@ from washseg.nn import (
     SEBlock,
     Sigmoid,
     Upsample1d,
-    grad_check,
 )
 from conftest import cast_model
+from gradcheck import grad_check
 import oracle
 
 
@@ -96,7 +96,7 @@ class TestConv1d:
         np.testing.assert_allclose(conv.forward(x), x)
 
     def test_matches_loop_oracle(self, rng):
-        conv = Conv1d(3, 4, 3, rng=rng)
+        conv = cast_model(Conv1d(3, 4, 3, rng=rng))
         x = rng.standard_normal((2, 3, 16))
         expected = oracle.conv1d_loops(x, conv.w.value, conv.b.value)
         np.testing.assert_allclose(conv.forward(x), expected, atol=1e-12)
@@ -108,7 +108,7 @@ class TestConv1d:
             stride = int(rng.integers(1, 4))
             pad = int(rng.integers(0, 3))
             t = int(rng.integers(k, 20))
-            conv = Conv1d(cin, cout, k, stride=stride, pad=pad, rng=rng)
+            conv = cast_model(Conv1d(cin, cout, k, stride=stride, pad=pad, rng=rng))
             x = rng.standard_normal((2, cin, t))
             expected = oracle.conv1d_loops(x, conv.w.value, conv.b.value, stride, pad)
             np.testing.assert_allclose(conv.forward(x), expected, atol=1e-12)
@@ -119,13 +119,13 @@ class TestConv1d:
             conv.forward(rng.standard_normal((1, 2, 8)))
 
     def test_gradient_vs_finite_differences(self, rng):
-        conv = Conv1d(3, 4, 3, stride=2, pad=1, rng=rng)
+        conv = cast_model(Conv1d(3, 4, 3, stride=2, pad=1, rng=rng))
         rep = layer_loss_check(conv, rng.standard_normal((2, 3, 12)))
         assert rep.max_error < 1e-6, rep.failures
 
     @pytest.mark.parametrize("kernel,pad", [(3, 1), (1, 2)])
     def test_stride1_padded_gradients(self, rng, kernel, pad):
-        conv = Conv1d(3, 4, kernel, pad=pad, rng=rng)
+        conv = cast_model(Conv1d(3, 4, kernel, pad=pad, rng=rng))
         x = rng.standard_normal((2, 3, 9))
         rep = layer_loss_check(conv, x)
         assert rep.max_error < 1e-6, rep.failures
@@ -148,7 +148,7 @@ class TestConv1d:
             stride = int(rng.integers(1, 4))
             pad = int(rng.integers(0, 3))
             t = int(rng.integers(max(k - 2 * pad, 1), 12))
-            conv = Conv1d(2, 3, k, stride=stride, pad=pad, rng=rng)
+            conv = cast_model(Conv1d(2, 3, k, stride=stride, pad=pad, rng=rng))
             input_grad_check(conv, rng.standard_normal((2, 2, t)))
 
     def test_zero_grad_out_gives_zero_grads(self, rng):
@@ -159,7 +159,7 @@ class TestConv1d:
         assert not conv.w.grad.any() and not conv.b.grad.any()
 
     def test_batch_gradient_is_sum_of_per_example(self, rng):
-        conv = Conv1d(2, 3, 3, pad=1, rng=rng)
+        conv = cast_model(Conv1d(2, 3, 3, pad=1, rng=rng))
         x = rng.standard_normal((2, 2, 8))
         g = rng.standard_normal((2, 3, 8))
         conv.forward(x)
@@ -212,7 +212,7 @@ class TestBatchNorm:
         np.testing.assert_allclose(out1[:1], out2)
 
     def test_gradient_vs_finite_differences(self, rng):
-        bn = BatchNorm1d(3)
+        bn = cast_model(BatchNorm1d(3))
         rep = layer_loss_check(bn, rng.standard_normal((4, 3, 8)), mode="train")
         assert rep.max_error < 1e-6, rep.failures
 
@@ -234,7 +234,7 @@ class TestBatchNorm:
             assert abs(fd - gx[idx]) / max(abs(fd), abs(gx[idx]), 1e-8) < 1e-5
 
     def test_eval_backward(self, rng):
-        bn = BatchNorm1d(3)
+        bn = cast_model(BatchNorm1d(3))
         bn.running_mean[:] = [0.5, -1.0, 2.0]
         bn.running_var[:] = [0.25, 4.0, 1.5]
         bn.gamma.value[:] = [1.5, -0.5, 2.0]
@@ -433,6 +433,13 @@ class TestFloat32:
         assert out.dtype == grad_x.dtype == np.float32
         assert all(p.grad.dtype == np.float32 for p in layer.params().values())
 
+    def test_slots_and_batchnorm_buffers_are_built_float32(self, rng):
+        for layer in (Conv1d(2, 3, 3, rng=rng), BatchNorm1d(3), Linear(2, 3, rng=rng)):
+            arrays = [a for p in layer.params().values() for a in (p.value, p.grad)]
+            if isinstance(layer, BatchNorm1d):
+                arrays += [layer.running_mean, layer.running_var]
+            assert {a.dtype for a in arrays} == {np.dtype(np.float32)}
+
     def test_sigmoid_saturates_without_overflow(self):
         # exp(100) overflows float32; the gate is exactly 0 there, not an error
         out = Sigmoid().forward(np.array([-100.0, 0.0, 100.0], dtype=np.float32))
@@ -544,7 +551,7 @@ class TestLinear:
         np.testing.assert_allclose(lin.forward(x), x @ lin.w.value + lin.b.value)
 
     def test_gradient(self, rng):
-        lin = Linear(4, 3, rng=rng)
+        lin = cast_model(Linear(4, 3, rng=rng))
         rep = layer_loss_check(lin, rng.standard_normal((5, 4)))
         assert rep.max_error < 1e-6, rep.failures
 
@@ -564,7 +571,7 @@ class TestSEBlock:
         np.testing.assert_allclose(se.forward(x), x / 2.0)
 
     def test_gradient(self, rng):
-        se = SEBlock(8, reduction=4, rng=rng)
+        se = cast_model(SEBlock(8, reduction=4, rng=rng))
         rep = layer_loss_check(se, rng.standard_normal((2, 8, 16)))
         assert rep.max_error < 1e-6, rep.failures
 
@@ -602,12 +609,12 @@ class TestPPMBlock:
             ppm.forward(rng.standard_normal((1, 8, 12)))
 
     def test_gradient(self, rng):
-        ppm = PPMBlock(8, 4, rng=rng)
+        ppm = cast_model(PPMBlock(8, 4, rng=rng))
         rep = layer_loss_check(ppm, rng.standard_normal((2, 8, 8)))
         assert rep.max_error < 1e-6, rep.failures
 
     def test_input_gradient_vs_finite_differences(self, rng):
-        ppm = PPMBlock(4, 2, rng=rng)
+        ppm = cast_model(PPMBlock(4, 2, rng=rng))
         x = rng.standard_normal((1, 4, 8))
         probes = rng.standard_normal((1, 10, 8))
         ppm.forward(x)

@@ -59,7 +59,7 @@ class TestAdam:
     def test_first_step_magnitude(self):
         # step 1 with g=1: bias corrections cancel, |delta| = lr*|g|/(|g|+eps)
         p = Param(np.array([1.0]))
-        p.grad[:] = 1.0
+        p.value, p.grad = np.array([1.0]), np.array([1.0])  # float64: the 1e-12 bound is finer than float32
         opt = Adam(lr=0.001)
         opt.step({"p": p})
         assert abs((1.0 - p.value[0]) - 0.001 * 1.0 / (1.0 + 1e-8)) < 1e-12

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import tempfile
 from pathlib import Path
 
@@ -230,6 +231,13 @@ class TestModuleTree:
 
 
 class TestPrecision:
+    def test_fresh_init_checkpoint_bytes_are_pinned(self):
+        # moves with the construction dtype or the order of the init draws
+        m = GestureNet(ArchConfig(), seed=0)
+        blob = ckpt.serialize(m.config.to_text(), m.named_tensors())
+        assert hashlib.sha256(blob).hexdigest() == (
+            "9242cbb10032c40e500d9eca7d95577463c0410da3227b81c0047865789970f9")
+
     def test_float32_from_init_through_training_and_load(self, rng, tmp_path):
         m = GestureNet(ArchConfig(), seed=0)
         a = rng.standard_normal((4, 3, 64))  # float64 input is cast at forward
@@ -249,7 +257,7 @@ class TestPrecision:
 
 def _stage_with_stats(rng, cls, in_ch, out_ch):
     """A float64 stage whose batch norm and bias are far from their init."""
-    stage = cls(in_ch, out_ch, 0.1, rng)
+    stage = cast_model(cls(in_ch, out_ch, 0.1, rng))
     stage.conv.b.value = rng.standard_normal(out_ch)
     stage.bn.gamma.value = rng.uniform(0.5, 2.0, out_ch) * rng.choice([-1, 1], out_ch)
     stage.bn.beta.value = rng.standard_normal(out_ch)
