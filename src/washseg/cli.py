@@ -52,11 +52,11 @@ def cmd_train(args) -> int:
     if args.arch_config:
         with open(args.arch_config) as f:
             arch = ArchConfig.from_text(f.read())
-    model = GestureNet(arch, seed=hyper.seed)
     windows = evaluation.fold_windows(
         corpus, arch.input_length, args.stride,
         max_windows=args.max_windows, rng=np.random.default_rng(hyper.seed),
     )
+    model = GestureNet(arch, seed=hyper.seed)
     logs = train(model, windows, hyper, verbose=not args.quiet)
     bits = model.save(args.out)
     log_path = args.out + ".log.csv"

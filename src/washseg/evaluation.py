@@ -281,7 +281,6 @@ def run_evaluation(
     results = {}
     totals = {v: [0, 0] for v in SMOOTH_VARIANTS}  # correct, total
     for fold_name, train_series, test_series in split.folds:
-        model = GestureNet(arch, seed=hyper.seed)
         windows = fold_windows(
             train_series,
             arch.input_length,
@@ -289,6 +288,7 @@ def run_evaluation(
             max_windows,
             rng=np.random.default_rng(hyper.seed),
         )
+        model = GestureNet(arch, seed=hyper.seed)
         train(model, windows, hyper, verbose=verbose)
         tracks = predict_variants(model, test_series)
         fold_metrics = {}

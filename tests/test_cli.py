@@ -187,7 +187,14 @@ def test_score_rejects_a_bad_rate_naming_it(capsys, tmp_path, rate):
 
 @pytest.mark.parametrize("command", ["train", "eval"])
 @pytest.mark.parametrize("value", ["-5", "0"])
-def test_max_windows_below_one_rejected_naming_it(capsys, tmp_path, corpus_dir, command, value):
+def test_max_windows_below_one_rejected_naming_it(
+        capsys, monkeypatch, tmp_path, corpus_dir, command, value):
+    # the check runs before any model is built
+    def no_model(*args, **kwargs):
+        raise AssertionError("model built before max_windows was checked")
+
+    monkeypatch.setattr("washseg.cli.GestureNet", no_model)
+    monkeypatch.setattr("washseg.evaluation.GestureNet", no_model)
     out = tmp_path / "out"
     rc = main([command, "--data", str(corpus_dir), "--seed", "0", "--out", str(out),
                "--stride", "32", "--quiet", "--max-windows", value])

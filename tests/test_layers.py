@@ -82,14 +82,14 @@ def maxpool_backward_where(x, out, grad_out, window, stride):
 class TestConv1d:
     def test_edge_detector_fixture(self):
         # [1,2,3,4] * [1,0,-1], pad 1: hand-computed sliding dot products
-        conv = Conv1d(1, 1, 3, pad=1)
+        conv = cast_model(Conv1d(1, 1, 3, pad=1))
         conv.w.value[:] = np.array([[[1.0, 0.0, -1.0]]])
         conv.b.value[:] = 0.0
         out = conv.forward(np.array([[[1.0, 2.0, 3.0, 4.0]]]))
         np.testing.assert_allclose(out, [[[-2.0, -2.0, -2.0, 3.0]]])
 
     def test_identity_kernel(self, rng):
-        conv = Conv1d(1, 1, 3, pad=1)
+        conv = cast_model(Conv1d(1, 1, 3, pad=1))
         conv.w.value[:] = np.array([[[0.0, 1.0, 0.0]]])
         conv.b.value[:] = 0.0
         x = rng.standard_normal((2, 1, 10))
@@ -132,7 +132,7 @@ class TestConv1d:
         input_grad_check(conv, x)
 
     def test_outputs_reaching_only_padding_equal_bias(self, rng):
-        conv = Conv1d(2, 3, 1, pad=2, rng=rng)
+        conv = cast_model(Conv1d(2, 3, 1, pad=2, rng=rng))
         conv.b.value[:] = [0.5, -1.0, 2.0]
         x = rng.standard_normal((2, 2, 7))
         out = conv.forward(x)
@@ -182,14 +182,14 @@ class TestConv1d:
 
 class TestBatchNorm:
     def test_normalizes_batch_statistics(self, rng):
-        bn = BatchNorm1d(3)
+        bn = cast_model(BatchNorm1d(3))
         x = 5.0 + 2.0 * rng.standard_normal((8, 3, 16))
         out = bn.forward(x, mode="train")
         np.testing.assert_allclose(out.mean(axis=(0, 2)), 0.0, atol=1e-10)
         np.testing.assert_allclose(out.var(axis=(0, 2)), 1.0, atol=1e-4)
 
     def test_gamma_beta_shift_scale(self, rng):
-        bn = BatchNorm1d(2)
+        bn = cast_model(BatchNorm1d(2))
         bn.gamma.value[:] = 2.0
         bn.beta.value[:] = 3.0
         x = rng.standard_normal((16, 2, 8))
@@ -203,7 +203,7 @@ class TestBatchNorm:
             bn.forward(np.zeros((1, 2, 1)), mode="train")
 
     def test_eval_uses_running_stats(self, rng):
-        bn = BatchNorm1d(2)
+        bn = cast_model(BatchNorm1d(2))
         for _ in range(50):
             bn.forward(1.0 + rng.standard_normal((16, 2, 8)), mode="train")
         x = rng.standard_normal((4, 2, 8))
@@ -217,7 +217,7 @@ class TestBatchNorm:
         assert rep.max_error < 1e-6, rep.failures
 
     def test_input_gradient_vs_finite_differences(self, rng):
-        bn = BatchNorm1d(2)
+        bn = cast_model(BatchNorm1d(2))
         x = rng.standard_normal((3, 2, 5))
         probes = rng.standard_normal((3, 2, 5))
         bn.forward(x, mode="train")
@@ -245,7 +245,7 @@ class TestBatchNorm:
         np.testing.assert_array_equal(bn.running_mean, [0.5, -1.0, 2.0])
 
     def test_eval_is_affine_in_running_stats(self, rng):
-        bn = BatchNorm1d(2)
+        bn = cast_model(BatchNorm1d(2))
         bn.running_mean[:] = [1.0, -2.0]
         bn.running_var[:] = [4.0, 0.5]
         bn.gamma.value[:] = [2.0, 3.0]
@@ -546,7 +546,7 @@ class TestChannelReductions:
 
 class TestLinear:
     def test_affine(self, rng):
-        lin = Linear(3, 2, rng=rng)
+        lin = cast_model(Linear(3, 2, rng=rng))
         x = rng.standard_normal((4, 3))
         np.testing.assert_allclose(lin.forward(x), x @ lin.w.value + lin.b.value)
 
@@ -558,13 +558,13 @@ class TestLinear:
 
 class TestSEBlock:
     def test_gate_bounds_output(self, rng):
-        se = SEBlock(8, reduction=4, rng=rng)
+        se = cast_model(SEBlock(8, reduction=4, rng=rng))
         x = rng.standard_normal((2, 8, 16))
         out = se.forward(x)
         assert (np.abs(out) <= np.abs(x) + 1e-12).all()
 
     def test_zero_excitation_halves_input(self, rng):
-        se = SEBlock(8, reduction=4, rng=rng)
+        se = cast_model(SEBlock(8, reduction=4, rng=rng))
         se.fc2.w.value[:] = 0.0
         se.fc2.b.value[:] = 0.0
         x = rng.standard_normal((2, 8, 16))
@@ -589,7 +589,7 @@ class TestPPMBlock:
         assert out.shape == (2, 112, 8)
 
     def test_constant_input_passthrough(self, rng):
-        ppm = PPMBlock(8, 4, rng=rng)
+        ppm = cast_model(PPMBlock(8, 4, rng=rng))
         x = np.full((1, 8, 8), 3.0)
         out = ppm.forward(x)
         np.testing.assert_allclose(out[:, :8], x)

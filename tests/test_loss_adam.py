@@ -55,17 +55,26 @@ class TestSoftmaxCrossEntropy:
         np.testing.assert_allclose(grad.sum(axis=1), 0.0, atol=1e-12)
 
 
+def param64(values):
+    """A ``Param`` with float64 value and gradient slots: these checks hold
+    Adam to float64 arithmetic, finer than the float32 slots ``Param`` builds."""
+    p = Param(values)
+    p.value = np.array(values, dtype=np.float64)
+    p.grad = np.zeros_like(p.value)
+    return p
+
+
 class TestAdam:
     def test_first_step_magnitude(self):
         # step 1 with g=1: bias corrections cancel, |delta| = lr*|g|/(|g|+eps)
-        p = Param(np.array([1.0]))
-        p.value, p.grad = np.array([1.0]), np.array([1.0])  # float64: the 1e-12 bound is finer than float32
+        p = param64([1.0])
+        p.grad[:] = 1.0
         opt = Adam(lr=0.001)
         opt.step({"p": p})
         assert abs((1.0 - p.value[0]) - 0.001 * 1.0 / (1.0 + 1e-8)) < 1e-12
 
     def test_zero_gradient_leaves_params(self):
-        p = Param(np.array([2.0, -3.0]))
+        p = param64([2.0, -3.0])
         opt = Adam(lr=0.1)
         for _ in range(5):
             p.zero_grad()
@@ -74,10 +83,10 @@ class TestAdam:
 
     def test_independent_parameters(self, rng):
         # two slots evolve exactly as they would alone
-        a = Param(np.array([1.0]))
-        b = Param(np.array([5.0]))
+        a = param64([1.0])
+        b = param64([5.0])
         opt = Adam(lr=0.01)
-        a_alone = Param(np.array([1.0]))
+        a_alone = param64([1.0])
         opt_alone = Adam(lr=0.01)
         for _ in range(10):
             g = float(rng.standard_normal())
@@ -89,7 +98,7 @@ class TestAdam:
         np.testing.assert_allclose(a.value, a_alone.value)
 
     def test_matches_hand_recurrence(self, rng):
-        p = Param(np.array([0.5]))
+        p = param64([0.5])
         opt = Adam(lr=0.002)
         m = v = 0.0
         x = 0.5
@@ -103,7 +112,7 @@ class TestAdam:
             assert abs(p.value[0] - x) < 1e-14
 
     def test_step_counter_increases(self):
-        p = Param(np.array([1.0]))
+        p = param64([1.0])
         opt = Adam()
         for i in range(3):
             opt.step({"p": p})
