@@ -2,9 +2,10 @@
 
 Tensors are numpy arrays shaped (batch, channels, time) unless noted
 otherwise. ``Param`` slots and batch-norm buffers are built as float32, the
-precision checkpoints store and load; layers compute in the dtype of their
-input and parameters and allocate nothing wider, so tests cast a model to
-float64 to gradcheck it through the same code. Layers cache their input
+precision checkpoints store and load. Layers compute in the dtype their input
+shares with their parameters and allocate nothing wider, so tests cast a model
+to float64 to gradcheck it through the same code; a mixed pair follows numpy's
+promotion, but batch-norm buffers keep their own dtype. Layers cache their input
 (activations: their output) and derive masks, normalized inputs and argmax
 positions in backward, which raises ``RuntimeError`` without a prior forward.
 Kernels read strided slices and never copy their input; selects are
@@ -186,12 +187,9 @@ class BatchNorm1d(Layer):
             mean = _channel_sum(x) / n
             # unnamed, so numpy squares it in place and frees it before the output
             var = _channel_sum((x - mean[:, None]) ** 2) / n
-            self.running_mean = (
-                (1 - self.momentum) * self.running_mean + self.momentum * mean
-            )
-            self.running_var = (
-                (1 - self.momentum) * self.running_var + self.momentum * var
-            )
+            # in place, so the buffers keep their dtype whatever the input's
+            self.running_mean[...] = (1 - self.momentum) * self.running_mean + self.momentum * mean
+            self.running_var[...] = (1 - self.momentum) * self.running_var + self.momentum * var
         else:
             mean = self.running_mean
             var = self.running_var

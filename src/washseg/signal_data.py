@@ -1,19 +1,28 @@
 """Labeled 6-axis IMU recordings: CSV ingestion and sliding windows.
 
 CSV contract: UTF-8, header exactly ``t,ax,ay,az,gx,gy,gz,label``, one row
-per nominal 20 ms tick at 50 Hz. Numeric fields must be finite; timestamps
-are decimal seconds and must be strictly increasing; labels are integers
-0..9 (0 = background, 1..9 = the nine guideline gestures). Corpus files are
-named ``<location>_<participant>_<procedure>.csv``.
+per nominal 20 ms tick at 50 Hz. Fields are ASCII decimal numbers (no ``1_0``,
+no non-ASCII digits), whitespace around them is ignored, and they must be
+finite; timestamps are seconds and strictly increasing; labels are integers
+0..9 without a fraction (0 = background, 1..9 = the nine guideline gestures).
+LF, CRLF and CR line ends are accepted. Empty lines are skipped but counted in
+the line numbers errors name; a whitespace-only line is an error. Corpus files
+are named ``<location>_<participant>_<procedure>.csv``.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 CSV_HEADER = "t,ax,ay,az,gx,gy,gz,label"
+COLUMNS = CSV_HEADER.split(",")
+_ROW = np.dtype([(name, np.float64) for name in COLUMNS[:7]] + [("label", np.int64)])
+# lines to one structured row per non-empty line; ValueError when any line fails
+_parse = partial(np.loadtxt, dtype=_ROW, delimiter=",", comments=None, ndmin=1)
 NUM_CLASSES = 10
 DEFAULT_RATE_HZ = 50.0
 DEFAULT_WINDOW = 64
@@ -46,7 +55,7 @@ class SampleSeries:
             raise ValueError("label length must match t")
         if self.label.min() < 0 or self.label.max() >= NUM_CLASSES:
             raise ValueError("labels must lie in 0..9")
-        if n > 1 and not np.all(np.diff(self.t) > 0):
+        if not np.all(self.t[1:] > self.t[:-1]):
             raise ValueError("timestamps must be strictly increasing")
         if self.rate_hz <= 0:
             raise ValueError("rate_hz must be positive")
@@ -84,58 +93,62 @@ class Window:
 
 def load_csv(path, participant_id="", location_id="", procedure_id=0,
              rate_hz=DEFAULT_RATE_HZ) -> SampleSeries:
-    """Parse one recording file, validating every row.
-
-    Identity fields default to empty and can be filled by the caller
-    (e.g. from the ``<location>_<participant>_<procedure>.csv`` filename).
-    """
+    """Parse one recording file in one vectorized pass and validate it; a line
+    scan runs only to name the first bad line. Identity fields default to
+    empty and can be filled by the caller (e.g. from the corpus filename)."""
     def error(lineno, message):
         return SeriesFormatError(f"{path}: line {lineno}: {message}")
 
-    rows, labels, linenos = [], [], []
     with open(path, "r", encoding="utf-8") as f:
         header = f.readline().strip()
         if header != CSV_HEADER:
             raise error(1, f"header must be exactly '{CSV_HEADER}', got '{header}'")
-        for lineno, line in enumerate(f, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            if len(fields) != 8:
-                raise error(lineno, f"expected 8 columns, got {len(fields)}")
-            try:
-                vals = [float(v) for v in fields[:7]]
-                lab = int(fields[7])
-            except ValueError:
-                raise error(lineno, "non-numeric field") from None
-            if not 0 <= lab < NUM_CLASSES:
-                raise error(lineno, f"label {lab} outside 0..9")
-            rows.append(vals)
-            labels.append(lab)
-            linenos.append(lineno)
-    if not rows:
+        lines = f.read().split("\n")  # line 2 onwards; every line end reads as \n
+    if not any(lines):
         raise SeriesFormatError(f"{path}: empty file (no data rows)")
-    data = np.array(rows)
+    try:
+        rows = _parse(lines)
+    except ValueError:
+        raise error(*_first_bad_line(lines)) from None
+    label = rows["label"].copy()
+    if ((label < 0) | (label >= NUM_CLASSES)).any():
+        raise error(*_first_bad_line(lines))
+    data = np.column_stack([rows[name] for name in COLUMNS[:7]])
+    t = data[:, 0]
     bad = np.argwhere(~np.isfinite(data))
-    if bad.size:
-        row, col = bad[0]
-        name = CSV_HEADER.split(",")[col]
-        raise error(linenos[row], f"non-finite {name} value {data[row, col]}")
-    later = np.flatnonzero(np.diff(data[:, 0]) <= 0)
-    if later.size:
-        row = later[0] + 1
-        raise error(linenos[row], f"timestamp {data[row, 0]} not strictly increasing")
-    return SampleSeries(
-        participant_id=participant_id,
-        location_id=location_id,
-        procedure_id=procedure_id,
-        t=data[:, 0],
-        accel=data[:, 1:4].T,
-        gyro=data[:, 4:7].T,
-        label=np.array(labels, dtype=np.int64),
-        rate_hz=rate_hz,
-    )
+    later = np.flatnonzero(t[1:] <= t[:-1]) + 1  # compared, not subtracted: no overflow
+    if bad.size or later.size:
+        row_line = [n for n, line in enumerate(lines, start=2) if line]  # empty lines hold no row
+        if bad.size:
+            row, col = bad[0]
+            raise error(row_line[row], f"non-finite {COLUMNS[col]} value {data[row, col]}")
+        raise error(row_line[later[0]], f"timestamp {t[later[0]]} not strictly increasing")
+    return SampleSeries(participant_id, location_id, procedure_id, t=t, accel=data[:, 1:4].T,
+                        gyro=data[:, 4:7].T, label=label, rate_hz=rate_hz)
+
+
+def _first_bad_line(lines):
+    """(line number, reason) of the first line that fails to parse on its own
+    or holds a label outside 0..9."""
+    for lineno, line in enumerate(lines, start=2):
+        if not line:
+            continue
+        if line.isspace():
+            return lineno, "whitespace-only line"
+        fields = line.split(",")
+        if len(fields) != len(COLUMNS):
+            return lineno, f"expected {len(COLUMNS)} columns, got {len(fields)}"
+        try:
+            label = _parse([line])["label"][0]
+        except ValueError:  # name the first field that fails alone in a row of zeros
+            for col, value in enumerate(fields):
+                try:
+                    _parse([",".join(["0"] * col + [value] + ["0"] * (len(fields) - col - 1))])
+                except ValueError:
+                    kind = "non-integer" if COLUMNS[col] == "label" else "non-numeric"
+                    return lineno, f"{kind} {COLUMNS[col]} value {value!r}"
+        if not 0 <= label < NUM_CLASSES:
+            return lineno, f"label {label} outside 0..9"
 
 
 def write_csv(series: SampleSeries, path):
@@ -183,21 +196,9 @@ def parse_corpus_filename(name: str):
 
 def load_corpus(directory):
     """Load every corpus CSV in a directory, sorted by filename."""
-    import os
-
-    series = []
-    for name in sorted(os.listdir(directory)):
-        if not name.endswith(".csv"):
-            continue
-        loc, part, proc = parse_corpus_filename(name)
-        series.append(
-            load_csv(
-                os.path.join(directory, name),
-                participant_id=part,
-                location_id=loc,
-                procedure_id=proc,
-            )
-        )
-    if not series:
+    names = sorted(name for name in os.listdir(directory) if name.endswith(".csv"))
+    if not names:
         raise FileNotFoundError(f"no corpus CSV files found in {directory}")
-    return series
+    parts = [parse_corpus_filename(name) for name in names]  # every name checked before a read
+    return [load_csv(os.path.join(directory, name), participant_id=part, location_id=loc,
+                     procedure_id=proc) for name, (loc, part, proc) in zip(names, parts)]

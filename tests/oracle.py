@@ -1,10 +1,13 @@
 """Brute-force reference implementations used as independent oracles.
 
 Everything here is written as plain loops, deliberately sharing no code
-with the library implementations it checks, except ``unfolded_forward``.
+with the library implementations it checks, except ``unfolded_forward``
+and the result and error types of ``load_csv_loops``.
 """
 
 import numpy as np
+
+from washseg.signal_data import CSV_HEADER, NUM_CLASSES, SampleSeries, SeriesFormatError
 
 
 def conv1d_loops(x, w, b, stride=1, pad=0):
@@ -139,3 +142,46 @@ def prf_loops(predictions, ground_truths, num_classes=10):
         if precision[c] + recall[c] > 0:
             f1[c] = 2 * precision[c] * recall[c] / (precision[c] + recall[c])
     return cm, precision, recall, f1, sorted(degenerate)
+
+
+def load_csv_loops(path):
+    """The per-field parse that ``signal_data.load_csv`` replaced: ``float()``
+    and ``int()`` on every field, blank and whitespace-only lines skipped."""
+    def error(lineno, message):
+        return SeriesFormatError(f"{path}: line {lineno}: {message}")
+
+    rows, labels, linenos = [], [], []
+    with open(path, "r", encoding="utf-8") as f:
+        header = f.readline().strip()
+        if header != CSV_HEADER:
+            raise error(1, f"header must be exactly '{CSV_HEADER}', got '{header}'")
+        for lineno, line in enumerate(f, start=2):
+            line = line.strip()
+            if not line:
+                continue
+            fields = line.split(",")
+            if len(fields) != 8:
+                raise error(lineno, f"expected 8 columns, got {len(fields)}")
+            try:
+                vals = [float(v) for v in fields[:7]]
+                lab = int(fields[7])
+            except ValueError:
+                raise error(lineno, "non-numeric field") from None
+            if not 0 <= lab < NUM_CLASSES:
+                raise error(lineno, f"label {lab} outside 0..9")
+            rows.append(vals)
+            labels.append(lab)
+            linenos.append(lineno)
+    if not rows:
+        raise SeriesFormatError(f"{path}: empty file (no data rows)")
+    data = np.array(rows)
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        row, col = bad[0]
+        name = CSV_HEADER.split(",")[col]
+        raise error(linenos[row], f"non-finite {name} value {data[row, col]}")
+    for row in range(1, len(rows)):
+        if data[row, 0] <= data[row - 1, 0]:
+            raise error(linenos[row], f"timestamp {data[row, 0]} not strictly increasing")
+    return SampleSeries("", "", 0, data[:, 0], data[:, 1:4].T, data[:, 4:7].T,
+                        np.array(labels, dtype=np.int64))

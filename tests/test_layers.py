@@ -440,6 +440,18 @@ class TestFloat32:
                 arrays += [layer.running_mean, layer.running_var]
             assert {a.dtype for a in arrays} == {np.dtype(np.float32)}
 
+    def test_float64_batch_leaves_batchnorm_buffers_float32(self, rng):
+        bn = BatchNorm1d(2)
+        mean, var = bn.running_mean, bn.running_var
+        x = 3.0 + rng.standard_normal((4, 2, 8))
+        bn.forward(x, mode="train")
+        assert bn.running_mean is mean and bn.running_var is var  # updated in place
+        assert mean.dtype == var.dtype == np.float32
+        want_mean = 0.9 * np.zeros(2) + 0.1 * x.mean(axis=(0, 2))
+        want_var = 0.9 * np.ones(2) + 0.1 * x.var(axis=(0, 2))
+        np.testing.assert_allclose(mean, want_mean, rtol=1e-6)
+        np.testing.assert_allclose(var, want_var, rtol=1e-6)
+
     def test_sigmoid_saturates_without_overflow(self):
         # exp(100) overflows float32; the gate is exactly 0 there, not an error
         out = Sigmoid().forward(np.array([-100.0, 0.0, 100.0], dtype=np.float32))
