@@ -144,7 +144,12 @@ class _DecStage(_ConvBnAct):
 
 
 class GestureNet(Layer):
-    """The assembled dual-branch model."""
+    """The assembled dual-branch model.
+
+    Threads may share one model for eval forwards, as ``pipeline.infer_track``
+    does: an eval forward reads only parameters and batch-norm buffers, and
+    the ``_cache`` attributes it writes are never read in eval mode. Training
+    (a train forward and its backward) is not safe to share."""
 
     def __init__(self, config: ArchConfig, seed: int = 0):
         self.config = config.validate()

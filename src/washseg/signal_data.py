@@ -1,9 +1,10 @@
 """Labeled 6-axis IMU recordings: CSV ingestion and sliding windows.
 
-CSV contract: UTF-8, header exactly ``t,ax,ay,az,gx,gy,gz,label``, one row
-per nominal 20 ms tick at 50 Hz. Fields are ASCII decimal numbers (no ``1_0``,
-no non-ASCII digits), whitespace around them is ignored, and they must be
-finite; timestamps are seconds and strictly increasing; labels are integers
+CSV contract: UTF-8 without a byte-order mark (the first byte that is not
+UTF-8 is an error naming its line), header exactly ``t,ax,ay,az,gx,gy,gz,label``,
+one row per nominal 20 ms tick at 50 Hz. Fields are ASCII decimal numbers (no
+``1_0``, no non-ASCII digits), whitespace around them is ignored, and they must
+be finite; timestamps are seconds and strictly increasing; labels are integers
 0..9 without a fraction (0 = background, 1..9 = the nine guideline gestures).
 LF, CRLF and CR line ends are accepted. Empty lines are skipped but counted in
 the line numbers errors name; a whitespace-only line is an error. Corpus files
@@ -99,11 +100,19 @@ def load_csv(path, participant_id="", location_id="", procedure_id=0,
     def error(lineno, message):
         return SeriesFormatError(f"{path}: line {lineno}: {message}")
 
-    with open(path, "r", encoding="utf-8") as f:
-        header = f.readline().strip()
-        if header != CSV_HEADER:
-            raise error(1, f"header must be exactly '{CSV_HEADER}', got '{header}'")
-        lines = f.read().split("\n")  # line 2 onwards; every line end reads as \n
+    with open(path, "rb") as f:
+        raw = f.read()
+    if b"\r" in raw:  # every line end as LF; no UTF-8 sequence holds a CR or LF byte
+        raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        lines = raw.decode("utf-8").split("\n")
+    except UnicodeDecodeError as e:
+        line = raw.count(b"\n", 0, e.start) + 1
+        raise error(line, f"not UTF-8: byte {raw[e.start]:#04x}") from None
+    del raw  # not held through the parse
+    header = lines.pop(0).strip()
+    if header != CSV_HEADER:
+        raise error(1, f"header must be exactly '{CSV_HEADER}', got '{header}'")
     if not any(lines):
         raise SeriesFormatError(f"{path}: empty file (no data rows)")
     try:
@@ -111,14 +120,16 @@ def load_csv(path, participant_id="", location_id="", procedure_id=0,
     except ValueError:
         raise error(*_first_bad_line(lines)) from None
     label = rows["label"].copy()
-    if ((label < 0) | (label >= NUM_CLASSES)).any():
-        raise error(*_first_bad_line(lines))
     data = np.column_stack([rows[name] for name in COLUMNS[:7]])
     t = data[:, 0]
+    outside = np.flatnonzero((label < 0) | (label >= NUM_CLASSES))
     bad = np.argwhere(~np.isfinite(data))
     later = np.flatnonzero(t[1:] <= t[:-1]) + 1  # compared, not subtracted: no overflow
-    if bad.size or later.size:
+    if outside.size or bad.size or later.size:
         row_line = [n for n, line in enumerate(lines, start=2) if line]  # empty lines hold no row
+        if outside.size:
+            row = outside[0]
+            raise error(row_line[row], f"label {label[row]} outside 0..9")
         if bad.size:
             row, col = bad[0]
             raise error(row_line[row], f"non-finite {COLUMNS[col]} value {data[row, col]}")

@@ -118,6 +118,21 @@ def unfolded_forward(model, accel, gyro):
     return model.head.forward(x, "eval")
 
 
+def predict_windows_serial(model, series, length, batch=512):
+    """Per-sample argmax of every stride-1 window of ``series``, one eval
+    forward after another on batches of ``batch`` windows copied out with
+    ``np.stack``: the single-threaded loop that ``pipeline.infer_track`` ran
+    before it spread its batches over threads."""
+    starts = range(len(series) - length + 1)
+    out = []
+    for lo in range(0, len(starts), batch):
+        rows = starts[lo : lo + batch]
+        accel = np.stack([series.accel[:, s : s + length] for s in rows])
+        gyro = np.stack([series.gyro[:, s : s + length] for s in rows])
+        out.append(model.forward(accel, gyro, mode="eval").argmax(axis=1))
+    return np.concatenate(out)
+
+
 def prf_loops(predictions, ground_truths, num_classes=10):
     """Confusion counts, per-class P/R/F1 and the degenerate classes (a
     zero precision or recall denominator), one sample and one class at a time."""

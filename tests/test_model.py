@@ -334,8 +334,9 @@ class TestForwardSemantics:
             np.testing.assert_array_equal(full[2:3], alone)
 
     def test_eval_batch_invariance_at_pipeline_batch_sizes(self, rng):
-        # 512 is infer_track's batch; 35 is a stride-64 request and 72 the
-        # last batch of a 2120-window stride-1 request
+        # 128 is infer_track's batch and 512 the serial oracle's; 35 is a
+        # stride-64 request and 72 the last batch of a 2120-window stride-1
+        # request (2120 = 16 * 128 + 72)
         m = GestureNet(ArchConfig(), seed=1)
         for bn in (l for l in m.modules() if isinstance(l, BatchNorm1d)):
             bn.running_mean = rng.standard_normal(bn.channels)
@@ -346,7 +347,7 @@ class TestForwardSemantics:
             cast_model(m, dtype)
             full = m.forward(a, g, mode="eval")
             assert full.dtype == dtype
-            for batch in (1, 35, 72, 512):
+            for batch in (1, 35, 72, 128, 512):
                 parts = [m.forward(a[s : s + batch], g[s : s + batch], mode="eval")
                          for s in range(0, 600, batch)]
                 np.testing.assert_array_equal(np.concatenate(parts), full,

@@ -1,3 +1,7 @@
+import os
+import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -197,6 +201,138 @@ class TestInferTrack:
             for method in ("none", "mtv+tmf"):
                 np.testing.assert_array_equal(smooth(t32, method).labels,
                                               smooth(t64, method).labels, err_msg=method)
+
+
+PINNED = Path(__file__).resolve().parent.parent / "perfbench" / "user_dep.ckpt"
+
+
+@pytest.fixture(scope="module")
+def pinned_model():
+    return GestureNet.load(PINNED)
+
+
+def held_out_series(part):
+    """Procedure 5 of participant ``part`` of the seed-42 user-dependent fold."""
+    spec = GenSpec(seed=42)
+    return generate_procedure(spec, part % spec.locations, part, 5)
+
+
+def serial_track(model, series, length=64):
+    """Stride-1 votes and labels from the serial batch-512 oracle's predictions."""
+    preds = oracle.predict_windows_serial(model, series, length)
+    n = len(series)
+    votes = np.zeros((n, 10), dtype=np.int64)
+    for start, row in enumerate(preds):
+        votes[start + np.arange(length), row] += 1
+    labels = np.empty(n, dtype=np.int64)
+    # the end-aligned window first, so the tiles at 0, L, 2L, ... overwrite it
+    for tile in [*range(0, n - length + 1, length), n - length][::-1]:
+        labels[tile : tile + length] = preds[tile]
+    return votes, labels
+
+
+def set_cpus(monkeypatch, count):
+    """Make this process appear to be allowed on ``count`` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+class TestThreadedInference:
+    """``infer_track`` spreads its batches over one thread per usable CPU;
+    batch-invariant eval keeps every output equal to the serial loop's."""
+
+    @pytest.mark.parametrize("cpus", [None, 4])  # None: the host's own CPUs
+    def test_pinned_checkpoint_tracks_equal_serial_batch_512(self, pinned_model, monkeypatch,
+                                                             cpus):
+        if cpus:
+            set_cpus(monkeypatch, cpus)
+        for part in range(3):
+            series = held_out_series(part)
+            track = infer_track(pinned_model, series, stride=1)
+            votes, labels = serial_track(pinned_model, series)
+            np.testing.assert_array_equal(track.votes, votes, err_msg=f"participant {part}")
+            np.testing.assert_array_equal(track.labels, labels, err_msg=f"participant {part}")
+
+    def test_concurrent_requests_on_one_model_equal_their_serial_results(self, pinned_model,
+                                                                          monkeypatch):
+        # two requests at once, each on four workers: more threads than cores
+        set_cpus(monkeypatch, 4)
+        series = [held_out_series(part) for part in (3, 4)]
+        want = [serial_track(pinned_model, s) for s in series]
+        got = [None, None]
+
+        def request(i):
+            got[i] = infer_track(pinned_model, series[i], stride=1)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=request, args=(i,)) for i in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for i, (votes, labels) in enumerate(want):
+            np.testing.assert_array_equal(got[i].votes, votes, err_msg=f"request {i}")
+            np.testing.assert_array_equal(got[i].labels, labels, err_msg=f"request {i}")
+
+    def test_error_in_one_batch_reaches_the_caller(self, monkeypatch):
+        set_cpus(monkeypatch, 4)
+        error = RuntimeError("batch 3 failed")
+
+        class FailingModel(StartModel):
+            def forward(self, accel, gyro, mode="eval"):
+                if np.rint(accel[0, 0, 0]) == 2 * 128:  # the first window of batch 3
+                    raise error
+                return super().forward(accel, gyro, mode)
+
+        n = 64 + 17 * 128 - 1  # 17 batches of 128 stride-1 windows
+        series = planted_series(np.zeros(n, dtype=int), noisy_labels=np.arange(n))
+        with pytest.raises(RuntimeError) as caught:
+            infer_track(FailingModel(), series, stride=1)
+        assert caught.value is error
+
+    @pytest.mark.parametrize("batch, most", [(128, 512), (300, 300), (1024, 1024)])
+    def test_workers_hold_512_windows_or_one_batch_in_flight(self, monkeypatch, batch, most):
+        set_cpus(monkeypatch, 64)
+        lock, flight = threading.Lock(), [0, 0]  # windows in flight now, and at the peak
+
+        class CountingModel(StartModel):
+            def forward(self, accel, gyro, mode="eval"):
+                with lock:
+                    flight[0] += accel.shape[0]
+                    flight[1] = max(flight)
+                time.sleep(0.05)  # hold the batch, so the workers overlap
+                with lock:
+                    flight[0] -= accel.shape[0]
+                return super().forward(accel, gyro, mode)
+
+        n = 64 + 17 * 128 - 1  # 2,176 stride-1 windows
+        series = planted_series(np.zeros(n, dtype=int), noisy_labels=np.arange(n))
+        got = infer_track(CountingModel(), series, stride=1, batch=batch)
+        want = infer_track(StartModel(), series, stride=1, batch=n)
+        np.testing.assert_array_equal(got.votes, want.votes)
+        assert flight[1] == most
+
+    @pytest.mark.parametrize("affinity", [True, False])
+    def test_one_cpu_runs_in_the_calling_thread(self, pinned_model, monkeypatch, affinity):
+        series = held_out_series(0)
+        want = infer_track(pinned_model, series, stride=1)
+        if affinity:
+            set_cpus(monkeypatch, 1)
+        else:  # where os.sched_getaffinity does not exist, os.cpu_count counts
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: 1)
+
+        def no_thread(self):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        got = infer_track(pinned_model, series, stride=1)
+        np.testing.assert_array_equal(got.votes, want.votes)
+        np.testing.assert_array_equal(got.labels, want.labels)
 
 
 class TestMultipleTestVoting:

@@ -127,6 +127,30 @@ class TestLoadCsv:
         with pytest.raises(SeriesFormatError, match="line 7: non-numeric ay value 'x'$"):
             load_csv(p)
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_non_utf8_byte_names_file_and_line(self, tmp_path, newline):
+        lines = [CSV_HEADER] + [",".join(map(str, r)) for r in valid_rows(10)]
+        lines[7] = lines[7].replace("-0.2", "-0.\xff", 1)  # the ay field of line 8
+        header = CSV_HEADER.replace("ay", "a\xff")
+        for name, text, lineno in (("row.csv", lines, 8), ("head.csv", [header, *lines[1:]], 1)):
+            p = tmp_path / name
+            p.write_bytes(newline.join(text).encode("latin-1"))
+            with pytest.raises(SeriesFormatError,
+                               match=rf"{re.escape(name)}: line {lineno}: not UTF-8: byte 0xff$"):
+                load_csv(p)
+
+    def test_first_of_many_bad_lines_is_named(self, tmp_path):
+        rows = valid_rows(3000)
+        rows[2990][7], rows[1700][3], rows[1234][7] = "x", "y", 12
+        p = tmp_path / "many.csv"
+        write_rows(p, rows)
+        with pytest.raises(SeriesFormatError, match=r"many\.csv: line 1236: label 12 outside"):
+            load_csv(p)
+        rows[1234][7] = 1
+        write_rows(p, rows)
+        with pytest.raises(SeriesFormatError, match="line 1702: non-numeric az value 'y'$"):
+            load_csv(p)
+
 
 def write_text(path, text):
     with open(path, "w", encoding="utf-8", newline="") as f:  # line ends as given
