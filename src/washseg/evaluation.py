@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .signal_data import NUM_CLASSES, SampleSeries, extract_windows
+from .signal_data import NUM_CLASSES, corpus_filename, extract_windows
 from .model import ArchConfig, GestureNet, TrainHyper, train, windows_to_arrays
 from .pipeline import (
     LabelTrack,
@@ -112,6 +112,8 @@ class SplitPlan:
 
     def validate(self):
         for name, train_s, test_s in self.folds:
+            if not train_s:
+                raise ValueError(f"fold '{name}' has no training series")
             train_keys = {(s.location_id, s.participant_id, s.procedure_id) for s in train_s}
             test_keys = {(s.location_id, s.participant_id, s.procedure_id) for s in test_s}
             if train_keys & test_keys:
@@ -254,6 +256,9 @@ def fold_windows(train_series, length=64, stride=1, max_windows=None, rng=None):
         raise ValueError(f"max_windows must be at least 1, got {max_windows}")
     windows = []
     for s in train_series:
+        if len(s) < length:
+            raise ValueError(f"{corpus_filename(s)} has {len(s)} samples, "
+                             f"fewer than the {length}-sample window")
         windows.extend(extract_windows(s, length, stride))
     if max_windows is not None and len(windows) > max_windows:
         if rng is None:

@@ -123,32 +123,29 @@ def mode_filter(track: LabelTrack, window: int = 128) -> LabelTrack:
     return LabelTrack(labels=counts.argmax(axis=1))
 
 
-def detect_procedure(track: LabelTrack, rate_hz: float, gap_merge: int = 64):
-    """Find the handwashing span of a track.
-
-    Non-background runs separated by fewer than ``gap_merge`` background
-    samples are merged; the longest merged span wins if several remain.
-    Returns (onset_seconds, offset_seconds) with an exclusive offset, or
-    None when the track has no non-background sample.
-    """
+def _procedure_span(track: LabelTrack, rate_hz: float, gap_merge: int):
+    """``(first, end)`` sample indices of the procedure, ``end`` exclusive, or
+    None when every sample is background. Non-background samples fewer than
+    ``gap_merge`` background samples apart join one span; the longest span
+    wins, the earliest of equal ones."""
     if not 0 < rate_hz < np.inf:
         raise ValueError(f"rate_hz must be finite and positive, got {rate_hz}")
     if len(track) == 0:
         raise ValueError("empty track")
-    nz = np.flatnonzero(track.labels != 0)
+    nz = np.flatnonzero(track.labels)
     if nz.size == 0:
         return None
-    # merge runs: a gap strictly smaller than gap_merge joins neighbors
-    spans = []
-    start = prev = nz[0]
-    for i in nz[1:]:
-        if i - prev - 1 >= gap_merge:
-            spans.append((start, prev))
-            start = i
-        prev = i
-    spans.append((start, prev))
-    best = max(spans, key=lambda s: s[1] - s[0])
-    return best[0] / rate_hz, (best[1] + 1) / rate_hz
+    cut = np.flatnonzero(np.diff(nz) > gap_merge) + 1
+    firsts, lasts = nz[np.r_[0, cut]], nz[np.r_[cut, nz.size] - 1]
+    best = np.argmax(lasts - firsts)
+    return int(firsts[best]), int(lasts[best]) + 1
+
+
+def detect_procedure(track: LabelTrack, rate_hz: float, gap_merge: int = 64):
+    """The handwashing span of a track as (onset_seconds, offset_seconds),
+    offset exclusive, or None when the track has no non-background sample."""
+    span = _procedure_span(track, rate_hz, gap_merge)
+    return None if span is None else (span[0] / rate_hz, span[1] / rate_hz)
 
 
 def gesture_durations(track: LabelTrack, rate_hz: float, gap_merge: int = 64) -> np.ndarray:
@@ -156,18 +153,12 @@ def gesture_durations(track: LabelTrack, rate_hz: float, gap_merge: int = 64) ->
 
     Occurrences of a gesture need not be contiguous; counts are summed.
     Returns a length-9 array (index 0 -> gesture 1); all zeros when no
-    procedure is detected.
+    procedure is detected. A rate so small that a count over it overflows
+    gives inf, which ``scoring.score`` rejects.
     """
-    out = np.zeros(9)
-    span = detect_procedure(track, rate_hz, gap_merge)
-    if span is None:
-        return out
-    lo = int(round(span[0] * rate_hz))
-    hi = int(round(span[1] * rate_hz))
-    seg = track.labels[lo:hi]
-    for g in range(1, NUM_CLASSES):
-        out[g - 1] = np.count_nonzero(seg == g) / rate_hz
-    return out
+    first, end = _procedure_span(track, rate_hz, gap_merge) or (0, 0)
+    with np.errstate(over="ignore"):
+        return np.bincount(track.labels[first:end], minlength=NUM_CLASSES)[1:] / rate_hz
 
 
 def smooth(track: LabelTrack, method: str, window: int = 128) -> LabelTrack:

@@ -52,6 +52,9 @@ def score(estimated_durations, professional=PROFESSIONAL_DURATIONS) -> ScoreRepo
     est = np.asarray(estimated_durations, dtype=np.float64)
     if est.shape != (9,):
         raise ValueError("expected 9 gesture durations")
+    bad = np.flatnonzero(~np.isfinite(est))
+    if bad.size:
+        raise ValueError(f"gesture {bad[0] + 1} duration {est[bad[0]]} is not finite")
     if (est < 0).any():
         raise ValueError("durations must be non-negative")
     per = (100.0 / 9.0) * np.minimum(1.0, est / professional)

@@ -192,6 +192,11 @@ def extract_windows(series: SampleSeries, length=DEFAULT_WINDOW, stride=1):
             for start in window_starts(len(series), length, stride).tolist()]
 
 
+def corpus_filename(series: SampleSeries) -> str:
+    """The ``<location>_<participant>_<procedure>.csv`` name of a recording."""
+    return f"{series.location_id}_{series.participant_id}_{series.procedure_id}.csv"
+
+
 def parse_corpus_filename(name: str):
     """Split ``<location>_<participant>_<procedure>.csv`` into its parts."""
     stem = name[:-4] if name.endswith(".csv") else name

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .scoring import PROFESSIONAL_DURATIONS
-from .signal_data import SampleSeries, write_csv
+from .signal_data import SampleSeries, corpus_filename, write_csv
 from .textconfig import TextConfig
 
 # distinct base frequencies (Hz) for gestures 1..9, within hand-motion range
@@ -180,8 +180,7 @@ def generate(spec: GenSpec):
 def write_corpus(corpus, directory):
     os.makedirs(directory, exist_ok=True)
     for s in corpus:
-        name = f"{s.location_id}_{s.participant_id}_{s.procedure_id}.csv"
-        write_csv(s, os.path.join(directory, name))
+        write_csv(s, os.path.join(directory, corpus_filename(s)))
 
 
 def describe(corpus, window=64) -> dict:

@@ -96,6 +96,29 @@ def mode_filter_loops(labels, window, num_classes=10):
     return np.array(out)
 
 
+def procedure_span_loops(labels, gap_merge):
+    """``(first, end)`` sample indices of the longest span of non-background
+    samples, ``end`` exclusive, where neighbours fewer than ``gap_merge``
+    background samples apart share a span and the first of equal spans wins;
+    None when every label is background. One sample at a time, as
+    ``pipeline.detect_procedure`` ran it before spans became index arrays."""
+    spans = []
+    for i, lab in enumerate(labels):
+        if lab == 0:
+            continue
+        if spans and i - spans[-1][1] - 1 < gap_merge:
+            spans[-1][1] = i
+        else:
+            spans.append([i, i])
+    if not spans:
+        return None
+    best = spans[0]
+    for span in spans[1:]:
+        if span[1] - span[0] > best[1] - best[0]:
+            best = span
+    return best[0], best[1] + 1
+
+
 def unfolded_forward(model, accel, gyro):
     """``GestureNet``'s eval forward with every stage run as separate conv,
     batch-norm and activation passes, each into a new array: the path the

@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -183,6 +184,38 @@ def test_score_rejects_a_bad_rate_naming_it(capsys, tmp_path, rate):
     assert main(["score", "--track", str(track_path), "--rate-hz", rate]) != 0
     assert capsys.readouterr().err == (
         f"error: ValueError: rate_hz must be finite and positive, got {float(rate)}\n")
+
+
+def test_score_with_a_rate_so_small_durations_overflow_fails_in_one_line(capsys, tmp_path):
+    track_path = tmp_path / "track.csv"
+    _write_track(track_path, ["0", "3", "3", "0"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["score", "--track", str(track_path), "--rate-hz", "1e-310"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: ValueError: gesture 3 duration inf is not finite\n"
+
+
+def test_eval_lolo_on_one_location_names_the_empty_fold(capsys, tmp_path, corpus_dir):
+    rc = main(["eval", "--data", str(corpus_dir), "--split", "lolo", "--seed", "0",
+               "--out", str(tmp_path / "report"), "--quiet"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: ValueError: fold 'lolo_loc0' has no training series\n")
+
+
+def test_train_names_a_recording_shorter_than_the_window(capsys, tmp_path):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    labels = np.zeros(100, dtype=int)
+    write_csv(make_series(labels, participant="p00"), corpus / "loc0_p00_1.csv")
+    write_csv(make_series(labels[:50], participant="p09"), corpus / "loc0_p09_1.csv")
+    rc = main(["train", "--data", str(corpus), "--seed", "0", "--out", str(tmp_path / "m.ckpt"),
+               "--quiet"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: ValueError: loc0_p09_1.csv has 50 samples, fewer than the 64-sample window\n")
 
 
 @pytest.mark.parametrize("command", ["train", "eval"])

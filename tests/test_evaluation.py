@@ -182,6 +182,14 @@ class TestSplits:
         with pytest.raises(ValueError, match="overlap"):
             SplitPlan("user-dependent", [("f", [s], [s])]).validate()
 
+    def test_lolo_with_one_location_names_the_fold(self):
+        with pytest.raises(ValueError, match="^fold 'lolo_loc0' has no training series$"):
+            make_split(small_corpus(participants=2, locations=1), "lolo")
+
+    def test_lopo_with_one_participant_names_the_fold(self):
+        with pytest.raises(ValueError, match="^fold 'lopo_loc0_p00' has no training series$"):
+            make_split(small_corpus(participants=1, locations=1), "lopo")
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             make_split(small_corpus(), "bogus")
@@ -205,6 +213,20 @@ def test_fold_windows_keeps_at_most_max_windows_and_none_keeps_all():
     assert len(fold_windows(series, 64, 1, None)) == len(fold_windows(series, 64, 1, 37)) == 37
     assert len(fold_windows(series, 64, 1, 1)) == 1
     assert len(fold_windows(series, 64, 1, 100)) == 37
+
+
+def test_fold_windows_names_a_recording_shorter_than_the_window(monkeypatch):
+    calls = []
+    monkeypatch.setattr("washseg.evaluation.extract_windows",
+                        lambda s, *args: calls.append(len(s)) or [])
+    series = [make_series(np.zeros(100, dtype=int)),
+              make_series(np.zeros(50, dtype=int), participant="p09")]
+    with pytest.raises(ValueError, match="^loc0_p09_1.csv has 50 samples, "
+                                         "fewer than the 64-sample window$"):
+        fold_windows(series, 64, 1)
+    assert calls == [100]  # checked before its own extract_windows call
+    fold_windows(series[:1] + [make_series(np.zeros(64, dtype=int))], 64, 1)
+    assert calls == [100, 100, 64]  # one call per series, a full-length one included
 
 
 def test_csv_report_helpers():

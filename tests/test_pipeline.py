@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from washseg.model import GestureNet
 from washseg.pipeline import (
@@ -467,6 +468,54 @@ class TestGestureDurations:
         background_inside = (offset - onset) - d.sum()
         outside = labels.size / 50.0 - (offset - onset)
         assert d.sum() + background_inside + outside == pytest.approx(labels.size / 50.0)
+
+
+@st.composite
+def span_cases(draw):
+    """Labels built from alternating background gaps and non-background runs,
+    a merge gap and a rate. Gaps near the merge gap and short runs (so equal
+    spans are common) are drawn often."""
+    gap_merge = draw(st.sampled_from([1, 2, 10, 64, 10**9]) | st.integers(1, 80))
+    gap = st.integers(0, 81)
+    if gap_merge <= 80:
+        gap |= st.sampled_from([gap_merge - 1, gap_merge, gap_merge + 1])
+    labels = [0] * draw(st.integers(0, 5))
+    for _ in range(draw(st.integers(0, 6))):
+        labels += draw(st.lists(st.integers(1, 9), min_size=1, max_size=6))
+        labels += [0] * draw(gap)
+    if not labels:
+        labels = [draw(st.integers(0, 9))]
+    rate_hz = draw(st.sampled_from([3.3, 7.0, 50.0, 100.0]) | st.floats(1e-3, 1e4))
+    return labels, gap_merge, rate_hz
+
+
+class TestProcedureSpanProperty:
+    @settings(max_examples=400, deadline=None)
+    @given(span_cases())
+    @example(([0] * 7, 64, 50.0))  # all background
+    @example(([3], 64, 50.0))  # one sample
+    @example(([1] + [0] * 9 + [2], 10, 3.3))  # gap of gap_merge - 1 merges
+    @example(([1] + [0] * 10 + [2, 2], 10, 3.3))  # gap of gap_merge splits
+    @example(([1, 1] + [0] * 11 + [2], 10, 3.3))  # gap of gap_merge + 1 splits
+    @example(([4, 4] + [0] * 3 + [5, 5] + [0], 3, 7.0))  # equal spans: the earliest wins
+    @example(([1, 0, 2, 0, 0, 3], 1, 50.0))  # gap_merge 1: any gap splits
+    @example(([1] + [0] * 500 + [9], 10**9, 3.3))  # gap_merge 10**9 merges everything
+    def test_span_and_durations_match_loop_oracle(self, case):
+        labels, gap_merge, rate_hz = case
+        track = LabelTrack(labels=labels)
+        span = oracle.procedure_span_loops(labels, gap_merge)
+        detected = detect_procedure(track, rate_hz, gap_merge)
+        durations = gesture_durations(track, rate_hz, gap_merge)
+        assert durations.shape == (9,)
+        if span is None:
+            assert detected is None
+            assert not durations.any()
+            return
+        first, end = span
+        assert detected == (first / rate_hz, end / rate_hz)
+        inside = labels[first:end]
+        expected = np.array([inside.count(g) for g in range(1, 10)]) / rate_hz
+        np.testing.assert_array_equal(durations, expected)
 
 
 class TestSmoothAndExports:

@@ -62,6 +62,16 @@ class TestScore:
         with pytest.raises(ValueError):
             score(est)
 
+    @pytest.mark.parametrize("est, message", [
+        ([np.nan] * 9, "gesture 1 duration nan"),
+        ([1.0] * 4 + [np.nan] + [1.0] * 4, "gesture 5 duration nan"),
+        ([1.0] * 4 + [np.inf] + [1.0] * 4, "gesture 5 duration inf"),
+        ([1.0] * 8 + [-np.inf], "gesture 9 duration -inf"),
+    ])
+    def test_non_finite_duration_rejected_naming_the_gesture(self, est, message):
+        with pytest.raises(ValueError, match=f"^{message} is not finite$"):
+            score(est)
+
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
             score(np.ones(8))

@@ -12,6 +12,7 @@ from washseg.signal_data import (
     CSV_HEADER,
     SampleSeries,
     SeriesFormatError,
+    corpus_filename,
     extract_windows,
     load_csv,
     parse_corpus_filename,
@@ -429,5 +430,7 @@ class TestExtractWindows:
 
 def test_parse_corpus_filename():
     assert parse_corpus_filename("loc0_p07_3.csv") == ("loc0", "p07", 3)
+    series = make_series([0, 1], participant="p07", location="loc0", procedure=3)
+    assert corpus_filename(series) == "loc0_p07_3.csv"
     with pytest.raises(ValueError):
         parse_corpus_filename("nounderscores.csv")
