@@ -283,6 +283,11 @@ def run_evaluation(
     """
     arch = arch or ArchConfig()
     hyper = (hyper or TrainHyper()).validate()
+    for _, _, test_series in split.folds:  # before any fold trains
+        for s in test_series:
+            if len(s) < arch.input_length:
+                raise ValueError(f"{corpus_filename(s)} has {len(s)} samples, "
+                                 f"fewer than the {arch.input_length}-sample model input")
     results = {}
     totals = {v: [0, 0] for v in SMOOTH_VARIANTS}  # correct, total
     for fold_name, train_series, test_series in split.folds:

@@ -10,7 +10,8 @@ promotion, but batch-norm buffers keep their own dtype. Layers cache their input
 positions in backward, which raises ``RuntimeError`` without a prior forward.
 Kernels read strided slices and never copy their input; selects are
 multiplies by an exact factor, and per-channel sums reduce the (B, C*T) view
-over the batch first. Parameter values are only ever mutated by an optimizer
+over the batch first; conv tap sums and upsample copies run over whole
+contiguous rows. Parameter values are only ever mutated by an optimizer
 — forward/backward touch gradients exclusively.
 
 Layers form one tree: leaves (``Conv1d``, ``BatchNorm1d``, ``Linear``) own
@@ -147,9 +148,15 @@ class Conv1d(Layer):
         out = np.broadcast_to(b[:, None], (x.shape[0], self.out_ch, t_out)).copy()
         # (O, C) @ (C, T') per example keeps the reduction order independent of
         # batch size, so eval outputs are bit-identical however windows are
-        # batched; one flat (B*T', C*K) GEMM is not (README, "Layer kernels")
+        # batched; one flat (B*T', C*K) GEMM is not (README, "Layer kernels").
+        # Each tap's products land in a full-width buffer that is zero where
+        # the tap reaches no input, so the add runs over whole rows
+        prod = np.empty(out.shape, np.result_type(taps, x))
         for k, o_sl, i_sl in spans:
-            out[:, :, o_sl] += taps[k] @ x[:, :, i_sl]
+            prod[:, :, : o_sl.start] = 0
+            prod[:, :, o_sl.stop :] = 0
+            np.matmul(taps[k], x[:, :, i_sl], out=prod[:, :, o_sl])
+            out += prod
         self._cache = None if fold is not None else (x, taps, spans)
         return out
 
@@ -313,7 +320,12 @@ class Upsample1d(Layer):
         self.factor = factor
 
     def forward(self, x, mode="train"):
-        return np.repeat(x, self.factor, axis=2)
+        # one strided 1-D copy per column; np.repeat copies element by element
+        out = np.empty((*x.shape[:2], x.shape[2] * self.factor), x.dtype)
+        cols, flat = out.reshape(-1, self.factor), x.reshape(-1)
+        for j in range(self.factor):
+            cols[:, j] = flat
+        return out
 
     def backward(self, grad_out):
         b, c, t = grad_out.shape

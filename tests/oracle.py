@@ -1,8 +1,9 @@
 """Brute-force reference implementations used as independent oracles.
 
 Everything here is written as plain loops, deliberately sharing no code
-with the library implementations it checks, except ``unfolded_forward``
-and the result and error types of ``load_csv_loops``.
+with the library implementations it checks, except ``unfolded_forward``,
+``conv1d_spans`` (the conv's tap spans and batch-norm fold), and the result
+and error types of ``load_csv_loops``.
 """
 
 import numpy as np
@@ -26,6 +27,28 @@ def conv1d_loops(x, w, b, stride=1, pad=0):
                         acc += xp[n, c, j * stride + kk] * w[o, c, kk]
                 out[n, o, j] = acc
     return out
+
+
+def conv1d_spans(conv, x, fold=None):
+    """``Conv1d.forward`` as it accumulated before full-width tap buffers:
+    each tap's products added into the output slice its span reaches, so
+    every add runs row by row over a cut slice. The same products, summands
+    and order of addition as the layer."""
+    t_out, spans = conv._spans(x.shape[2])
+    w, b = conv.w.value, conv.b.value
+    if fold is not None:
+        scale, shift = fold.eval_affine()
+        w, b = w * scale[:, None, None], b * scale + shift
+    taps = np.ascontiguousarray(w.transpose(2, 0, 1))
+    out = np.broadcast_to(b[:, None], (x.shape[0], conv.out_ch, t_out)).copy()
+    for k, o_sl, i_sl in spans:
+        out[:, :, o_sl] += taps[k] @ x[:, :, i_sl]
+    return out
+
+
+def upsample1d_repeat(x, factor):
+    """``Upsample1d.forward`` before column copies: ``np.repeat``."""
+    return np.repeat(x, factor, axis=2)
 
 
 def maxpool1d_loops(x, window, stride):

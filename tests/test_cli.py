@@ -218,6 +218,26 @@ def test_train_names_a_recording_shorter_than_the_window(capsys, tmp_path):
         "error: ValueError: loc0_p09_1.csv has 50 samples, fewer than the 64-sample window\n")
 
 
+def test_eval_names_a_short_test_recording_before_training(capsys, monkeypatch, tmp_path):
+    def no_training(*args, **kwargs):
+        raise AssertionError("a fold trained before the test recordings were checked")
+
+    monkeypatch.setattr("washseg.evaluation.train", no_training)
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    labels = np.zeros(100, dtype=int)
+    for participant, last in (("p00", labels), ("p09", labels[:50])):
+        write_csv(make_series(labels, participant=participant), corpus / f"loc0_{participant}_1.csv")
+        write_csv(make_series(last, participant=participant, procedure=5),
+                  corpus / f"loc0_{participant}_5.csv")
+    out = tmp_path / "report"
+    rc = main(["eval", "--data", str(corpus), "--seed", "0", "--out", str(out), "--quiet"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: ValueError: loc0_p09_5.csv has 50 samples, fewer than the 64-sample model input\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["train", "eval"])
 @pytest.mark.parametrize("value", ["-5", "0"])
 def test_max_windows_below_one_rejected_naming_it(

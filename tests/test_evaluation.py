@@ -201,6 +201,19 @@ def test_run_evaluation_rejects_bad_hyper_before_training():
         run_evaluation(plan, hyper=TrainHyper(seed=-1))
 
 
+def test_run_evaluation_names_a_short_test_recording_before_training(monkeypatch):
+    def no_training(*args, **kwargs):
+        raise AssertionError("a fold trained before the test recordings were checked")
+
+    monkeypatch.setattr("washseg.evaluation.train", no_training)
+    full = [make_series(np.zeros(100, dtype=int), participant=f"p0{i}") for i in range(3)]
+    short = make_series(np.zeros(50, dtype=int), participant="p09", procedure=5)
+    plan = SplitPlan("lopo", [("first", full[:1], full[1:2]), ("second", full[2:], [short])])
+    with pytest.raises(ValueError, match="^loc0_p09_5.csv has 50 samples, "
+                                         "fewer than the 64-sample model input$"):
+        run_evaluation(plan)
+
+
 @pytest.mark.parametrize("max_windows", [-5, 0])
 def test_fold_windows_rejects_max_windows_below_one(max_windows):
     series = [make_series(np.zeros(100, dtype=int))]

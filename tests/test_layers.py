@@ -2,6 +2,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from washseg.nn import (
     AvgPool1d,
@@ -406,6 +407,50 @@ class TestSimpleLayers:
                 flat[i] = orig
                 fd = (lp - lm) / (2 * h)
                 assert abs(fd - gx.reshape(-1)[i]) < 1e-5 * max(1.0, abs(fd))
+
+
+# (parameter dtype, input dtype): float32, float64 and the mixed pair
+KERNEL_DTYPES = [(np.float32, np.float32), (np.float64, np.float64), (np.float32, np.float64)]
+
+
+@st.composite
+def conv_cases(draw):
+    kernel, pad = draw(st.integers(1, 5)), draw(st.integers(0, 2))
+    return dict(batch=draw(st.integers(1, 130)), in_ch=draw(st.integers(1, 40)),
+                out_ch=draw(st.integers(1, 40)), kernel=kernel, stride=draw(st.integers(1, 3)),
+                pad=pad, length=draw(st.integers(max(0, kernel - 2 * pad), 70)),
+                dtypes=draw(st.sampled_from(KERNEL_DTYPES)), seed=draw(st.integers(0, 2**32 - 1)))
+
+
+class TestWholeRowKernels:
+    """The full-width tap buffer and the column-copy upsample give the bits of
+    the clipped-span accumulation and ``np.repeat`` they replaced."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(conv_cases())
+    def test_conv_forward_bits_equal_clipped_spans(self, case):
+        rng = np.random.default_rng(case["seed"])
+        w_dtype, x_dtype = case["dtypes"]
+        conv = Conv1d(case["in_ch"], case["out_ch"], case["kernel"], case["stride"], case["pad"],
+                      rng=rng)
+        conv.b.value = rng.standard_normal(case["out_ch"]).astype(np.float32)
+        bn = BatchNorm1d(case["out_ch"])
+        bn.gamma.value = rng.uniform(-2, 2, case["out_ch"]).astype(np.float32)
+        bn.beta.value = rng.standard_normal(case["out_ch"]).astype(np.float32)
+        bn.running_mean[:] = rng.standard_normal(case["out_ch"])
+        bn.running_var[:] = rng.uniform(0.1, 3, case["out_ch"])
+        cast_model(conv, w_dtype), cast_model(bn, w_dtype)
+        x = rng.standard_normal((case["batch"], case["in_ch"], case["length"])).astype(x_dtype)
+        for fold in (None, bn):
+            assert_same_bits(conv.forward(x, "eval", fold=fold), oracle.conv1d_spans(conv, x, fold))
+
+    @pytest.mark.parametrize("factor", range(1, 9))
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_upsample_bits_equal_repeat(self, rng, factor, dtype):
+        x = rng.standard_normal((4, 6, 9)).astype(dtype)
+        for view in (x, x[:, ::2, 1:], x.transpose(0, 2, 1), x[:0]):
+            assert_same_bits(Upsample1d(factor).forward(view),
+                             oracle.upsample1d_repeat(view, factor))
 
 
 class TestFloat32:

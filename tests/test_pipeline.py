@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from washseg.model import GestureNet
+from washseg.nn import Conv1d, Upsample1d
 from washseg.pipeline import (
     LabelTrack,
     detect_procedure,
@@ -252,6 +253,21 @@ class TestThreadedInference:
             votes, labels = serial_track(pinned_model, series)
             np.testing.assert_array_equal(track.votes, votes, err_msg=f"participant {part}")
             np.testing.assert_array_equal(track.labels, labels, err_msg=f"participant {part}")
+
+    def test_pinned_checkpoint_tracks_equal_with_clipped_span_kernels(self, pinned_model,
+                                                                       monkeypatch):
+        # the conv and upsample kernels they replaced, patched in for every layer
+        series = held_out_series(0)
+        track = infer_track(pinned_model, series, stride=1)
+        calls = []
+        monkeypatch.setattr(Conv1d, "forward", lambda self, x, mode="train", fold=None:
+                            calls.append("conv") or oracle.conv1d_spans(self, x, fold))
+        monkeypatch.setattr(Upsample1d, "forward", lambda self, x, mode="train":
+                            calls.append("up") or oracle.upsample1d_repeat(x, self.factor))
+        want = infer_track(pinned_model, series, stride=1)
+        assert {"conv", "up"} <= set(calls)
+        np.testing.assert_array_equal(track.votes, want.votes)
+        np.testing.assert_array_equal(track.labels, want.labels)
 
     def test_concurrent_requests_on_one_model_equal_their_serial_results(self, pinned_model,
                                                                           monkeypatch):
