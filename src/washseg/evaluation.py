@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .signal_data import NUM_CLASSES, corpus_filename, extract_windows
+from .signal_data import NUM_CLASSES, WindowSet, corpus_filename, extract_windows
 from .model import ArchConfig, GestureNet, TrainHyper, train, windows_to_arrays
 from .pipeline import (
     LabelTrack,
@@ -250,22 +250,28 @@ def predict_variants(model, test_series, variants=SMOOTH_VARIANTS):
     return out
 
 
-def fold_windows(train_series, length=64, stride=1, max_windows=None, rng=None):
-    """Pool training windows from every series; keep at most ``max_windows`` (None: all)."""
+def fold_windows(train_series, length=64, stride=1, max_windows=None, rng=None) -> WindowSet:
+    """Pool every series' training windows into one ``WindowSet``, in series
+    order; keep at most ``max_windows`` of them (None: all), drawn without
+    replacement and left in that order."""
     if max_windows is not None and max_windows < 1:
         raise ValueError(f"max_windows must be at least 1, got {max_windows}")
-    windows = []
+    parts = []
     for s in train_series:
         if len(s) < length:
             raise ValueError(f"{corpus_filename(s)} has {len(s)} samples, "
                              f"fewer than the {length}-sample window")
-        windows.extend(extract_windows(s, length, stride))
-    if max_windows is not None and len(windows) > max_windows:
+        part = extract_windows(s, length, stride)
+        if len(part):
+            parts.append(part)
+    series_id = np.repeat(np.arange(len(parts)), [len(p) for p in parts])
+    start = np.concatenate([p.start for p in parts]) if parts else series_id
+    if max_windows is not None and start.size > max_windows:
         if rng is None:
             rng = np.random.default_rng(0)
-        keep = rng.choice(len(windows), size=max_windows, replace=False)
-        windows = [windows[i] for i in sorted(keep)]
-    return windows
+        keep = np.sort(rng.choice(start.size, size=max_windows, replace=False))
+        series_id, start = series_id[keep], start[keep]
+    return WindowSet(tuple(p.series[0] for p in parts), series_id, start, length)
 
 
 def run_evaluation(

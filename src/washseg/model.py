@@ -18,6 +18,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .nn import (
     Adam,
@@ -32,6 +33,7 @@ from .nn import (
     softmax_cross_entropy,
 )
 from .nn import checkpoint as ckpt
+from .signal_data import WindowSet
 from .textconfig import TextConfig
 
 
@@ -306,21 +308,36 @@ class EpochLog:
     seconds: float
 
 
-def windows_to_arrays(windows):
-    """Stack a window list into (N,3,L) float32 accel/gyro and (N,L) int64 labels.
+def windows_to_arrays(windows: WindowSet):
+    """Gather a ``WindowSet`` into (N,3,L) float32 accel/gyro and (N,L) int64
+    labels: per series, one fancy index into a sliding-window view of each
+    array fills that series' contiguous run of rows. Each sensor is first
+    cast whole to a contiguous float32 copy, so the gather reads no strided
+    columns (``load_csv`` gives views into its parsed rows) and moves half
+    the bytes.
 
     float32 is the model's compute dtype, so ``GestureNet.forward`` casts
     nothing; a value beyond its range becomes inf, which forward rejects.
     """
-    with np.errstate(over="ignore"):
-        accel = np.stack([w.accel_slice for w in windows], dtype=np.float32)
-        gyro = np.stack([w.gyro_slice for w in windows], dtype=np.float32)
-    labels = np.stack([w.label_slice for w in windows], dtype=np.int64)
+    n, length = len(windows), windows.length
+    accel = np.empty((n, 3, length), np.float32)
+    gyro = np.empty((n, 3, length), np.float32)
+    labels = np.empty((n, length), np.int64)
+    bounds = np.searchsorted(windows.series_id, np.arange(len(windows.series) + 1))
+    for s, lo, hi in zip(windows.series, bounds[:-1].tolist(), bounds[1:].tolist()):
+        starts = windows.start[lo:hi]
+        with np.errstate(over="ignore"):
+            a, g = s.accel.astype(np.float32), s.gyro.astype(np.float32)
+        accel[lo:hi] = sliding_window_view(a, length, axis=1).transpose(1, 0, 2)[starts]
+        gyro[lo:hi] = sliding_window_view(g, length, axis=1).transpose(1, 0, 2)[starts]
+        labels[lo:hi] = sliding_window_view(s.label, length)[starts]
     return accel, gyro, labels
 
 
 def train(model: GestureNet, windows, hyper: TrainHyper, verbose=False):
-    """Minimize mean sample-wise cross-entropy over a window dataset.
+    """Minimize mean sample-wise cross-entropy over a window dataset: a
+    ``WindowSet``, or the (accel, gyro, labels) tuple ``windows_to_arrays``
+    makes of one.
 
     Deterministic given hyper.seed (single-threaded). Stops early once the
     epoch loss changes by less than ``plateau_rel_change`` (relative) over

@@ -69,7 +69,8 @@ class SampleSeries:
 
 @dataclass(frozen=True)
 class Window:
-    """A fixed-length slice of a series; views into the parent arrays."""
+    """A fixed-length slice of a series, as a ``WindowSet`` yields it; views
+    into the parent arrays."""
 
     source: SampleSeries
     start_index: int
@@ -90,6 +91,42 @@ class Window:
     @property
     def label_slice(self) -> np.ndarray:
         return self.source.label[self.start_index : self.start_index + self.length]
+
+
+@dataclass(frozen=True, eq=False)
+class WindowSet:
+    """Windows as indices: window ``i`` is the ``length`` samples of
+    ``series[series_id[i]]`` from ``start[i]`` on. The ids never decrease, so
+    each series' windows form one contiguous run. Indexing an int or
+    iterating yields ``Window`` items; indexing a slice yields a ``WindowSet``."""
+
+    series: tuple  # of SampleSeries
+    series_id: np.ndarray  # (N,) ints
+    start: np.ndarray  # (N,) ints
+    length: int
+
+    def __post_init__(self):
+        if self.series_id.ndim != 1 or self.series_id.shape != self.start.shape:
+            raise ValueError("series_id and start must be 1-D and of one length")
+        if self.start.size:
+            ids = self.series_id
+            if ids[0] < 0 or ids[-1] >= len(self.series) or (ids[1:] < ids[:-1]).any():
+                raise ValueError("series ids must be non-decreasing indices into series")
+            ends = np.array([len(s) for s in self.series])[ids]
+            if (self.start < 0).any() or (self.start + self.length > ends).any():
+                raise ValueError("window does not fit inside its series")
+
+    def __len__(self) -> int:
+        return self.start.size
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return WindowSet(self.series, self.series_id[i], self.start[i], self.length)
+        return Window(self.series[self.series_id[i]], int(self.start[i]), self.length)
+
+    def __iter__(self):
+        for sid, start in zip(self.series_id.tolist(), self.start.tolist()):
+            yield Window(self.series[sid], start, self.length)
 
 
 def load_csv(path, participant_id="", location_id="", procedure_id=0,
@@ -186,10 +223,10 @@ def window_starts(n, length, stride) -> np.ndarray:
     return starts
 
 
-def extract_windows(series: SampleSeries, length=DEFAULT_WINDOW, stride=1):
-    """One ``Window`` per start of ``window_starts``."""
-    return [Window(series, start, length)
-            for start in window_starts(len(series), length, stride).tolist()]
+def extract_windows(series: SampleSeries, length=DEFAULT_WINDOW, stride=1) -> WindowSet:
+    """The ``WindowSet`` of one series: a window at each start of ``window_starts``."""
+    starts = window_starts(len(series), length, stride)
+    return WindowSet((series,), np.zeros_like(starts), starts, length)
 
 
 def corpus_filename(series: SampleSeries) -> str:

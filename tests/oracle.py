@@ -2,13 +2,23 @@
 
 Everything here is written as plain loops, deliberately sharing no code
 with the library implementations it checks, except ``unfolded_forward``,
-``conv1d_spans`` (the conv's tap spans and batch-norm fold), and the result
-and error types of ``load_csv_loops``.
+``conv1d_spans`` (the conv's tap spans and batch-norm fold), the result
+and error types of ``load_csv_loops``, and ``Window``, ``window_starts`` and
+``corpus_filename`` in the list-of-``Window`` training windows.
 """
 
 import numpy as np
 
-from washseg.signal_data import CSV_HEADER, NUM_CLASSES, SampleSeries, SeriesFormatError
+from washseg.signal_data import (
+    CSV_HEADER,
+    DEFAULT_WINDOW,
+    NUM_CLASSES,
+    SampleSeries,
+    SeriesFormatError,
+    Window,
+    corpus_filename,
+    window_starts,
+)
 
 
 def conv1d_loops(x, w, b, stride=1, pad=0):
@@ -246,3 +256,45 @@ def load_csv_loops(path):
             raise error(linenos[row], f"timestamp {data[row, 0]} not strictly increasing")
     return SampleSeries("", "", 0, data[:, 0], data[:, 1:4].T, data[:, 4:7].T,
                         np.array(labels, dtype=np.int64))
+
+
+# -- training windows as one ``Window`` object per window --------------------
+# ``signal_data.extract_windows``, ``evaluation.fold_windows`` and
+# ``model.windows_to_arrays`` as they were before windows became a
+# ``WindowSet``: the same kept windows, in the same order, and the same arrays.
+
+def extract_windows_list(series: SampleSeries, length=DEFAULT_WINDOW, stride=1):
+    """One ``Window`` per start of ``window_starts``."""
+    return [Window(series, start, length)
+            for start in window_starts(len(series), length, stride).tolist()]
+
+
+def fold_windows_list(train_series, length=64, stride=1, max_windows=None, rng=None):
+    """Pool training windows from every series; keep at most ``max_windows`` (None: all)."""
+    if max_windows is not None and max_windows < 1:
+        raise ValueError(f"max_windows must be at least 1, got {max_windows}")
+    windows = []
+    for s in train_series:
+        if len(s) < length:
+            raise ValueError(f"{corpus_filename(s)} has {len(s)} samples, "
+                             f"fewer than the {length}-sample window")
+        windows.extend(extract_windows_list(s, length, stride))
+    if max_windows is not None and len(windows) > max_windows:
+        if rng is None:
+            rng = np.random.default_rng(0)
+        keep = rng.choice(len(windows), size=max_windows, replace=False)
+        windows = [windows[i] for i in sorted(keep)]
+    return windows
+
+
+def windows_to_arrays_list(windows):
+    """Stack a window list into (N,3,L) float32 accel/gyro and (N,L) int64 labels.
+
+    float32 is the model's compute dtype, so ``GestureNet.forward`` casts
+    nothing; a value beyond its range becomes inf, which forward rejects.
+    """
+    with np.errstate(over="ignore"):
+        accel = np.stack([w.accel_slice for w in windows], dtype=np.float32)
+        gyro = np.stack([w.gyro_slice for w in windows], dtype=np.float32)
+    labels = np.stack([w.label_slice for w in windows], dtype=np.int64)
+    return accel, gyro, labels

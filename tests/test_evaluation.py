@@ -1,4 +1,6 @@
+import dataclasses
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from washseg.evaluation import (
     prf_confusion,
     run_evaluation,
 )
-from washseg.model import TrainHyper
+from washseg.model import TrainHyper, windows_to_arrays
 from washseg.pipeline import infer_track, smooth
 from washseg.synth import GenSpec, generate
 from conftest import make_series
@@ -240,6 +242,54 @@ def test_fold_windows_names_a_recording_shorter_than_the_window(monkeypatch):
     assert calls == [100]  # checked before its own extract_windows call
     fold_windows(series[:1] + [make_series(np.zeros(64, dtype=int))], 64, 1)
     assert calls == [100, 100, 64]  # one call per series, a full-length one included
+
+
+@st.composite
+def window_cases(draw):
+    """1-5 series of 64-300 samples, a few of them holding a value beyond
+    float32's range, a stride of 1-64 and a ``max_windows`` of None, 1, up to
+    the window total, the exact total or above it."""
+    series = []
+    for p in range(draw(st.integers(1, 5))):
+        s = make_series(np.arange(draw(st.integers(64, 300))) % 10, procedure=p, seed=p)
+        if draw(st.booleans()):
+            accel = s.accel.copy()
+            accel[draw(st.integers(0, 2)), draw(st.integers(0, len(s) - 1))] = 1e39
+            s = dataclasses.replace(s, accel=accel)
+        series.append(s)
+    stride = draw(st.integers(1, 64))
+    total = len(oracle.fold_windows_list(series, 64, stride))
+    max_windows = draw(st.sampled_from(
+        [None, 1, draw(st.integers(1, total)), total, total + draw(st.integers(1, 50))]))
+    return series, stride, max_windows, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(window_cases())
+def test_fold_windows_and_arrays_match_the_window_list_oracle(case):
+    series, stride, max_windows, seed = case
+    got = fold_windows(series, 64, stride, max_windows, rng=np.random.default_rng(seed))
+    want = oracle.fold_windows_list(series, 64, stride, max_windows,
+                                    rng=np.random.default_rng(seed))
+    assert [(w.source, w.start_index) for w in got] == [(w.source, w.start_index) for w in want]
+    for g, w in zip(windows_to_arrays(got), oracle.windows_to_arrays_list(want), strict=True):
+        assert (g.dtype, g.shape) == (w.dtype, w.shape)
+        assert g.tobytes() == w.tobytes()
+
+
+def test_fold_windows_holds_no_object_per_window():
+    series = [make_series(np.zeros(2000, dtype=int), procedure=p, seed=p) for p in range(3)]
+    fold_windows(series, 64, 1)  # first-call allocations out of the measurement
+    tracemalloc.start()
+    try:
+        windows = fold_windows(series, 64, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(windows) == 3 * (2000 - 63)
+    # two int64 indices per window plus their build temporaries; a Python
+    # object per window alone costs more
+    assert peak / len(windows) < 64
 
 
 def test_csv_report_helpers():

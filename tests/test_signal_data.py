@@ -12,6 +12,7 @@ from washseg.signal_data import (
     CSV_HEADER,
     SampleSeries,
     SeriesFormatError,
+    WindowSet,
     corpus_filename,
     extract_windows,
     load_csv,
@@ -426,6 +427,20 @@ class TestExtractWindows:
         w = extract_windows(s, 64, 64)[1]
         np.testing.assert_array_equal(w.label_slice, s.label[36:100])
         np.testing.assert_array_equal(w.accel_slice, s.accel[:, 36:100])
+
+    def test_window_set_slices_to_a_set_and_rejects_windows_that_do_not_fit(self):
+        s, t = make_series(np.zeros(100, dtype=int)), make_series(np.zeros(70, dtype=int))
+        ws = WindowSet((s, t), np.array([0, 0, 1]), np.array([0, 36, 6]), 64)
+        head = ws[1:]
+        assert isinstance(head, WindowSet) and len(head) == 2
+        assert [(w.source, w.start_index) for w in head] == [(s, 36), (t, 6)]
+        assert (ws[-1].source, ws[-1].start_index) == (t, 6)
+        with pytest.raises(ValueError, match="^window does not fit inside its series$"):
+            WindowSet((s, t), np.array([0, 1]), np.array([0, 7]), 64)
+        with pytest.raises(ValueError, match="^series ids must be non-decreasing"):
+            WindowSet((s, t), np.array([1, 0]), np.array([0, 0]), 64)
+        with pytest.raises(ValueError, match="^series ids must be non-decreasing"):
+            WindowSet((s,), np.array([0, 1]), np.array([0, 0]), 64)
 
 
 def test_parse_corpus_filename():
