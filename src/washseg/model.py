@@ -312,9 +312,8 @@ def windows_to_arrays(windows: WindowSet):
     """Gather a ``WindowSet`` into (N,3,L) float32 accel/gyro and (N,L) int64
     labels: per series, one fancy index into a sliding-window view of each
     array fills that series' contiguous run of rows. Each sensor is first
-    cast whole to a contiguous float32 copy, so the gather reads no strided
-    columns (``load_csv`` gives views into its parsed rows) and moves half
-    the bytes.
+    cast whole to a contiguous float32 copy, so the gather moves half the
+    bytes.
 
     float32 is the model's compute dtype, so ``GestureNet.forward`` casts
     nothing; a value beyond its range becomes inf, which forward rejects.

@@ -7,7 +7,10 @@ shares with their parameters and allocate nothing wider, so tests cast a model
 to float64 to gradcheck it through the same code; a mixed pair follows numpy's
 promotion, but batch-norm buffers keep their own dtype. Layers cache their input
 (activations: their output) and derive masks, normalized inputs and argmax
-positions in backward, which raises ``RuntimeError`` without a prior forward.
+positions in backward. A cache lives from forward to backward: the backward
+that reads it also drops it, so a train step's saved activations are freed
+layer by layer as backward passes, and a backward without a fresh forward
+raises ``RuntimeError``. Eval forwards write a cache that nothing reads.
 Kernels read strided slices and never copy their input; selects are
 multiplies by an exact factor, and per-channel sums reduce the (B, C*T) view
 over the batch first; conv tap sums and upsample copies run over whole
@@ -80,9 +83,15 @@ class Layer:
         raise NotImplementedError
 
     def _saved(self):
-        if self._cache is None:
+        """Hand the forward cache over to backward, keeping no reference to it."""
+        cache, self._cache = self._cache, None
+        if cache is None:
             raise RuntimeError(f"{type(self).__name__}.backward called without a forward cache")
-        return self._cache
+        return cache
+
+
+# bytes of (rows, O, C) weight-gradient products that Conv1d.backward makes at once
+_PRODUCT_BYTES = 1 << 20
 
 
 def _channel_sum(x):
@@ -163,10 +172,23 @@ class Conv1d(Layer):
     def backward(self, grad_out):
         x, taps, spans = self._saved()
         grad_x = np.zeros_like(x)
+        # each tap's (B, O, C) weight-gradient products are made and summed a
+        # slice of rows at a time. numpy sums axis 0 row by row when O*C > 1,
+        # so adding one slice's sum into the next slice's first row keeps
+        # every bit; a (B, 1, 1) product is summed pairwise, so it stays whole
+        batch, cells = x.shape[0], self.out_ch * self.in_ch
+        row_bytes = cells * np.result_type(grad_out, x).itemsize
+        rows = batch if cells == 1 else max(1, _PRODUCT_BYTES // row_bytes)
         for k, o_sl, i_sl in spans:
-            g = grad_out[:, :, o_sl]
+            g, xt = grad_out[:, :, o_sl], x[:, :, i_sl].transpose(0, 2, 1)
             grad_x[:, :, i_sl] += taps[k].T @ g
-            self.w.grad[:, :, k] += (g @ x[:, :, i_sl].transpose(0, 2, 1)).sum(axis=0)
+            total = None
+            for lo in range(0, max(batch, 1), rows):
+                prod = g[lo : lo + rows] @ xt[lo : lo + rows]
+                if total is not None:
+                    prod[0] += total
+                total = prod.sum(axis=0)
+            self.w.grad[:, :, k] += total
         self.b.grad += _channel_sum(grad_out)
         return grad_x
 

@@ -60,21 +60,34 @@ def infer_track(model, series: SampleSeries, stride: int = 64, batch: int = 128)
     if stride < 1 or length % stride:
         raise ValueError(f"stride {stride} does not divide the model input_length {length}")
     starts = window_starts(n, length, stride)
-    preds = _predict_windows(model, series, starts, length, batch)
-
-    sample = starts[:, None] + np.arange(length)  # (windows, length) sample indices
-    votes = np.bincount((sample * NUM_CLASSES + preds).ravel(), minlength=n * NUM_CLASSES)
-    i = np.arange(n)
-    tile = np.minimum(i // length * length, n - length)
-    labels = preds[np.searchsorted(starts, tile), i - tile]
+    # the windows tiling the series; the last, end-aligned, fills only the
+    # samples the others leave
+    tile_starts = np.minimum(np.arange(0, n, length), n - length)
+    tile_rows = np.searchsorted(starts, tile_starts)
+    tiles = np.empty((tile_starts.size, length), np.int64)
+    votes = np.zeros(n * NUM_CLASSES, np.int64)
+    lo = 0
+    for preds in _predict_windows(model, series, starts, length, batch):
+        # fold this batch in now, so only the batches in flight are held
+        hi = lo + preds.shape[0]
+        first, end = starts[lo], starts[hi - 1] + length
+        sample = (starts[lo:hi, None] - first) + np.arange(length)
+        votes[first * NUM_CLASSES : end * NUM_CLASSES] += np.bincount(
+            (sample * NUM_CLASSES + preds).ravel(), minlength=(end - first) * NUM_CLASSES)
+        t_lo, t_hi = np.searchsorted(tile_rows, (lo, hi))
+        tiles[t_lo:t_hi] = preds[tile_rows[t_lo:t_hi] - lo]
+        lo = hi
+    tail = tiles[-1, (tile_starts.size - 1) * length - tile_starts[-1] :]
+    labels = np.concatenate([tiles[:-1].ravel(), tail])
     return LabelTrack(labels=labels, votes=votes.reshape(n, NUM_CLASSES))
 
 
 def _predict_windows(model, series, starts, length, batch):
-    """Per-sample argmax of every window, gathered batch by batch as rows of
-    one (N-L+1, 3, L) view of each sensor; only a batch is ever copied. The
-    batches run in order on up to one thread per CPU this process may use
-    (numpy's kernels release the GIL); batch-invariant eval keeps the bits."""
+    """Yield the per-sample argmax of every window, batch by batch in order,
+    each batch gathered as rows of one (N-L+1, 3, L) view of each sensor;
+    only a batch is ever copied. The batches run on up to one thread per CPU
+    this process may use (numpy's kernels release the GIL); batch-invariant
+    eval keeps the bits."""
     accel = sliding_window_view(series.accel, length, axis=1).transpose(1, 0, 2)
     gyro = sliding_window_view(series.gyro, length, axis=1).transpose(1, 0, 2)
 
@@ -86,11 +99,12 @@ def _predict_windows(model, series, starts, length, batch):
     # at most 512 windows in flight, so peak memory stays that of one 512-window batch
     workers = min(len(batches), cpus or 1, max(1, 512 // batch))
     if workers == 1:
-        return np.concatenate([predict(rows) for rows in batches])
+        yield from map(predict, batches)
+        return
     # imported only here, so the ~1 MB it costs stays off the serial paths
     from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(workers) as pool:
-        return np.concatenate(list(pool.map(predict, batches)))
+        yield from pool.map(predict, batches)
 
 
 def multiple_test_voting(track: LabelTrack) -> LabelTrack:

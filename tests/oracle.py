@@ -2,9 +2,10 @@
 
 Everything here is written as plain loops, deliberately sharing no code
 with the library implementations it checks, except ``unfolded_forward``,
-``conv1d_spans`` (the conv's tap spans and batch-norm fold), the result
-and error types of ``load_csv_loops``, and ``Window``, ``window_starts`` and
-``corpus_filename`` in the list-of-``Window`` training windows.
+``conv1d_spans`` and ``conv1d_backward_whole`` (the conv's tap spans and
+batch-norm fold), the result and error types of ``load_csv_loops``, and
+``Window``, ``window_starts`` and ``corpus_filename`` in the list-of-``Window``
+training windows.
 """
 
 import numpy as np
@@ -54,6 +55,19 @@ def conv1d_spans(conv, x, fold=None):
     for k, o_sl, i_sl in spans:
         out[:, :, o_sl] += taps[k] @ x[:, :, i_sl]
     return out
+
+
+def conv1d_backward_whole(conv, x, grad_out):
+    """``Conv1d.backward``'s input and weight gradients as it made them before
+    slicing: each tap's whole (B, O, C) product summed over the batch at once."""
+    _, spans = conv._spans(x.shape[2])
+    taps = np.ascontiguousarray(conv.w.value.transpose(2, 0, 1))
+    grad_x, grad_w = np.zeros_like(x), np.zeros_like(conv.w.grad)
+    for k, o_sl, i_sl in spans:
+        g = grad_out[:, :, o_sl]
+        grad_x[:, :, i_sl] += taps[k].T @ g
+        grad_w[:, :, k] += (g @ x[:, :, i_sl].transpose(0, 2, 1)).sum(axis=0)
+    return grad_x, grad_w
 
 
 def upsample1d_repeat(x, factor):

@@ -1,9 +1,11 @@
 from dataclasses import dataclass
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from washseg.nn import layers
 from washseg.nn import (
     AvgPool1d,
     BatchNorm1d,
@@ -444,6 +446,22 @@ class TestWholeRowKernels:
         for fold in (None, bn):
             assert_same_bits(conv.forward(x, "eval", fold=fold), oracle.conv1d_spans(conv, x, fold))
 
+    @settings(max_examples=80, deadline=None)
+    @given(conv_cases(), st.integers(1, 5))
+    def test_conv_backward_bits_equal_whole_batch_products(self, case, slice_rows):
+        # a budget of a few product rows, so most batches run in many slices
+        rng = np.random.default_rng(case["seed"])
+        w_dtype, x_dtype = case["dtypes"]
+        conv = cast_model(Conv1d(case["in_ch"], case["out_ch"], case["kernel"], case["stride"],
+                                 case["pad"], rng=rng), w_dtype)
+        x = rng.standard_normal((case["batch"], case["in_ch"], case["length"])).astype(x_dtype)
+        grad_out = rng.standard_normal(conv.forward(x).shape).astype(x_dtype)
+        want_x, want_w = oracle.conv1d_backward_whole(conv, x, grad_out)
+        row_bytes = case["out_ch"] * case["in_ch"] * np.result_type(grad_out, x).itemsize
+        with mock.patch.object(layers, "_PRODUCT_BYTES", slice_rows * row_bytes):
+            assert_same_bits(conv.backward(grad_out), want_x)
+        assert_same_bits(conv.w.grad, want_w)
+
     @pytest.mark.parametrize("factor", range(1, 9))
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_upsample_bits_equal_repeat(self, rng, factor, dtype):
@@ -724,3 +742,44 @@ class TestLayerTree:
         message = f"^{type(layer).__name__}.backward called without a forward cache$"
         with pytest.raises(RuntimeError, match=message):
             layer.backward(np.zeros((1, 2, 4)))
+
+
+# every layer type of the library with an input its train forward takes, and
+# the layer type a backward without a cache names. A PPMBlock's backward first
+# reaches a reducer conv; an Upsample1d caches nothing and needs nothing
+CACHE_CASES = [
+    (lambda: Conv1d(2, 3, 3, pad=1), (3, 2, 8), "Conv1d"),
+    (lambda: BatchNorm1d(2), (3, 2, 8), "BatchNorm1d"),
+    (LeakyReLU, (3, 2, 8), "LeakyReLU"),
+    (Sigmoid, (3, 2, 8), "Sigmoid"),
+    (lambda: MaxPool1d(2), (3, 2, 8), "MaxPool1d"),
+    (lambda: AvgPool1d(2), (3, 2, 8), "AvgPool1d"),
+    (lambda: Linear(2, 3), (3, 2), "Linear"),
+    (lambda: SEBlock(4), (3, 4, 8), "SEBlock"),
+    (lambda: PPMBlock(4, 2), (3, 4, 8), "Conv1d"),
+]
+CACHE_IDS = [type(make()).__name__ for make, _, _ in CACHE_CASES]
+
+
+class TestCacheLifetime:
+    """A cache lives from forward to backward: the backward that reads it drops it."""
+
+    def test_cases_cover_every_layer_type(self):
+        kinds = {v for v in vars(layers).values()
+                 if isinstance(v, type) and issubclass(v, Layer) and v is not Layer}
+        assert {type(make()) for make, _, _ in CACHE_CASES} == kinds - {Upsample1d}
+
+    @pytest.mark.parametrize("make, shape, name", CACHE_CASES, ids=CACHE_IDS)
+    def test_backward_without_a_forward_raises(self, make, shape, name):
+        grad_out = np.ones_like(make().forward(np.ones(shape), "train"))
+        with pytest.raises(RuntimeError, match=f"^{name}.backward called without a forward cache$"):
+            make().backward(grad_out)
+
+    @pytest.mark.parametrize("make, shape, name", CACHE_CASES, ids=CACHE_IDS)
+    def test_a_second_backward_after_one_forward_raises(self, make, shape, name, rng):
+        layer = cast_model(make())
+        out = layer.forward(rng.standard_normal(shape), "train")
+        layer.backward(np.ones_like(out))
+        assert all(m._cache is None for m in layer.modules())
+        with pytest.raises(RuntimeError, match=f"^{name}.backward called without a forward cache$"):
+            layer.backward(np.ones_like(out))

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -375,6 +376,60 @@ class TestForwardSemantics:
         logits = m.forward(rng.standard_normal((2, 3, 64)), rng.standard_normal((2, 3, 64)))
         p = softmax(logits, axis=1)
         np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-9)
+
+
+def cached_bytes(model):
+    """Bytes of the distinct arrays every layer's cache holds, views counted
+    once through the array that owns their memory."""
+    owners, stack = {}, [m._cache for m in model.modules()]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, (tuple, list)):
+            stack.extend(item)
+        elif isinstance(item, np.ndarray):
+            while item.base is not None:
+                item = item.base
+            owners[id(item)] = item.nbytes
+    return sum(owners.values())
+
+
+class TestTrainStepMemory:
+    """A train step's saved activations are freed by the backward that reads
+    them, and a conv's weight-gradient products are made a slice at a time."""
+
+    def step(self, m, a, g, y):
+        m.zero_grad()
+        logits = m.forward(a, g, mode="train")
+        saved = cached_bytes(m)
+        m.backward(softmax_cross_entropy(logits, y)[1])
+        return saved
+
+    def test_backward_leaves_no_cache_and_a_second_backward_raises(self, rng):
+        m = GestureNet(ArchConfig(), seed=0)
+        a, g = rng.standard_normal((2, 4, 3, 64))
+        y = rng.integers(0, 10, (4, 64))
+        logits = m.forward(a, g, mode="train")
+        grad = softmax_cross_entropy(logits, y)[1]
+        m.backward(grad)
+        assert all(layer._cache is None for layer in m.modules())
+        with pytest.raises(RuntimeError, match="^Conv1d.backward called without a forward cache$"):
+            m.backward(grad)
+
+    def test_batch_256_step_peaks_near_its_saved_activations(self, rng):
+        m = GestureNet(ArchConfig(), seed=0)
+        a, g = rng.standard_normal((2, 256, 3, 64)).astype(np.float32)
+        y = rng.integers(0, 10, (256, 64))
+        self.step(m, a, g, y)  # first-call allocations out of the measurement
+        tracemalloc.start()
+        try:
+            saved = self.step(m, a, g, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 20.8 MB saved and a 26.4 MB peak here; holding every cache through
+        # backward and whole (B, O, C) products peaked at 35.6 MB
+        assert 20e6 < saved < 22e6
+        assert peak < saved + 8e6
 
 
 def training_windows(n_windows=32, seed=5):

@@ -2,6 +2,7 @@ import os
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -350,6 +351,25 @@ class TestThreadedInference:
         got = infer_track(pinned_model, series, stride=1)
         np.testing.assert_array_equal(got.votes, want.votes)
         np.testing.assert_array_equal(got.labels, want.labels)
+
+
+class TestLongRecording:
+    def test_stride1_peak_per_sample_is_bounded(self, pinned_model, monkeypatch):
+        # one CPU, so one batch is in flight whatever the host
+        set_cpus(monkeypatch, 1)
+        n = 43_660  # 14.6 minutes at 50 Hz
+        series = make_series(np.zeros(n, dtype=int), seed=3)
+        tracemalloc.start()
+        try:
+            track = infer_track(pinned_model, series, stride=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert track.votes.sum() == 64 * (n - 63)
+        # the (N, 10) int64 votes are 80 bytes a sample and one batch's
+        # forward about 9 MB: 282 here, where (windows, 64) int64 arrays of
+        # predictions and sample indices read 1,677
+        assert peak / n < 400
 
 
 class TestMultipleTestVoting:
