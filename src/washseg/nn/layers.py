@@ -96,7 +96,8 @@ _PRODUCT_BYTES = 1 << 20
 
 def _channel_sum(x):
     """(B, C, T) -> (C,): the (B, C*T) view summed over the batch, then over time."""
-    return x.reshape(x.shape[0], -1).sum(0).reshape(x.shape[1], -1).sum(1)
+    b, c, t = x.shape
+    return x.reshape(b, c * t).sum(0).reshape(c, t).sum(1)
 
 
 def _window_slices(t_in, window, stride):
@@ -178,12 +179,12 @@ class Conv1d(Layer):
         # every bit; a (B, 1, 1) product is summed pairwise, so it stays whole
         batch, cells = x.shape[0], self.out_ch * self.in_ch
         row_bytes = cells * np.result_type(grad_out, x).itemsize
-        rows = batch if cells == 1 else max(1, _PRODUCT_BYTES // row_bytes)
+        rows = max(1, batch if cells == 1 else _PRODUCT_BYTES // row_bytes)
         for k, o_sl, i_sl in spans:
             g, xt = grad_out[:, :, o_sl], x[:, :, i_sl].transpose(0, 2, 1)
             grad_x[:, :, i_sl] += taps[k].T @ g
             total = None
-            for lo in range(0, max(batch, 1), rows):
+            for lo in range(0, max(batch, 1), rows):  # an empty batch still sums once
                 prod = g[lo : lo + rows] @ xt[lo : lo + rows]
                 if total is not None:
                     prod[0] += total

@@ -163,7 +163,7 @@ def load_csv(path, participant_id="", location_id="", procedure_id=0,
     bad = np.argwhere(~np.isfinite(data.T))  # (row, column) pairs in file order
     later = np.flatnonzero(t[1:] <= t[:-1]) + 1  # compared, not subtracted: no overflow
     if outside.size or bad.size or later.size:
-        row_line = _row_lines(lines)
+        row_line = [n for n, line in enumerate(lines, start=2) if line]  # empty lines hold no row
         if outside.size:
             row = outside[0]
             raise error(row_line[row], f"label {label[row]} outside 0..9")
@@ -175,42 +175,28 @@ def load_csv(path, participant_id="", location_id="", procedure_id=0,
                         gyro=data[4:7], label=label, rate_hz=rate_hz)
 
 
-def _row_lines(lines):
-    """The file line number of each parsed row; empty lines hold no row."""
-    return [n for n, line in enumerate(lines, start=2) if line]
-
-
 def _first_bad_line(lines):
     """(line number, reason) of the first line that fails to parse on its own
-    or holds a label outside 0..9. A run of lines fails to parse exactly when
-    one of its lines fails alone, so halving the run known to hold a failing
-    line finds the first one in O(log n) parses of about n lines in all."""
-    labels, lo, hi = [], 0, len(lines)  # lines[:lo] parse; lines[lo:hi] hold a failure
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
+    or holds a label outside 0..9."""
+    for lineno, line in enumerate(lines, start=2):
+        if not line:
+            continue
+        if line.isspace():
+            return lineno, "whitespace-only line"
+        fields = line.split(",")
+        if len(fields) != len(COLUMNS):
+            return lineno, f"expected {len(COLUMNS)} columns, got {len(fields)}"
         try:
-            if any(lines[lo:mid]):  # a run of empty lines holds no row to parse
-                labels.append(_parse(lines[lo:mid])["label"])
-            lo = mid
-        except ValueError:
-            hi = mid
-    label = np.concatenate(labels or [np.empty(0, np.int64)])
-    outside = np.flatnonzero((label < 0) | (label >= NUM_CLASSES))
-    if outside.size:
-        row = outside[0]
-        return _row_lines(lines)[row], f"label {label[row]} outside 0..9"
-    lineno, line = lo + 2, lines[lo]
-    if line.isspace():
-        return lineno, "whitespace-only line"
-    fields = line.split(",")
-    if len(fields) != len(COLUMNS):
-        return lineno, f"expected {len(COLUMNS)} columns, got {len(fields)}"
-    for col, value in enumerate(fields):  # the first field that fails alone in a row of zeros
-        try:
-            _parse([",".join(["0"] * col + [value] + ["0"] * (len(fields) - col - 1))])
-        except ValueError:
-            kind = "non-integer" if COLUMNS[col] == "label" else "non-numeric"
-            return lineno, f"{kind} {COLUMNS[col]} value {value!r}"
+            label = _parse([line])["label"][0]
+        except ValueError:  # name the first field that fails alone in a row of zeros
+            for col, value in enumerate(fields):
+                try:
+                    _parse([",".join(["0"] * col + [value] + ["0"] * (len(fields) - col - 1))])
+                except ValueError:
+                    kind = "non-integer" if COLUMNS[col] == "label" else "non-numeric"
+                    return lineno, f"{kind} {COLUMNS[col]} value {value!r}"
+        if not 0 <= label < NUM_CLASSES:
+            return lineno, f"label {label} outside 0..9"
 
 
 def write_csv(series: SampleSeries, path):

@@ -1,4 +1,3 @@
-import math
 import re
 import tempfile
 from pathlib import Path
@@ -7,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from washseg import signal_data, synth
+from washseg import synth
 from washseg.signal_data import (
     COLUMNS,
     CSV_HEADER,
@@ -161,19 +160,6 @@ class TestLoadCsv:
         for name in ("t", "accel", "gyro", "label"):
             assert getattr(s, name).flags.c_contiguous, name
         np.testing.assert_array_equal(s.accel[0], 0.1 * np.arange(50))
-
-    def test_bad_last_line_found_in_log_n_parses(self, tmp_path, monkeypatch):
-        rows = valid_rows(2184)
-        rows[-1][7] = "x"
-        p = tmp_path / "last.csv"
-        write_rows(p, rows)
-        calls = []
-        parse = signal_data._parse
-        monkeypatch.setattr(signal_data, "_parse", lambda lines: calls.append(1) or parse(lines))
-        with pytest.raises(SeriesFormatError, match=r"last\.csv: line 2185: non-integer label value 'x'$"):
-            load_csv(p)
-        # the whole file, one parse per halving of the 2,185 lines, one per field
-        assert len(calls) <= 1 + math.ceil(math.log2(2185)) + len(COLUMNS)
 
 
 def write_text(path, text):
