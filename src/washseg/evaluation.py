@@ -223,7 +223,7 @@ def evaluate_tracks(test_series, tracks) -> VariantMetrics:
     offset_mean, offset_sd = mean_sd(offset_errs)
     se_mean, se_sd = mean_sd(score_errs)
     return VariantMetrics(
-        accuracy=int(np.trace(cm)) / int(cm.sum()),
+        accuracy=accuracy_global(preds, truths),
         m_precision=prf["m_precision"],
         m_recall=prf["m_recall"],
         m_f1=prf["m_f1"],

@@ -97,7 +97,7 @@ class _ConvBnAct(Layer):
     """
 
     def __init__(self, in_ch, out_ch, slope, rng):
-        self.conv = Conv1d(in_ch, out_ch, 3, pad=1, rng=rng)
+        self.conv = Conv1d(in_ch, out_ch, 3, rng=rng)
         self.bn = BatchNorm1d(out_ch)
         self.act = LeakyReLU(slope)
 
@@ -117,7 +117,7 @@ class _EncStage(_ConvBnAct):
 
     def __init__(self, in_ch, out_ch, slope, rng):
         super().__init__(in_ch, out_ch, slope, rng)
-        self.pool = MaxPool1d(2, 2)
+        self.pool = MaxPool1d(2)
 
     def forward(self, x, mode):
         act = self._conv_bn_act(x, mode)

@@ -12,7 +12,7 @@ from .layers import (
     Sigmoid,
     Upsample1d,
 )
-from .loss import softmax, softmax_cross_entropy
+from .loss import softmax_cross_entropy
 from .adam import Adam
 from . import checkpoint
 
@@ -31,6 +31,5 @@ __all__ = [
     "Sigmoid",
     "Upsample1d",
     "checkpoint",
-    "softmax",
     "softmax_cross_entropy",
 ]

@@ -5,6 +5,9 @@ from __future__ import annotations
 import numpy as np
 
 
+BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8
+
+
 class Adam:
     """Standard Adam with bias correction.
 
@@ -12,11 +15,8 @@ class Adam:
     first step so the optimizer can be built before the model is final.
     """
 
-    def __init__(self, lr=0.001, beta1=0.9, beta2=0.999, epsilon=1e-8):
+    def __init__(self, lr=0.001):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
         self.step_count = 0
         self.m = {}
         self.v = {}
@@ -25,8 +25,8 @@ class Adam:
         """Apply one update to every parameter in ``params``."""
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - self.beta1**t
-        bc2 = 1.0 - self.beta2**t
+        bc1 = 1.0 - BETA1**t
+        bc2 = 1.0 - BETA2**t
         for name, p in params.items():
             if name not in self.m:
                 self.m[name] = np.zeros_like(p.value)
@@ -34,8 +34,8 @@ class Adam:
             if self.m[name].shape != p.value.shape:
                 raise ValueError(f"adam: state shape mismatch for '{name}'")
             g = p.grad
-            self.m[name] = self.beta1 * self.m[name] + (1 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1 - self.beta2) * g * g
+            self.m[name] = BETA1 * self.m[name] + (1 - BETA1) * g
+            self.v[name] = BETA2 * self.v[name] + (1 - BETA2) * g * g
             m_hat = self.m[name] / bc1
             v_hat = self.v[name] / bc2
-            p.value -= self.lr * m_hat / (np.sqrt(v_hat) + self.epsilon)
+            p.value -= self.lr * m_hat / (np.sqrt(v_hat) + EPSILON)

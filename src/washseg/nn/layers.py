@@ -10,8 +10,11 @@ promotion, but batch-norm buffers keep their own dtype. Layers cache their input
 positions in backward. A cache lives from forward to backward: the backward
 that reads it also drops it, so a train step's saved activations are freed
 layer by layer as backward passes, and a backward without a fresh forward
-raises ``RuntimeError``. Eval forwards write a cache that nothing reads.
-Kernels read strided slices and never copy their input; selects are
+raises ``RuntimeError``. Eval forwards write a cache that nothing reads, except
+batch norm's, which writes none: its backward is the train-mode gradient only.
+The layers run the geometry ``GestureNet`` builds: convs of odd kernel keep
+the input length (stride 1, padding kernel // 2), and pools step by their own
+window. Kernels read strided slices and never copy their input; selects are
 multiplies by an exact factor, and per-channel sums reduce the (B, C*T) view
 over the batch first; conv tap sums and upsample copies run over whole
 contiguous rows. Parameter values are only ever mutated by an optimizer
@@ -100,26 +103,26 @@ def _channel_sum(x):
     return x.reshape(b, c * t).sum(0).reshape(c, t).sum(1)
 
 
-def _window_slices(t_in, window, stride):
-    """Slice j picks element j of every pooling window along time."""
-    span = (t_in - window) // stride * stride + 1
-    return [slice(j, j + span, stride) for j in range(window)]
+def _window_slices(t_in, window):
+    """Slice j picks element j of every non-overlapping window along time."""
+    end = t_in // window * window  # a tail shorter than a window is dropped
+    return [slice(j, end, window) for j in range(window)]
 
 
 class Conv1d(Layer):
-    """Cross-correlation with zero padding.
+    """Same-length cross-correlation: stride 1, zero padding kernel // 2.
 
-    Output length is floor((T + 2*pad - K) / stride) + 1. Output j of tap k
-    reads input j*stride + k - pad; each tap's span is clipped to x, so the
-    padding is never materialised.
+    The kernel is odd, so the output is as long as the input. Output j of
+    tap k reads input j + k - kernel // 2; each tap's span is clipped to x,
+    so the padding is never materialised.
     """
 
-    def __init__(self, in_ch, out_ch, kernel, stride=1, pad=0, rng=None):
+    def __init__(self, in_ch, out_ch, kernel, rng=None):
+        if kernel % 2 == 0:
+            raise ValueError(f"conv1d: kernel {kernel} is even; a same-length conv needs it odd")
         self.in_ch = in_ch
         self.out_ch = out_ch
         self.kernel = kernel
-        self.stride = stride
-        self.pad = pad
         if rng is None:
             rng = np.random.default_rng(0)
         bound = math.sqrt(6.0 / (in_ch * kernel))
@@ -129,16 +132,15 @@ class Conv1d(Layer):
     def params(self):
         return {"w": self.w, "b": self.b}
 
-    def _spans(self, t_in):
+    def _spans(self, t):
         """(tap, output slice, input slice) for every tap that reaches x."""
-        s, p = self.stride, self.pad
-        t_out = (t_in + 2 * p - self.kernel) // s + 1
+        p = self.kernel // 2
         spans = []
         for k in range(self.kernel):
-            lo, hi = max(0, (p - k + s - 1) // s), min(t_out, (t_in - 1 + p - k) // s + 1)
+            lo, hi = max(0, p - k), min(t, t + p - k)
             if hi > lo:
-                spans.append((k, slice(lo, hi), slice(lo * s + k - p, (hi - 1) * s + k - p + 1, s)))
-        return t_out, spans
+                spans.append((k, slice(lo, hi), slice(lo + k - p, hi + k - p)))
+        return spans
 
     def forward(self, x, mode="train", fold=None):
         """conv(x); with ``fold``, a ``BatchNorm1d``, its eval bn(conv(x)) from
@@ -147,18 +149,16 @@ class Conv1d(Layer):
             raise ValueError(
                 f"conv1d: input has {x.shape[1]} channels, weights expect {self.in_ch}"
             )
-        if x.shape[2] + 2 * self.pad < self.kernel:
-            raise ValueError("conv1d: padded input shorter than kernel")
-        t_out, spans = self._spans(x.shape[2])
+        spans = self._spans(x.shape[2])
         w, b = self.w.value, self.b.value
         if fold is not None:
             scale, shift = fold.eval_affine()
             w, b = w * scale[:, None, None], b * scale + shift
         taps = np.ascontiguousarray(w.transpose(2, 0, 1))  # (K, O, C)
-        out = np.broadcast_to(b[:, None], (x.shape[0], self.out_ch, t_out)).copy()
-        # (O, C) @ (C, T') per example keeps the reduction order independent of
+        out = np.broadcast_to(b[:, None], (x.shape[0], self.out_ch, x.shape[2])).copy()
+        # (O, C) @ (C, T) per example keeps the reduction order independent of
         # batch size, so eval outputs are bit-identical however windows are
-        # batched; one flat (B*T', C*K) GEMM is not (README, "Layer kernels").
+        # batched; one flat (B*T, C*K) GEMM is not (README, "Layer kernels").
         # Each tap's products land in a full-width buffer that is zero where
         # the tap reaches no input, so the add runs over whole rows
         prod = np.empty(out.shape, np.result_type(taps, x))
@@ -210,21 +210,21 @@ class BatchNorm1d(Layer):
         return {"gamma": self.gamma, "beta": self.beta}
 
     def forward(self, x, mode="train"):
-        if mode == "train":
-            n = x.shape[0] * x.shape[2]
-            if n < 2:
-                raise ValueError("batchnorm train mode needs at least 2 samples per channel")
-            mean = _channel_sum(x) / n
-            # unnamed, so numpy squares it in place and frees it before the output
-            var = _channel_sum((x - mean[:, None]) ** 2) / n
-            # in place, so the buffers keep their dtype whatever the input's
-            self.running_mean[...] = (1 - self.momentum) * self.running_mean + self.momentum * mean
-            self.running_var[...] = (1 - self.momentum) * self.running_var + self.momentum * var
-        else:
-            mean = self.running_mean
-            var = self.running_var
+        if mode != "train":
+            self._cache = None  # so a backward after an eval forward raises
+            scale, shift = self.eval_affine()
+            return x * scale[:, None] + shift[:, None]
+        n = x.shape[0] * x.shape[2]
+        if n < 2:
+            raise ValueError("batchnorm train mode needs at least 2 samples per channel")
+        mean = _channel_sum(x) / n
+        # unnamed, so numpy squares it in place and frees it before the output
+        var = _channel_sum((x - mean[:, None]) ** 2) / n
+        # in place, so the buffers keep their dtype whatever the input's
+        self.running_mean[...] = (1 - self.momentum) * self.running_mean + self.momentum * mean
+        self.running_var[...] = (1 - self.momentum) * self.running_var + self.momentum * var
         inv_std, scale, shift = self._affine(mean, var)
-        self._cache = (x, mean, inv_std, mode)
+        self._cache = (x, mean, inv_std)
         return x * scale[:, None] + shift[:, None]
 
     def _affine(self, mean, var):
@@ -239,16 +239,15 @@ class BatchNorm1d(Layer):
         return scale, shift
 
     def backward(self, grad_out):
-        x, mean, inv_std, mode = self._saved()
+        """The train-mode gradient, through the batch statistics."""
+        x, mean, inv_std = self._saved()
         xhat = (x - mean[:, None]) * inv_std[:, None]
         d_gamma = _channel_sum(grad_out * xhat)
         d_beta = _channel_sum(grad_out)
         self.gamma.grad += d_gamma
         self.beta.grad += d_beta
         scale = self.gamma.value * inv_std
-        if mode != "train":
-            return grad_out * scale[:, None]
-        # batch-statistics gradient; its reductions are gamma*d_beta, gamma*d_gamma
+        # its reductions are gamma*d_beta and gamma*d_gamma
         n = grad_out.shape[0] * grad_out.shape[2]
         grad_x = n * grad_out - d_beta[:, None]
         grad_x -= xhat * d_gamma[:, None]
@@ -290,14 +289,13 @@ class Sigmoid(Layer):
 class MaxPool1d(Layer):
     """Max over each window; ties go to the earliest position in it."""
 
-    def __init__(self, window, stride=None):
+    def __init__(self, window):
         self.window = window
-        self.stride = stride if stride is not None else window
 
     def forward(self, x, mode="train"):
         if x.shape[2] < self.window:
             raise ValueError("maxpool1d: input shorter than pooling window")
-        first, *rest = _window_slices(x.shape[2], self.window, self.stride)
+        first, *rest = _window_slices(x.shape[2], self.window)
         out = x[:, :, first].copy()
         for sl in rest:
             np.maximum(out, x[:, :, sl], out=out)
@@ -308,7 +306,7 @@ class MaxPool1d(Layer):
         x, out = self._saved()
         grad_x = np.zeros_like(x)
         free = np.ones(out.shape, dtype=bool)  # gradient not yet routed
-        for sl in _window_slices(x.shape[2], self.window, self.stride):
+        for sl in _window_slices(x.shape[2], self.window):
             hit = free & (x[:, :, sl] == out)
             grad_x[:, :, sl] += grad_out * hit
             free &= ~hit
@@ -316,14 +314,13 @@ class MaxPool1d(Layer):
 
 
 class AvgPool1d(Layer):
-    def __init__(self, window, stride=None):
+    def __init__(self, window):
         self.window = window
-        self.stride = stride if stride is not None else window
 
     def forward(self, x, mode="train"):
         if x.shape[2] < self.window:
             raise ValueError("avgpool1d: input shorter than pooling window")
-        slices = _window_slices(x.shape[2], self.window, self.stride)
+        slices = _window_slices(x.shape[2], self.window)
         self._cache = x
         return sum(x[:, :, sl] for sl in slices) / self.window
 
@@ -331,7 +328,7 @@ class AvgPool1d(Layer):
         x = self._saved()
         grad_x = np.zeros_like(x)
         share = grad_out / self.window
-        for sl in _window_slices(x.shape[2], self.window, self.stride):
+        for sl in _window_slices(x.shape[2], self.window):
             grad_x[:, :, sl] += share
         return grad_x
 
@@ -420,7 +417,7 @@ class SEBlock(Layer):
 class PPMBlock(Layer):
     """Pyramid pooling over a temporal feature map.
 
-    Average pools at window/stride 8, 4, 2, reduces each pooled map to
+    Average pools over windows of 8, 4 and 2, reduces each pooled map to
     ``reduce_ch`` channels with a 1-tap convolution, upsamples back to the
     input length, and concatenates with the input along channels.
     """
@@ -430,7 +427,7 @@ class PPMBlock(Layer):
     def __init__(self, channels, reduce_ch=16, rng=None):
         self.channels = channels
         self.reduce_ch = reduce_ch
-        self.pools = [AvgPool1d(s, s) for s in self.POOL_SIZES]
+        self.pools = [AvgPool1d(s) for s in self.POOL_SIZES]
         self.reducers = [Conv1d(channels, reduce_ch, 1, rng=rng) for _ in self.POOL_SIZES]
         self.ups = [Upsample1d(s) for s in self.POOL_SIZES]
 

@@ -5,12 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def softmax(logits: np.ndarray, axis: int = 1) -> np.ndarray:
-    shifted = logits - logits.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
-
-
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
     """Mean cross-entropy over every (batch, time) sample.
 

@@ -210,17 +210,17 @@ def load_track_csv(path) -> LabelTrack:
     return LabelTrack(labels=labels)
 
 
+SVG_WIDTH, SVG_BAND_HEIGHT = 1000, 40  # pixels
 _PALETTE = [
     "#cccccc", "#1f77b4", "#ff7f0e", "#2ca02c", "#d62728",
     "#9467bd", "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22",
 ]
 
 
-def export_timeline_svg(path, track: LabelTrack, rate_hz: float,
-                        width: int = 1000, band_height: int = 40):
+def export_timeline_svg(path, track: LabelTrack, rate_hz: float):
     """One colored band per label run; display only."""
     n = len(track)
-    scale = width / max(n, 1)
+    scale = SVG_WIDTH / max(n, 1)
     rects = []
     start = 0
     for i in range(1, n + 1):
@@ -229,14 +229,14 @@ def export_timeline_svg(path, track: LabelTrack, rate_hz: float,
             x = start * scale
             w = (i - start) * scale
             rects.append(
-                f'<rect x="{x:.2f}" y="0" width="{w:.2f}" height="{band_height}" '
+                f'<rect x="{x:.2f}" y="0" width="{w:.2f}" height="{SVG_BAND_HEIGHT}" '
                 f'fill="{_PALETTE[lab]}"><title>label {lab}: '
                 f"{start / rate_hz:.2f}-{i / rate_hz:.2f}s</title></rect>"
             )
             start = i
     svg = (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{band_height}">' + "".join(rects) + "</svg>\n"
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_WIDTH}" '
+        f'height="{SVG_BAND_HEIGHT}">' + "".join(rects) + "</svg>\n"
     )
     with open(path, "w", encoding="utf-8") as f:
         f.write(svg)

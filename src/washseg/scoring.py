@@ -47,7 +47,7 @@ class ScoreReport:
         )
 
 
-def score(estimated_durations, professional=PROFESSIONAL_DURATIONS) -> ScoreReport:
+def score(estimated_durations) -> ScoreReport:
     """Score nine estimated gesture durations (seconds) out of 100 points."""
     est = np.asarray(estimated_durations, dtype=np.float64)
     if est.shape != (9,):
@@ -57,7 +57,7 @@ def score(estimated_durations, professional=PROFESSIONAL_DURATIONS) -> ScoreRepo
         raise ValueError(f"gesture {bad[0] + 1} duration {est[bad[0]]} is not finite")
     if (est < 0).any():
         raise ValueError("durations must be non-negative")
-    per = (100.0 / 9.0) * np.minimum(1.0, est / professional)
+    per = (100.0 / 9.0) * np.minimum(1.0, est / PROFESSIONAL_DURATIONS)
     return ScoreReport(per_gesture_duration=est, per_gesture_score=per)
 
 

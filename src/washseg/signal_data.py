@@ -160,15 +160,15 @@ def load_csv(path, participant_id="", location_id="", procedure_id=0,
     data = np.stack([rows[name] for name in COLUMNS[:7]])  # (7, N): contiguous sensor rows
     t = data[0]
     outside = np.flatnonzero((label < 0) | (label >= NUM_CLASSES))
-    bad = np.argwhere(~np.isfinite(data.T))  # (row, column) pairs in file order
+    finite = np.isfinite(data).all()
     later = np.flatnonzero(t[1:] <= t[:-1]) + 1  # compared, not subtracted: no overflow
-    if outside.size or bad.size or later.size:
+    if outside.size or not finite or later.size:
         row_line = [n for n, line in enumerate(lines, start=2) if line]  # empty lines hold no row
         if outside.size:
             row = outside[0]
             raise error(row_line[row], f"label {label[row]} outside 0..9")
-        if bad.size:
-            row, col = bad[0]
+        if not finite:
+            row, col = np.argwhere(~np.isfinite(data.T))[0]  # the first in file order
             raise error(row_line[row], f"non-finite {COLUMNS[col]} value {data[col, row]}")
         raise error(row_line[later[0]], f"timestamp {t[later[0]]} not strictly increasing")
     return SampleSeries(participant_id, location_id, procedure_id, t=t, accel=data[1:4],

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .scoring import PROFESSIONAL_DURATIONS
-from .signal_data import SampleSeries, corpus_filename, write_csv
+from .signal_data import DEFAULT_WINDOW, SampleSeries, corpus_filename, write_csv
 from .textconfig import TextConfig
 
 # distinct base frequencies (Hz) for gestures 1..9, within hand-motion range
@@ -183,7 +183,7 @@ def write_corpus(corpus, directory):
         write_csv(s, os.path.join(directory, corpus_filename(s)))
 
 
-def describe(corpus, window=64) -> dict:
+def describe(corpus) -> dict:
     """Corpus statistics: windowed instance counts, class balance, breakdowns."""
     if not corpus:
         raise ValueError("empty corpus")
@@ -196,7 +196,7 @@ def describe(corpus, window=64) -> dict:
     for s in corpus:
         n = len(s)
         total_samples += n
-        instances += max(0, n - window + 1)
+        instances += max(0, n - DEFAULT_WINDOW + 1)
         class_counts += np.bincount(s.label, minlength=10)
         by_location[s.location_id] = by_location.get(s.location_id, 0) + 1
         key = f"{s.location_id}_{s.participant_id}"

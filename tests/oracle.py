@@ -45,13 +45,13 @@ def conv1d_spans(conv, x, fold=None):
     each tap's products added into the output slice its span reaches, so
     every add runs row by row over a cut slice. The same products, summands
     and order of addition as the layer."""
-    t_out, spans = conv._spans(x.shape[2])
+    spans = conv._spans(x.shape[2])
     w, b = conv.w.value, conv.b.value
     if fold is not None:
         scale, shift = fold.eval_affine()
         w, b = w * scale[:, None, None], b * scale + shift
     taps = np.ascontiguousarray(w.transpose(2, 0, 1))
-    out = np.broadcast_to(b[:, None], (x.shape[0], conv.out_ch, t_out)).copy()
+    out = np.broadcast_to(b[:, None], (x.shape[0], conv.out_ch, x.shape[2])).copy()
     for k, o_sl, i_sl in spans:
         out[:, :, o_sl] += taps[k] @ x[:, :, i_sl]
     return out
@@ -60,7 +60,7 @@ def conv1d_spans(conv, x, fold=None):
 def conv1d_backward_whole(conv, x, grad_out):
     """``Conv1d.backward``'s input and weight gradients as it made them before
     slicing: each tap's whole (B, O, C) product summed over the batch at once."""
-    _, spans = conv._spans(x.shape[2])
+    spans = conv._spans(x.shape[2])
     taps = np.ascontiguousarray(conv.w.value.transpose(2, 0, 1))
     grad_x, grad_w = np.zeros_like(x), np.zeros_like(conv.w.grad)
     for k, o_sl, i_sl in spans:

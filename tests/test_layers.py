@@ -65,17 +65,17 @@ def assert_same_bits(actual, expected):
     assert actual.tobytes() == expected.tobytes()
 
 
-# (window, stride, length): odd lengths, overlapping and gapped windows
-MAXPOOL_TIE_CASES = [(2, 2, 9), (3, 1, 7), (3, 2, 11), (4, 3, 13), (2, 1, 5)]
+# (window, length): odd lengths, tails shorter than a window dropped
+MAXPOOL_TIE_CASES = [(2, 9), (3, 7), (3, 11), (4, 13), (2, 5)]
 
 
-def maxpool_backward_where(x, out, grad_out, window, stride):
+def maxpool_backward_where(x, out, grad_out, window):
     """The select form of the max-pool routing: earliest tie, one tap at a time."""
     grad_x = np.zeros_like(x)
     free = np.ones(out.shape, dtype=bool)
-    span = (x.shape[2] - window) // stride * stride + 1
+    end = x.shape[2] // window * window
     for j in range(window):
-        sl = slice(j, j + span, stride)
+        sl = slice(j, end, window)
         hit = free & (x[:, :, sl] == out)
         grad_x[:, :, sl] += np.where(hit, grad_out, 0.0)
         free &= ~hit
@@ -85,14 +85,14 @@ def maxpool_backward_where(x, out, grad_out, window, stride):
 class TestConv1d:
     def test_edge_detector_fixture(self):
         # [1,2,3,4] * [1,0,-1], pad 1: hand-computed sliding dot products
-        conv = cast_model(Conv1d(1, 1, 3, pad=1))
+        conv = cast_model(Conv1d(1, 1, 3))
         conv.w.value[:] = np.array([[[1.0, 0.0, -1.0]]])
         conv.b.value[:] = 0.0
         out = conv.forward(np.array([[[1.0, 2.0, 3.0, 4.0]]]))
         np.testing.assert_allclose(out, [[[-2.0, -2.0, -2.0, 3.0]]])
 
     def test_identity_kernel(self, rng):
-        conv = cast_model(Conv1d(1, 1, 3, pad=1))
+        conv = cast_model(Conv1d(1, 1, 3))
         conv.w.value[:] = np.array([[[0.0, 1.0, 0.0]]])
         conv.b.value[:] = 0.0
         x = rng.standard_normal((2, 1, 10))
@@ -101,20 +101,24 @@ class TestConv1d:
     def test_matches_loop_oracle(self, rng):
         conv = cast_model(Conv1d(3, 4, 3, rng=rng))
         x = rng.standard_normal((2, 3, 16))
-        expected = oracle.conv1d_loops(x, conv.w.value, conv.b.value)
+        expected = oracle.conv1d_loops(x, conv.w.value, conv.b.value, 1, 1)
         np.testing.assert_allclose(conv.forward(x), expected, atol=1e-12)
 
-    def test_strided_padded_matches_oracle(self, rng):
+    def test_odd_kernels_match_oracle_at_every_length(self, rng):
+        # down to one sample, shorter than the kernel: only the taps that reach x count
         for _ in range(10):
             cin, cout = int(rng.integers(1, 4)), int(rng.integers(1, 4))
-            k = int(rng.integers(1, 5))
-            stride = int(rng.integers(1, 4))
-            pad = int(rng.integers(0, 3))
-            t = int(rng.integers(k, 20))
-            conv = cast_model(Conv1d(cin, cout, k, stride=stride, pad=pad, rng=rng))
+            k = int(rng.choice([1, 3, 5]))
+            t = int(rng.integers(1, 20))
+            conv = cast_model(Conv1d(cin, cout, k, rng=rng))
             x = rng.standard_normal((2, cin, t))
-            expected = oracle.conv1d_loops(x, conv.w.value, conv.b.value, stride, pad)
+            expected = oracle.conv1d_loops(x, conv.w.value, conv.b.value, 1, k // 2)
             np.testing.assert_allclose(conv.forward(x), expected, atol=1e-12)
+
+    @pytest.mark.parametrize("kernel", [2, 4])
+    def test_even_kernel_rejected_naming_it(self, kernel):
+        with pytest.raises(ValueError, match=f"kernel {kernel} is even"):
+            Conv1d(2, 3, kernel)
 
     def test_channel_mismatch_rejected(self, rng):
         conv = Conv1d(3, 4, 3, rng=rng)
@@ -122,47 +126,32 @@ class TestConv1d:
             conv.forward(rng.standard_normal((1, 2, 8)))
 
     def test_gradient_vs_finite_differences(self, rng):
-        conv = cast_model(Conv1d(3, 4, 3, stride=2, pad=1, rng=rng))
+        conv = cast_model(Conv1d(3, 4, 3, rng=rng))
         rep = layer_loss_check(conv, rng.standard_normal((2, 3, 12)))
         assert rep.max_error < 1e-6, rep.failures
 
-    @pytest.mark.parametrize("kernel,pad", [(3, 1), (1, 2)])
+    # the padding each kernel implies, as the oracle is told it
+    @pytest.mark.parametrize("kernel,pad", [(3, 1), (1, 0), (5, 2)])
     def test_stride1_padded_gradients(self, rng, kernel, pad):
-        conv = cast_model(Conv1d(3, 4, kernel, pad=pad, rng=rng))
-        x = rng.standard_normal((2, 3, 9))
-        rep = layer_loss_check(conv, x)
-        assert rep.max_error < 1e-6, rep.failures
-        input_grad_check(conv, x)
-
-    def test_outputs_reaching_only_padding_equal_bias(self, rng):
-        conv = cast_model(Conv1d(2, 3, 1, pad=2, rng=rng))
-        conv.b.value[:] = [0.5, -1.0, 2.0]
-        x = rng.standard_normal((2, 2, 7))
-        out = conv.forward(x)
-        assert out.shape == (2, 3, 11)
-        for t in (0, 1, 9, 10):
-            np.testing.assert_array_equal(out[:, :, t], np.broadcast_to(conv.b.value, (2, 3)))
-        expected = oracle.conv1d_loops(x, conv.w.value, conv.b.value, 1, 2)
-        np.testing.assert_allclose(out, expected, atol=1e-12)
-
-    def test_strided_padded_input_gradients(self, rng):
-        for _ in range(6):
-            k = int(rng.integers(1, 5))
-            stride = int(rng.integers(1, 4))
-            pad = int(rng.integers(0, 3))
-            t = int(rng.integers(max(k - 2 * pad, 1), 12))
-            conv = cast_model(Conv1d(2, 3, k, stride=stride, pad=pad, rng=rng))
-            input_grad_check(conv, rng.standard_normal((2, 2, t)))
+        conv = cast_model(Conv1d(3, 4, kernel, rng=rng))
+        for t in (9, 2):  # 2: shorter than a 5-tap kernel
+            x = rng.standard_normal((2, 3, t))
+            np.testing.assert_allclose(
+                conv.forward(x), oracle.conv1d_loops(x, conv.w.value, conv.b.value, 1, pad),
+                atol=1e-12)
+            rep = layer_loss_check(conv, x)
+            assert rep.max_error < 1e-6, rep.failures
+            input_grad_check(conv, x)
 
     def test_zero_grad_out_gives_zero_grads(self, rng):
         conv = Conv1d(2, 2, 3, rng=rng)
         conv.forward(rng.standard_normal((1, 2, 8)))
         conv.zero_grad()
-        conv.backward(np.zeros((1, 2, 6)))
+        conv.backward(np.zeros((1, 2, 8)))
         assert not conv.w.grad.any() and not conv.b.grad.any()
 
     def test_batch_gradient_is_sum_of_per_example(self, rng):
-        conv = cast_model(Conv1d(2, 3, 3, pad=1, rng=rng))
+        conv = cast_model(Conv1d(2, 3, 3, rng=rng))
         x = rng.standard_normal((2, 2, 8))
         g = rng.standard_normal((2, 3, 8))
         conv.forward(x)
@@ -236,16 +225,16 @@ class TestBatchNorm:
             fd = (lp - lm) / (2 * h)
             assert abs(fd - gx[idx]) / max(abs(fd), abs(gx[idx]), 1e-8) < 1e-5
 
-    def test_eval_backward(self, rng):
-        bn = cast_model(BatchNorm1d(3))
-        bn.running_mean[:] = [0.5, -1.0, 2.0]
-        bn.running_var[:] = [0.25, 4.0, 1.5]
-        bn.gamma.value[:] = [1.5, -0.5, 2.0]
-        x = rng.standard_normal((3, 3, 6))
-        rep = layer_loss_check(bn, x, mode="eval")
-        assert rep.max_error < 1e-6, rep.failures
-        input_grad_check(bn, x, mode="eval")
-        np.testing.assert_array_equal(bn.running_mean, [0.5, -1.0, 2.0])
+    def test_backward_after_an_eval_forward_raises(self, rng):
+        # the eval forward caches nothing and drops what a train forward left
+        bn = cast_model(BatchNorm1d(2))
+        x = rng.standard_normal((3, 2, 5))
+        bn.forward(x, mode="train")
+        out = bn.forward(x, mode="eval")
+        assert bn._cache is None
+        with pytest.raises(RuntimeError,
+                           match="^BatchNorm1d.backward called without a forward cache$"):
+            bn.backward(np.ones_like(out))
 
     def test_eval_is_affine_in_running_stats(self, rng):
         bn = cast_model(BatchNorm1d(2))
@@ -314,41 +303,41 @@ class TestSimpleLayers:
         np.testing.assert_array_equal(act.backward(g), np.where(x > 0, g, 0.2 * g))
         input_grad_check(act, x, mode="eval")
 
-    def test_maxpool_oracle_on_ties_odd_lengths_overlap(self, rng):
-        for window, stride, t in MAXPOOL_TIE_CASES:
-            pool = MaxPool1d(window, stride)
+    def test_maxpool_oracle_on_ties_odd_lengths(self, rng):
+        for window, t in MAXPOOL_TIE_CASES:
+            pool = MaxPool1d(window)
             x = rng.integers(0, 3, size=(2, 3, t)).astype(float)  # many tied maxima
             out = pool.forward(x)
-            np.testing.assert_array_equal(out, oracle.maxpool1d_loops(x, window, stride))
+            np.testing.assert_array_equal(out, oracle.maxpool1d_loops(x, window, stride=window))
             g = rng.standard_normal(out.shape)
             np.testing.assert_allclose(
-                pool.backward(g), oracle.maxpool1d_backward_loops(x, g, window, stride),
+                pool.backward(g), oracle.maxpool1d_backward_loops(x, g, window, stride=window),
                 atol=1e-12,
             )
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_maxpool_backward_bits_match_where(self, rng, dtype):
-        for window, stride, t in MAXPOOL_TIE_CASES:
-            pool = MaxPool1d(window, stride)
+        for window, t in MAXPOOL_TIE_CASES:
+            pool = MaxPool1d(window)
             x = rng.integers(-1, 2, size=(2, 3, t)).astype(dtype)  # ties, +-0.0
             x[x == 0] *= rng.choice([-1, 1], size=int((x == 0).sum())).astype(dtype)
             out = pool.forward(x)
             g = rng.standard_normal(out.shape).astype(dtype)
             g[:, 0] = 0.0
             g[:, 1, ::2] = -0.0
-            assert_same_bits(pool.backward(g), maxpool_backward_where(x, out, g, window, stride))
+            assert_same_bits(pool.backward(g), maxpool_backward_where(x, out, g, window))
 
     def test_maxpool_tie_gradient_goes_to_earliest(self):
-        pool = MaxPool1d(3, 1)
-        x = np.array([[[1.0, 5.0, 5.0, 2.0, 5.0]]])
+        pool = MaxPool1d(3)
+        x = np.array([[[1.0, 5.0, 5.0, 5.0, 2.0, 5.0, 7.0]]])
         out = pool.forward(x)
-        np.testing.assert_array_equal(out, [[[5.0, 5.0, 5.0]]])
-        grad = pool.backward(np.array([[[1.0, 10.0, 100.0]]]))
-        # windows [1,5,5], [5,5,2], [5,2,5]: first maxima at 1, 1 and 2
-        np.testing.assert_array_equal(grad, [[[0.0, 11.0, 100.0, 0.0, 0.0]]])
+        np.testing.assert_array_equal(out, [[[5.0, 5.0]]])
+        grad = pool.backward(np.array([[[1.0, 10.0]]]))
+        # windows [1,5,5] and [5,2,5], the tail [7] dropped: first maxima at 1 and 3
+        np.testing.assert_array_equal(grad, [[[0.0, 1.0, 0.0, 10.0, 0.0, 0.0, 0.0]]])
 
     def test_avgpool_full_window(self):
-        pool = AvgPool1d(8, 8)
+        pool = AvgPool1d(8)
         out = pool.forward(np.arange(1.0, 9.0).reshape(1, 1, 8))
         np.testing.assert_allclose(out, [[[4.5]]])
 
@@ -360,23 +349,21 @@ class TestSimpleLayers:
     def test_maxpool_matches_oracle(self, rng):
         for _ in range(10):
             window = int(rng.integers(1, 5))
-            stride = int(rng.integers(1, 4))
             t = int(rng.integers(window, 20))
-            pool = MaxPool1d(window, stride)
+            pool = MaxPool1d(window)
             x = rng.standard_normal((2, 3, t))
             np.testing.assert_allclose(
-                pool.forward(x), oracle.maxpool1d_loops(x, window, stride), atol=1e-12
+                pool.forward(x), oracle.maxpool1d_loops(x, window, stride=window), atol=1e-12
             )
 
     def test_avgpool_matches_oracle(self, rng):
         for _ in range(10):
             window = int(rng.integers(1, 5))
-            stride = int(rng.integers(1, 4))
             t = int(rng.integers(window, 20))
-            pool = AvgPool1d(window, stride)
+            pool = AvgPool1d(window)
             x = rng.standard_normal((2, 3, t))
             np.testing.assert_allclose(
-                pool.forward(x), oracle.avgpool1d_loops(x, window, stride), atol=1e-12
+                pool.forward(x), oracle.avgpool1d_loops(x, window, stride=window), atol=1e-12
             )
 
     def test_upsample_matches_oracle(self, rng):
@@ -388,8 +375,8 @@ class TestSimpleLayers:
     def test_pool_upsample_input_gradients(self, rng):
         # input-side FD check; these layers have no parameters
         for layer, shape in [
-            (MaxPool1d(2, 2), (2, 2, 8)),
-            (AvgPool1d(3, 2), (2, 2, 9)),
+            (MaxPool1d(2), (2, 2, 8)),
+            (AvgPool1d(3), (2, 2, 9)),
             (Upsample1d(2), (2, 2, 4)),
             (LeakyReLU(0.01), (2, 2, 6)),
             (Sigmoid(), (2, 2, 6)),
@@ -417,11 +404,10 @@ KERNEL_DTYPES = [(np.float32, np.float32), (np.float64, np.float64), (np.float32
 
 @st.composite
 def conv_cases(draw):
-    kernel, pad = draw(st.integers(1, 5)), draw(st.integers(0, 2))
     return dict(batch=draw(st.integers(1, 130)), in_ch=draw(st.integers(1, 40)),
-                out_ch=draw(st.integers(1, 40)), kernel=kernel, stride=draw(st.integers(1, 3)),
-                pad=pad, length=draw(st.integers(max(0, kernel - 2 * pad), 70)),
-                dtypes=draw(st.sampled_from(KERNEL_DTYPES)), seed=draw(st.integers(0, 2**32 - 1)))
+                out_ch=draw(st.integers(1, 40)), kernel=draw(st.sampled_from([1, 3, 5])),
+                length=draw(st.integers(0, 70)), dtypes=draw(st.sampled_from(KERNEL_DTYPES)),
+                seed=draw(st.integers(0, 2**32 - 1)))
 
 
 class TestWholeRowKernels:
@@ -433,8 +419,7 @@ class TestWholeRowKernels:
     def test_conv_forward_bits_equal_clipped_spans(self, case):
         rng = np.random.default_rng(case["seed"])
         w_dtype, x_dtype = case["dtypes"]
-        conv = Conv1d(case["in_ch"], case["out_ch"], case["kernel"], case["stride"], case["pad"],
-                      rng=rng)
+        conv = Conv1d(case["in_ch"], case["out_ch"], case["kernel"], rng=rng)
         conv.b.value = rng.standard_normal(case["out_ch"]).astype(np.float32)
         bn = BatchNorm1d(case["out_ch"])
         bn.gamma.value = rng.uniform(-2, 2, case["out_ch"]).astype(np.float32)
@@ -449,16 +434,15 @@ class TestWholeRowKernels:
     @settings(max_examples=80, deadline=None)
     @given(conv_cases(), st.integers(1, 5))
     # an empty batch: zero gradients, whether its products would be sliced or whole
-    @example(dict(batch=0, in_ch=1, out_ch=1, kernel=3, stride=1, pad=1, length=8,
+    @example(dict(batch=0, in_ch=1, out_ch=1, kernel=3, length=8,
                   dtypes=(np.float32, np.float32), seed=0), 1)
-    @example(dict(batch=0, in_ch=3, out_ch=2, kernel=3, stride=2, pad=1, length=8,
+    @example(dict(batch=0, in_ch=3, out_ch=2, kernel=3, length=8,
                   dtypes=(np.float32, np.float64), seed=0), 2)
     def test_conv_backward_bits_equal_whole_batch_products(self, case, slice_rows):
         # a budget of a few product rows, so most batches run in many slices
         rng = np.random.default_rng(case["seed"])
         w_dtype, x_dtype = case["dtypes"]
-        conv = cast_model(Conv1d(case["in_ch"], case["out_ch"], case["kernel"], case["stride"],
-                                 case["pad"], rng=rng), w_dtype)
+        conv = cast_model(Conv1d(case["in_ch"], case["out_ch"], case["kernel"], rng=rng), w_dtype)
         x = rng.standard_normal((case["batch"], case["in_ch"], case["length"])).astype(x_dtype)
         grad_out = rng.standard_normal(conv.forward(x).shape).astype(x_dtype)
         want_x, want_w = oracle.conv1d_backward_whole(conv, x, grad_out)
@@ -481,18 +465,17 @@ class TestFloat32:
     and float32 parameters give float32 out, forward and backward."""
 
     @pytest.mark.parametrize("make,shape,mode", [
-        (lambda r: Conv1d(3, 4, 3, stride=2, pad=1, rng=r), (2, 3, 12), "train"),
+        (lambda r: Conv1d(3, 4, 3, rng=r), (2, 3, 12), "train"),
         (lambda r: BatchNorm1d(3), (4, 3, 8), "train"),
-        (lambda r: BatchNorm1d(3), (4, 3, 8), "eval"),
         (lambda r: LeakyReLU(0.01), (2, 3, 8), "train"),
         (lambda r: Sigmoid(), (2, 3, 8), "train"),
-        (lambda r: MaxPool1d(2, 2), (2, 3, 8), "train"),
-        (lambda r: AvgPool1d(3, 2), (2, 3, 9), "train"),
+        (lambda r: MaxPool1d(2), (2, 3, 8), "train"),
+        (lambda r: AvgPool1d(3), (2, 3, 9), "train"),
         (lambda r: Upsample1d(2), (2, 3, 4), "train"),
         (lambda r: Linear(5, 4, rng=r), (3, 5), "train"),
         (lambda r: SEBlock(8, 4, rng=r), (2, 8, 16), "train"),
         (lambda r: PPMBlock(8, 4, rng=r), (2, 8, 8), "train"),
-    ], ids=["conv", "bn-train", "bn-eval", "leaky", "sigmoid", "maxpool", "avgpool",
+    ], ids=["conv", "bn-train", "leaky", "sigmoid", "maxpool", "avgpool",
             "upsample", "linear", "se", "ppm"])
     def test_forward_and_backward_keep_float32(self, rng, make, shape, mode):
         layer = cast_model(make(rng), np.float32)
@@ -593,7 +576,7 @@ class TestChannelReductions:
     @pytest.mark.parametrize("shape", SHAPES)
     def test_conv_bias_grad_agrees_with_float64(self, rng, shape):
         b, c, t = shape
-        conv = float32_layer(Conv1d(c, 4, 3, stride=2, pad=1, rng=rng), rng)
+        conv = float32_layer(Conv1d(c, 4, 3, rng=rng), rng)
         out = conv.forward(rng.standard_normal(shape).astype(np.float32))
         g = (0.5 + rng.standard_normal(out.shape)).astype(np.float32)
         conv.backward(g)
@@ -756,7 +739,7 @@ class TestLayerTree:
 # the layer type a backward without a cache names. A PPMBlock's backward first
 # reaches a reducer conv; an Upsample1d caches nothing and needs nothing
 CACHE_CASES = [
-    (lambda: Conv1d(2, 3, 3, pad=1), (3, 2, 8), "Conv1d"),
+    (lambda: Conv1d(2, 3, 3), (3, 2, 8), "Conv1d"),
     (lambda: BatchNorm1d(2), (3, 2, 8), "BatchNorm1d"),
     (LeakyReLU, (3, 2, 8), "LeakyReLU"),
     (Sigmoid, (3, 2, 8), "Sigmoid"),

@@ -17,7 +17,7 @@ from washseg.model import (
     train,
     windows_to_arrays,
 )
-from washseg.nn import Adam, BatchNorm1d, softmax, softmax_cross_entropy
+from washseg.nn import Adam, BatchNorm1d, softmax_cross_entropy
 from washseg.nn import checkpoint as ckpt
 from washseg.signal_data import extract_windows
 from washseg.synth import GenSpec, generate_procedure
@@ -370,12 +370,6 @@ class TestForwardSemantics:
         out = m.forward(a, g, mode="eval")
         swapped = m.forward(g, a, mode="eval")
         assert not np.allclose(out, swapped)
-
-    def test_softmax_sums_to_one(self, rng):
-        m = cast_model(GestureNet(ArchConfig(), seed=1), np.float64)
-        logits = m.forward(rng.standard_normal((2, 3, 64)), rng.standard_normal((2, 3, 64)))
-        p = softmax(logits, axis=1)
-        np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-9)
 
 
 def cached_bytes(model):
