@@ -91,9 +91,9 @@ class ArchConfig(TextConfig):
 class _ConvBnAct(Layer):
     """conv(k=3, pad=1) -> batchnorm -> leaky relu, the core of every stage.
 
-    In eval mode the conv applies the batch norm folded into its taps and
-    bias, so the norm makes no pass of its own; in both modes the activation
-    writes into the stage's own fresh array, never into the caller's input.
+    ``_conv_bn_act`` is the model's one train/eval branch. In eval the conv
+    applies the norm folded into its taps and bias; in both modes the
+    activation writes into the stage's own fresh array, never into the input.
     """
 
     def __init__(self, in_ch, out_ch, slope, rng):
@@ -101,12 +101,12 @@ class _ConvBnAct(Layer):
         self.bn = BatchNorm1d(out_ch)
         self.act = LeakyReLU(slope)
 
-    def _conv_bn_act(self, x, mode):
-        if mode == "train":
-            y = self.bn.forward(self.conv.forward(x, mode), mode)
+    def _conv_bn_act(self, x, training):
+        if training:
+            y = self.bn.forward(self.conv.forward(x))
         else:
-            y = self.conv.forward(x, mode, fold=self.bn)
-        return self.act.forward(y, mode, out=y)
+            y = self.conv.forward(x, fold=self.bn)
+        return self.act.forward(y, out=y)
 
     def _conv_bn_act_backward(self, grad_out):
         return self.conv.backward(self.bn.backward(self.act.backward(grad_out)))
@@ -119,9 +119,9 @@ class _EncStage(_ConvBnAct):
         super().__init__(in_ch, out_ch, slope, rng)
         self.pool = MaxPool1d(2)
 
-    def forward(self, x, mode):
-        act = self._conv_bn_act(x, mode)
-        return act, self.pool.forward(act, mode)
+    def forward(self, x, training):
+        act = self._conv_bn_act(x, training)
+        return act, self.pool.forward(act)
 
     def backward(self, grad_pooled, grad_skip):
         return self._conv_bn_act_backward(self.pool.backward(grad_pooled) + grad_skip)
@@ -134,10 +134,10 @@ class _DecStage(_ConvBnAct):
         self.up = Upsample1d(2)
         super().__init__(in_ch, out_ch, slope, rng)
 
-    def forward(self, x, skip_a, skip_g, mode):
-        up = self.up.forward(x, mode)
+    def forward(self, x, skip_a, skip_g, training):
+        up = self.up.forward(x)
         self._cache = (up.shape[1], up.shape[1] + skip_a.shape[1])  # channel split points
-        return self._conv_bn_act(np.concatenate([up, skip_a, skip_g], axis=1), mode)
+        return self._conv_bn_act(np.concatenate([up, skip_a, skip_g], axis=1), training)
 
     def backward(self, grad_out):
         grad_up, grad_skip_a, grad_skip_g = np.split(
@@ -148,10 +148,11 @@ class _DecStage(_ConvBnAct):
 class GestureNet(Layer):
     """The assembled dual-branch model.
 
-    Threads may share one model for eval forwards, as ``pipeline.infer_track``
-    does: an eval forward reads only parameters and batch-norm buffers, and
-    the ``_cache`` attributes it writes are never read in eval mode. Training
-    (a train forward and its backward) is not safe to share."""
+    Only the encoder and decoder stages see ``forward``'s ``mode``, as a
+    ``training`` flag. Threads may share one model for eval forwards, as
+    ``pipeline.infer_track`` does: an eval forward reads only parameters and
+    batch-norm buffers, and never reads the ``_cache`` attributes it writes.
+    Training (a train forward and its backward) is not safe to share."""
 
     def __init__(self, config: ArchConfig, seed: int = 0):
         self.config = config.validate()
@@ -185,6 +186,9 @@ class GestureNet(Layer):
 
     def forward(self, accel, gyro, mode="eval"):
         """(B,3,L)+(B,3,L) -> logits (B,10,L), in the parameters' dtype."""
+        if mode not in ("train", "eval"):
+            raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
+        training = mode == "train"
         L = self.config.input_length
         dtype = self.head.w.value.dtype
         # a finite value beyond the compute dtype's range becomes inf here,
@@ -200,18 +204,18 @@ class GestureNet(Layer):
         skips = []  # (act_a, act_g) per encoder stage, shallowest first
         xa, xg = accel, gyro
         for st_a, st_g in zip(self.enc_a, self.enc_g):
-            act_a, xa = st_a.forward(xa, mode)
-            act_g, xg = st_g.forward(xg, mode)
+            act_a, xa = st_a.forward(xa, training)
+            act_g, xg = st_g.forward(xg, training)
             skips.append((act_a, act_g))
 
-        xa = self.se_a.forward(xa, mode)
-        xg = self.se_g.forward(xg, mode)
+        xa = self.se_a.forward(xa)
+        xg = self.se_g.forward(xg)
         bottleneck = np.concatenate([xa, xg], axis=1)
-        x = self.ppm.forward(bottleneck, mode)
+        x = self.ppm.forward(bottleneck)
 
         for st, (skip_a, skip_g) in zip(self.dec, reversed(skips)):
-            x = st.forward(x, skip_a, skip_g, mode)
-        logits = self.head.forward(x, mode)
+            x = st.forward(x, skip_a, skip_g, training)
+        logits = self.head.forward(x)
         if not np.isfinite(logits).all():
             raise FloatingPointError("non-finite logits produced")
         return logits
@@ -280,23 +284,23 @@ class GestureNet(Layer):
         return ckpt.size_report(self.config.to_text(), self.named_tensors())
 
 
+PLATEAU_REL_CHANGE, PLATEAU_PATIENCE = 0.001, 20
+
+
 @dataclass
 class TrainHyper:
     lr: float = 0.001
     batch: int = 256  # desk-scale default; original setting used 16384
     epochs: int = 500
     seed: int = 0
-    plateau_patience: int = 20
-    plateau_rel_change: float = 0.001
 
     def validate(self):
         """Reject a value training cannot use, naming the field (and CLI flag)."""
-        for name, least in (("batch", 1), ("epochs", 1), ("plateau_patience", 1), ("seed", 0)):
+        for name, least in (("batch", 1), ("epochs", 1), ("seed", 0)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
-        for name in ("lr", "plateau_rel_change"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+        if not 0 <= self.lr < math.inf:
+            raise ValueError(f"lr must be finite and >= 0, got {self.lr}")
         return self
 
 
@@ -339,8 +343,8 @@ def train(model: GestureNet, windows, hyper: TrainHyper, verbose=False):
     makes of one.
 
     Deterministic given hyper.seed (single-threaded). Stops early once the
-    epoch loss changes by less than ``plateau_rel_change`` (relative) over
-    ``plateau_patience`` consecutive epochs.
+    epoch loss changes by less than ``PLATEAU_REL_CHANGE`` (relative) over
+    ``PLATEAU_PATIENCE`` consecutive epochs.
     """
     hyper.validate()
     if len(windows) == 0:
@@ -376,8 +380,8 @@ def train(model: GestureNet, windows, hyper: TrainHyper, verbose=False):
         if verbose:
             print(f"epoch {epoch:4d}  loss {epoch_loss:.5f}  acc {acc:.4f}")
         history.append(epoch_loss)
-        if len(history) > hyper.plateau_patience:
-            past = history[-1 - hyper.plateau_patience]
-            if abs(past - epoch_loss) < hyper.plateau_rel_change * abs(past):
+        if len(history) > PLATEAU_PATIENCE:
+            past = history[-1 - PLATEAU_PATIENCE]
+            if abs(past - epoch_loss) < PLATEAU_REL_CHANGE * abs(past):
                 break
     return logs

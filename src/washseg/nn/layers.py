@@ -10,8 +10,10 @@ promotion, but batch-norm buffers keep their own dtype. Layers cache their input
 positions in backward. A cache lives from forward to backward: the backward
 that reads it also drops it, so a train step's saved activations are freed
 layer by layer as backward passes, and a backward without a fresh forward
-raises ``RuntimeError``. Eval forwards write a cache that nothing reads, except
-batch norm's, which writes none: its backward is the train-mode gradient only.
+raises ``RuntimeError``. A forward takes only its input: no layer has a train
+or eval mode. Batch norm's forward is the train forward; the model folds its
+eval map, ``eval_affine``, into the preceding conv. Other layers' eval
+forwards write a cache that nothing reads.
 The layers run the geometry ``GestureNet`` builds: convs of odd kernel keep
 the input length (stride 1, padding kernel // 2), and pools step by their own
 window. Kernels read strided slices and never copy their input; selects are
@@ -79,7 +81,7 @@ class Layer:
         for p in self.params().values():
             p.zero_grad()
 
-    def forward(self, x, mode="train"):
+    def forward(self, x):
         raise NotImplementedError
 
     def backward(self, grad_out):
@@ -95,6 +97,8 @@ class Layer:
 
 # bytes of (rows, O, C) weight-gradient products that Conv1d.backward makes at once
 _PRODUCT_BYTES = 1 << 20
+# batch norm's variance floor and running-statistics update weight
+BN_EPSILON, BN_MOMENTUM = 1e-5, 0.1
 
 
 def _channel_sum(x):
@@ -142,7 +146,7 @@ class Conv1d(Layer):
                 spans.append((k, slice(lo, hi), slice(lo + k - p, hi + k - p)))
         return spans
 
-    def forward(self, x, mode="train", fold=None):
+    def forward(self, x, fold=None):
         """conv(x); with ``fold``, a ``BatchNorm1d``, its eval bn(conv(x)) from
         taps and bias scaled on this call, keeping no cache for backward."""
         if x.shape[1] != self.in_ch:
@@ -197,10 +201,8 @@ class Conv1d(Layer):
 class BatchNorm1d(Layer):
     """Per-channel batch normalization over the (batch, time) axes."""
 
-    def __init__(self, channels, eps=1e-5, momentum=0.1):
+    def __init__(self, channels):
         self.channels = channels
-        self.eps = eps
-        self.momentum = momentum
         self.gamma = Param(np.ones(channels))
         self.beta = Param(np.zeros(channels))
         self.running_mean = np.zeros(channels, dtype=np.float32)
@@ -209,11 +211,7 @@ class BatchNorm1d(Layer):
     def params(self):
         return {"gamma": self.gamma, "beta": self.beta}
 
-    def forward(self, x, mode="train"):
-        if mode != "train":
-            self._cache = None  # so a backward after an eval forward raises
-            scale, shift = self.eval_affine()
-            return x * scale[:, None] + shift[:, None]
+    def forward(self, x):
         n = x.shape[0] * x.shape[2]
         if n < 2:
             raise ValueError("batchnorm train mode needs at least 2 samples per channel")
@@ -221,20 +219,20 @@ class BatchNorm1d(Layer):
         # unnamed, so numpy squares it in place and frees it before the output
         var = _channel_sum((x - mean[:, None]) ** 2) / n
         # in place, so the buffers keep their dtype whatever the input's
-        self.running_mean[...] = (1 - self.momentum) * self.running_mean + self.momentum * mean
-        self.running_var[...] = (1 - self.momentum) * self.running_var + self.momentum * var
+        self.running_mean[...] = (1 - BN_MOMENTUM) * self.running_mean + BN_MOMENTUM * mean
+        self.running_var[...] = (1 - BN_MOMENTUM) * self.running_var + BN_MOMENTUM * var
         inv_std, scale, shift = self._affine(mean, var)
         self._cache = (x, mean, inv_std)
         return x * scale[:, None] + shift[:, None]
 
     def _affine(self, mean, var):
         """(1/std, scale, shift) with normalize(x) = x * scale + shift per channel."""
-        inv_std = 1.0 / np.sqrt(var + self.eps)
+        inv_std = 1.0 / np.sqrt(var + BN_EPSILON)
         scale = self.gamma.value * inv_std
         return inv_std, scale, self.beta.value - mean * scale
 
     def eval_affine(self):
-        """The per-channel (scale, shift) that eval mode applies."""
+        """Eval mode: the per-channel (scale, shift) of the running statistics."""
         _, scale, shift = self._affine(self.running_mean, self.running_var)
         return scale, shift
 
@@ -261,7 +259,7 @@ class LeakyReLU(Layer):
             raise ValueError("leaky relu slope must lie in [0, 1]")
         self.slope = slope
 
-    def forward(self, x, mode="train", out=None):
+    def forward(self, x, out=None):
         """``out`` receives the result; a caller that owns ``x`` may pass ``x``."""
         out = np.maximum(x, self.slope * x, out=out)
         self._cache = out  # out > 0 exactly where x > 0, for slope in [0, 1]
@@ -273,7 +271,7 @@ class LeakyReLU(Layer):
 
 
 class Sigmoid(Layer):
-    def forward(self, x, mode="train"):
+    def forward(self, x):
         # exp(-x) overflows to inf below x = -88.7 in float32; 1/(1+inf) = 0
         # is the correct limit, so the overflow is not an error
         with np.errstate(over="ignore"):
@@ -292,7 +290,7 @@ class MaxPool1d(Layer):
     def __init__(self, window):
         self.window = window
 
-    def forward(self, x, mode="train"):
+    def forward(self, x):
         if x.shape[2] < self.window:
             raise ValueError("maxpool1d: input shorter than pooling window")
         first, *rest = _window_slices(x.shape[2], self.window)
@@ -317,7 +315,7 @@ class AvgPool1d(Layer):
     def __init__(self, window):
         self.window = window
 
-    def forward(self, x, mode="train"):
+    def forward(self, x):
         if x.shape[2] < self.window:
             raise ValueError("avgpool1d: input shorter than pooling window")
         slices = _window_slices(x.shape[2], self.window)
@@ -339,7 +337,7 @@ class Upsample1d(Layer):
     def __init__(self, factor):
         self.factor = factor
 
-    def forward(self, x, mode="train"):
+    def forward(self, x):
         # one strided 1-D copy per column; np.repeat copies element by element
         out = np.empty((*x.shape[:2], x.shape[2] * self.factor), x.dtype)
         cols, flat = out.reshape(-1, self.factor), x.reshape(-1)
@@ -365,7 +363,7 @@ class Linear(Layer):
     def params(self):
         return {"w": self.w, "b": self.b}
 
-    def forward(self, x, mode="train"):
+    def forward(self, x):
         if x.shape[1] != self.w.value.shape[0]:
             raise ValueError("linear: feature dimension mismatch")
         self._cache = x
@@ -394,12 +392,9 @@ class SEBlock(Layer):
         self.fc2 = Linear(hidden, channels, rng=rng)
         self.gate = Sigmoid()
 
-    def forward(self, x, mode="train"):
+    def forward(self, x):
         squeeze = x.mean(axis=2)
-        g = self.gate.forward(
-            self.fc2.forward(self.act.forward(self.fc1.forward(squeeze, mode), mode), mode),
-            mode,
-        )
+        g = self.gate.forward(self.fc2.forward(self.act.forward(self.fc1.forward(squeeze))))
         self._cache = (x, g)
         return x * g[:, :, None]
 
@@ -441,11 +436,11 @@ class PPMBlock(Layer):
         return {f"{kind}{i}": layer for kind, layers in kinds.items()
                 for i, layer in enumerate(layers)}
 
-    def forward(self, x, mode="train"):
+    def forward(self, x):
         t = x.shape[2]
         if t % max(self.POOL_SIZES) != 0:
             raise ValueError(f"ppm_block: temporal length {t} not divisible by 8")
-        branches = [x] + [up.forward(conv.forward(pool.forward(x, mode), mode), mode)
+        branches = [x] + [up.forward(conv.forward(pool.forward(x)))
                           for pool, conv, up in zip(self.pools, self.reducers, self.ups)]
         return np.concatenate(branches, axis=1)
 

@@ -2,8 +2,9 @@
 
 Everything here is written as plain loops, deliberately sharing no code
 with the library implementations it checks, except ``unfolded_forward``,
-``conv1d_spans`` and ``conv1d_backward_whole`` (the conv's tap spans and
-batch-norm fold), the result and error types of ``load_csv_loops``, and
+``batchnorm_eval``, ``conv1d_spans`` and ``conv1d_backward_whole`` (the conv's
+tap spans and batch norm's ``eval_affine``, which the fold also applies), the
+result and error types of ``load_csv_loops``, and
 ``Window``, ``window_starts`` and ``corpus_filename`` in the list-of-``Window``
 training windows.
 """
@@ -166,13 +167,20 @@ def procedure_span_loops(labels, gap_merge):
     return best[0], best[1] + 1
 
 
+def batchnorm_eval(bn, x):
+    """Eval-mode batch norm as a pass of its own into a new array: the
+    running statistics' per-channel map, ``bn.eval_affine()``, applied to x."""
+    scale, shift = bn.eval_affine()
+    return x * scale[:, None] + shift[:, None]
+
+
 def unfolded_forward(model, accel, gyro):
     """``GestureNet``'s eval forward with every stage run as separate conv,
     batch-norm and activation passes, each into a new array: the path the
     folded, in-place eval stages replace. It reuses the layer kernels (checked
     against the loops above) and differs from the model only in the fold."""
     def stage(st, x):
-        return st.act.forward(st.bn.forward(st.conv.forward(x, "eval"), "eval"), "eval")
+        return st.act.forward(batchnorm_eval(st.bn, st.conv.forward(x)))
 
     dtype = model.head.w.value.dtype
     xa, xg = np.asarray(accel, dtype=dtype), np.asarray(gyro, dtype=dtype)
@@ -180,12 +188,12 @@ def unfolded_forward(model, accel, gyro):
     for st_a, st_g in zip(model.enc_a, model.enc_g):
         act_a, act_g = stage(st_a, xa), stage(st_g, xg)
         skips.append((act_a, act_g))
-        xa, xg = st_a.pool.forward(act_a, "eval"), st_g.pool.forward(act_g, "eval")
-    x = model.ppm.forward(np.concatenate([model.se_a.forward(xa, "eval"),
-                                          model.se_g.forward(xg, "eval")], axis=1), "eval")
+        xa, xg = st_a.pool.forward(act_a), st_g.pool.forward(act_g)
+    x = model.ppm.forward(np.concatenate([model.se_a.forward(xa), model.se_g.forward(xg)],
+                                         axis=1))
     for st, (skip_a, skip_g) in zip(model.dec, reversed(skips)):
-        x = stage(st, np.concatenate([st.up.forward(x, "eval"), skip_a, skip_g], axis=1))
-    return model.head.forward(x, "eval")
+        x = stage(st, np.concatenate([st.up.forward(x), skip_a, skip_g], axis=1))
+    return model.head.forward(x)
 
 
 def predict_windows_serial(model, series, length, batch=512):

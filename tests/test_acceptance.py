@@ -61,8 +61,7 @@ def user_dep_run():
     model = GestureNet(ArchConfig(), seed=0)
     windows = fold_windows(train_series, 64, 1, max_windows=12000,
                            rng=np.random.default_rng(0))
-    hyper = TrainHyper(lr=0.003, batch=256, epochs=25, seed=0,
-                       plateau_patience=20, plateau_rel_change=0.001)
+    hyper = TrainHyper(lr=0.003, batch=256, epochs=25, seed=0)
     train(model, windows, hyper)
     tracks = predict_variants(model, test_series)
     metrics = {v: evaluate_tracks(test_series, t) for v, t in tracks.items()}
@@ -92,11 +91,11 @@ def lopo_run():
 def test_criterion_1_gradient_fidelity(rng):
     t0 = time.perf_counter()
 
-    def check_params(layer, x, **kw):
+    def check_params(layer, x):
         probes = {}
 
         def loss_fn(compute):
-            out = layer.forward(x, **kw)
+            out = layer.forward(x)
             if "p" not in probes:
                 probes["p"] = np.random.default_rng(7).standard_normal(out.shape)
             if compute:
@@ -105,9 +104,9 @@ def test_criterion_1_gradient_fidelity(rng):
 
         return grad_check(loss_fn, layer.params(), h=1e-5, tolerance=1e-6).max_error
 
-    def check_input(layer, x, **kw):
-        probes = np.random.default_rng(7).standard_normal(layer.forward(x, **kw).shape)
-        layer.forward(x, **kw)
+    def check_input(layer, x):
+        probes = np.random.default_rng(7).standard_normal(layer.forward(x).shape)
+        layer.forward(x)
         gx = layer.backward(probes)
         worst = 0.0
         flat = x.reshape(-1)
@@ -115,9 +114,9 @@ def test_criterion_1_gradient_fidelity(rng):
         for i in np.random.default_rng(3).choice(flat.size, min(30, flat.size), replace=False):
             orig = flat[i]
             flat[i] = orig + h
-            lp = float((layer.forward(x, **kw) * probes).sum())
+            lp = float((layer.forward(x) * probes).sum())
             flat[i] = orig - h
-            lm = float((layer.forward(x, **kw) * probes).sum())
+            lm = float((layer.forward(x) * probes).sum())
             flat[i] = orig
             fd = (lp - lm) / (2 * h)
             a = gx.reshape(-1)[i]
@@ -128,8 +127,7 @@ def test_criterion_1_gradient_fidelity(rng):
     errs = {}
     errs["conv1d"] = check_params(cast_model(Conv1d(3, 4, 3, rng=rng)),
                                   rng.standard_normal((2, 3, 12)))
-    errs["batchnorm1d"] = check_params(cast_model(BatchNorm1d(3)),
-                                       rng.standard_normal((4, 3, 8)), mode="train")
+    errs["batchnorm1d"] = check_params(cast_model(BatchNorm1d(3)), rng.standard_normal((4, 3, 8)))
     errs["linear"] = check_params(cast_model(Linear(5, 4, rng=rng)), rng.standard_normal((3, 5)))
     errs["se_block"] = check_params(cast_model(SEBlock(8, 4, rng=rng)),
                                     rng.standard_normal((2, 8, 16)))
@@ -223,9 +221,9 @@ def test_criterion_3_shape_contract(rng):
     shapes = {"logits": out.shape}
     orig = model.ppm.forward
 
-    def spy(x, mode="train"):
+    def spy(x):
         shapes["pre_ppm"] = x.shape
-        result = orig(x, mode)
+        result = orig(x)
         shapes["post_ppm"] = result.shape
         return result
 

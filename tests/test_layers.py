@@ -24,14 +24,14 @@ from gradcheck import grad_check
 import oracle
 
 
-def layer_loss_check(layer, inputs, seed=0, **kwargs):
+def layer_loss_check(layer, inputs, seed=0):
     """Gradient-check a layer through a fixed random linear readout."""
     rng = np.random.default_rng(seed)
     probes = None
 
     def loss_fn(compute):
         nonlocal probes
-        out = layer.forward(*inputs, **kwargs) if isinstance(inputs, tuple) else layer.forward(inputs, **kwargs)
+        out = layer.forward(*inputs) if isinstance(inputs, tuple) else layer.forward(inputs)
         if probes is None:
             probes = np.random.default_rng(99).standard_normal(out.shape)
         loss = float((out * probes).sum())
@@ -42,19 +42,19 @@ def layer_loss_check(layer, inputs, seed=0, **kwargs):
     return grad_check(loss_fn, layer.params(), tolerance=1e-6, rng=rng)
 
 
-def input_grad_check(layer, x, mode="train", tol=1e-6):
+def input_grad_check(layer, x, tol=1e-6):
     """Central differences of a random linear readout against the input gradient."""
-    probes = np.random.default_rng(7).standard_normal(layer.forward(x, mode=mode).shape)
-    layer.forward(x, mode=mode)
+    probes = np.random.default_rng(7).standard_normal(layer.forward(x).shape)
+    layer.forward(x)
     gx = layer.backward(probes)
     h = 1e-6
     flat = x.reshape(-1)
     for i in range(flat.size):
         orig = flat[i]
         flat[i] = orig + h
-        lp = float((layer.forward(x, mode=mode) * probes).sum())
+        lp = float((layer.forward(x) * probes).sum())
         flat[i] = orig - h
-        lm = float((layer.forward(x, mode=mode) * probes).sum())
+        lm = float((layer.forward(x) * probes).sum())
         flat[i] = orig
         fd = (lp - lm) / (2 * h)
         assert abs(fd - gx.reshape(-1)[i]) < tol * max(1.0, abs(fd)), (i, fd, gx.reshape(-1)[i])
@@ -176,7 +176,7 @@ class TestBatchNorm:
     def test_normalizes_batch_statistics(self, rng):
         bn = cast_model(BatchNorm1d(3))
         x = 5.0 + 2.0 * rng.standard_normal((8, 3, 16))
-        out = bn.forward(x, mode="train")
+        out = bn.forward(x)
         np.testing.assert_allclose(out.mean(axis=(0, 2)), 0.0, atol=1e-10)
         np.testing.assert_allclose(out.var(axis=(0, 2)), 1.0, atol=1e-4)
 
@@ -185,56 +185,36 @@ class TestBatchNorm:
         bn.gamma.value[:] = 2.0
         bn.beta.value[:] = 3.0
         x = rng.standard_normal((16, 2, 8))
-        out = bn.forward(x, mode="train")
+        out = bn.forward(x)
         np.testing.assert_allclose(out.mean(axis=(0, 2)), 3.0, atol=1e-10)
         np.testing.assert_allclose(out.std(axis=(0, 2)), 2.0, atol=1e-3)
 
     def test_train_mode_needs_two_samples(self):
         bn = BatchNorm1d(2)
         with pytest.raises(ValueError):
-            bn.forward(np.zeros((1, 2, 1)), mode="train")
-
-    def test_eval_uses_running_stats(self, rng):
-        bn = cast_model(BatchNorm1d(2))
-        for _ in range(50):
-            bn.forward(1.0 + rng.standard_normal((16, 2, 8)), mode="train")
-        x = rng.standard_normal((4, 2, 8))
-        out1 = bn.forward(x, mode="eval")
-        out2 = bn.forward(x[:1], mode="eval")
-        np.testing.assert_allclose(out1[:1], out2)
+            bn.forward(np.zeros((1, 2, 1)))
 
     def test_gradient_vs_finite_differences(self, rng):
         bn = cast_model(BatchNorm1d(3))
-        rep = layer_loss_check(bn, rng.standard_normal((4, 3, 8)), mode="train")
+        rep = layer_loss_check(bn, rng.standard_normal((4, 3, 8)))
         assert rep.max_error < 1e-6, rep.failures
 
     def test_input_gradient_vs_finite_differences(self, rng):
         bn = cast_model(BatchNorm1d(2))
         x = rng.standard_normal((3, 2, 5))
         probes = rng.standard_normal((3, 2, 5))
-        bn.forward(x, mode="train")
+        bn.forward(x)
         gx = bn.backward(probes)
         h = 1e-6
         for idx in [(0, 0, 0), (1, 1, 2), (2, 0, 4)]:
             xp = x.copy()
             xp[idx] += h
-            lp = float((bn.forward(xp, mode="train") * probes).sum())
+            lp = float((bn.forward(xp) * probes).sum())
             xm = x.copy()
             xm[idx] -= h
-            lm = float((bn.forward(xm, mode="train") * probes).sum())
+            lm = float((bn.forward(xm) * probes).sum())
             fd = (lp - lm) / (2 * h)
             assert abs(fd - gx[idx]) / max(abs(fd), abs(gx[idx]), 1e-8) < 1e-5
-
-    def test_backward_after_an_eval_forward_raises(self, rng):
-        # the eval forward caches nothing and drops what a train forward left
-        bn = cast_model(BatchNorm1d(2))
-        x = rng.standard_normal((3, 2, 5))
-        bn.forward(x, mode="train")
-        out = bn.forward(x, mode="eval")
-        assert bn._cache is None
-        with pytest.raises(RuntimeError,
-                           match="^BatchNorm1d.backward called without a forward cache$"):
-            bn.backward(np.ones_like(out))
 
     def test_eval_is_affine_in_running_stats(self, rng):
         bn = cast_model(BatchNorm1d(2))
@@ -245,9 +225,10 @@ class TestBatchNorm:
         x = rng.standard_normal((2, 2, 5))
         expected = (
             bn.gamma.value[:, None] * (x - bn.running_mean[:, None])
-            / np.sqrt(bn.running_var[:, None] + bn.eps) + bn.beta.value[:, None]
+            / np.sqrt(bn.running_var[:, None] + layers.BN_EPSILON) + bn.beta.value[:, None]
         )
-        np.testing.assert_allclose(bn.forward(x, mode="eval"), expected, atol=1e-12)
+        scale, shift = bn.eval_affine()
+        np.testing.assert_allclose(x * scale[:, None] + shift[:, None], expected, atol=1e-12)
 
 
 class TestSimpleLayers:
@@ -265,13 +246,12 @@ class TestSimpleLayers:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("slope", [0.0, 0.01, 1.0])
-    @pytest.mark.parametrize("mode", ["train", "eval"])
-    def test_leaky_relu_backward_bits_match_where(self, rng, dtype, slope, mode):
+    def test_leaky_relu_backward_bits_match_where(self, rng, dtype, slope):
         act = LeakyReLU(slope)
         tiny = np.finfo(dtype).smallest_subnormal
         special = np.array([0.0, -0.0, tiny, -tiny, 3 * tiny, -3 * tiny], dtype=dtype)
         x = np.concatenate([rng.standard_normal(58).astype(dtype), special]).reshape(2, 4, 8)
-        out = act.forward(x, mode=mode)
+        out = act.forward(x)
         g = rng.standard_normal(x.shape).astype(dtype)
         g[0, 0] = 0.0
         g[0, 1] = -0.0
@@ -294,14 +274,6 @@ class TestSimpleLayers:
         for slope in (-0.1, 1.5):
             with pytest.raises(ValueError):
                 LeakyReLU(slope)
-
-    def test_leaky_relu_eval_backward(self, rng):
-        act = LeakyReLU(0.2)
-        x = rng.standard_normal((2, 3, 7)) + 0.05
-        act.forward(x, mode="eval")
-        g = rng.standard_normal(x.shape)
-        np.testing.assert_array_equal(act.backward(g), np.where(x > 0, g, 0.2 * g))
-        input_grad_check(act, x, mode="eval")
 
     def test_maxpool_oracle_on_ties_odd_lengths(self, rng):
         for window, t in MAXPOOL_TIE_CASES:
@@ -429,7 +401,7 @@ class TestWholeRowKernels:
         cast_model(conv, w_dtype), cast_model(bn, w_dtype)
         x = rng.standard_normal((case["batch"], case["in_ch"], case["length"])).astype(x_dtype)
         for fold in (None, bn):
-            assert_same_bits(conv.forward(x, "eval", fold=fold), oracle.conv1d_spans(conv, x, fold))
+            assert_same_bits(conv.forward(x, fold=fold), oracle.conv1d_spans(conv, x, fold))
 
     @settings(max_examples=80, deadline=None)
     @given(conv_cases(), st.integers(1, 5))
@@ -464,22 +436,22 @@ class TestFloat32:
     """Every layer computes and allocates in its input's dtype: float32 in
     and float32 parameters give float32 out, forward and backward."""
 
-    @pytest.mark.parametrize("make,shape,mode", [
-        (lambda r: Conv1d(3, 4, 3, rng=r), (2, 3, 12), "train"),
-        (lambda r: BatchNorm1d(3), (4, 3, 8), "train"),
-        (lambda r: LeakyReLU(0.01), (2, 3, 8), "train"),
-        (lambda r: Sigmoid(), (2, 3, 8), "train"),
-        (lambda r: MaxPool1d(2), (2, 3, 8), "train"),
-        (lambda r: AvgPool1d(3), (2, 3, 9), "train"),
-        (lambda r: Upsample1d(2), (2, 3, 4), "train"),
-        (lambda r: Linear(5, 4, rng=r), (3, 5), "train"),
-        (lambda r: SEBlock(8, 4, rng=r), (2, 8, 16), "train"),
-        (lambda r: PPMBlock(8, 4, rng=r), (2, 8, 8), "train"),
+    @pytest.mark.parametrize("make,shape", [
+        (lambda r: Conv1d(3, 4, 3, rng=r), (2, 3, 12)),
+        (lambda r: BatchNorm1d(3), (4, 3, 8)),
+        (lambda r: LeakyReLU(0.01), (2, 3, 8)),
+        (lambda r: Sigmoid(), (2, 3, 8)),
+        (lambda r: MaxPool1d(2), (2, 3, 8)),
+        (lambda r: AvgPool1d(3), (2, 3, 9)),
+        (lambda r: Upsample1d(2), (2, 3, 4)),
+        (lambda r: Linear(5, 4, rng=r), (3, 5)),
+        (lambda r: SEBlock(8, 4, rng=r), (2, 8, 16)),
+        (lambda r: PPMBlock(8, 4, rng=r), (2, 8, 8)),
     ], ids=["conv", "bn-train", "leaky", "sigmoid", "maxpool", "avgpool",
             "upsample", "linear", "se", "ppm"])
-    def test_forward_and_backward_keep_float32(self, rng, make, shape, mode):
+    def test_forward_and_backward_keep_float32(self, rng, make, shape):
         layer = cast_model(make(rng), np.float32)
-        out = layer.forward(rng.standard_normal(shape).astype(np.float32), mode=mode)
+        out = layer.forward(rng.standard_normal(shape).astype(np.float32))
         grad_x = layer.backward(np.ones_like(out))
         assert out.dtype == grad_x.dtype == np.float32
         assert all(p.grad.dtype == np.float32 for p in layer.params().values())
@@ -495,7 +467,7 @@ class TestFloat32:
         bn = BatchNorm1d(2)
         mean, var = bn.running_mean, bn.running_var
         x = 3.0 + rng.standard_normal((4, 2, 8))
-        bn.forward(x, mode="train")
+        bn.forward(x)
         assert bn.running_mean is mean and bn.running_var is var  # updated in place
         assert mean.dtype == var.dtype == np.float32
         want_mean = 0.9 * np.zeros(2) + 0.1 * x.mean(axis=(0, 2))
@@ -531,20 +503,21 @@ class TestChannelReductions:
     SHAPES = [(256, 8, 16), (64, 5, 64), (3, 2, 7)]
 
     @pytest.mark.parametrize("shape", SHAPES)
-    def test_batchnorm_train_agrees_with_float64(self, rng, shape):
+    def test_batchnorm_train_agrees_with_float64(self, rng, shape, monkeypatch):
         b, c, t = shape
         k, n = b + t, b * t
-        bn = float32_layer(BatchNorm1d(c, momentum=1.0), rng)  # running stats = batch stats
+        monkeypatch.setattr(layers, "BN_MOMENTUM", 1.0)  # running stats = batch stats
+        bn = float32_layer(BatchNorm1d(c), rng)
         x = (3.0 + 2.0 * rng.standard_normal(shape)).astype(np.float32)
         g = (0.5 + rng.standard_normal(shape)).astype(np.float32)
-        y = bn.forward(x, mode="train")
+        y = bn.forward(x)
         mean, var = bn.running_mean, bn.running_var
         bn.backward(g)
 
         x64, g64 = x.astype(np.float64), g.astype(np.float64)
         gamma, beta = bn.gamma.value.astype(np.float64), bn.beta.value.astype(np.float64)
         m, v = x64.mean(axis=(0, 2)), x64.var(axis=(0, 2))
-        s = np.sqrt(v + bn.eps)
+        s = np.sqrt(v + layers.BN_EPSILON)
         xhat = (x64 - m[:, None]) / s[:, None]
         sc = (gamma / s)[:, None]
         want_y = gamma[:, None] * xhat + beta[:, None]
@@ -555,7 +528,7 @@ class TestChannelReductions:
         # var: centring, squaring, k additions, one division; the mean's error
         # enters squared
         tol_var = (k + 5) * U32 * v + 2 * tol_mean**2
-        rel_inv = tol_var / (2 * (v + bn.eps)) + 3 * U32  # of 1/sqrt(var + eps)
+        rel_inv = tol_var / (2 * (v + layers.BN_EPSILON)) + 3 * U32  # of 1/sqrt(var + eps)
         # y = x*scale + shift with shift = beta - mean*scale
         tol_y = (np.abs(sc) * (tol_mean[:, None]
                                + (np.abs(x64) + np.abs(m)[:, None]) * (rel_inv[:, None] + 3 * U32))
@@ -595,7 +568,7 @@ class TestChannelReductions:
         results = []
         for xs, gs in [(x, g), (np.ascontiguousarray(x), np.ascontiguousarray(g))]:
             bn = float32_layer(BatchNorm1d(xs.shape[1]), np.random.default_rng(3))
-            y = bn.forward(xs, mode="train")
+            y = bn.forward(xs)
             gx = bn.backward(gs)
             conv = float32_layer(Conv1d(xs.shape[1], xs.shape[1], 1, rng=np.random.default_rng(4)),
                                  np.random.default_rng(5))
@@ -763,7 +736,7 @@ class TestCacheLifetime:
                              ids=[type(make()).__name__ for make, _, _ in CACHE_CASES])
     def test_a_second_backward_after_one_forward_raises(self, make, shape, name, rng):
         layer = cast_model(make())
-        out = layer.forward(rng.standard_normal(shape), "train")
+        out = layer.forward(rng.standard_normal(shape))
         layer.backward(np.ones_like(out))
         assert all(m._cache is None for m in layer.modules())
         with pytest.raises(RuntimeError, match=f"^{name}.backward called without a forward cache$"):

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import re
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from washseg.model import (
     ArchConfig,
     GestureNet,
+    PLATEAU_PATIENCE,
     _DecStage,
     _EncStage,
     TrainHyper,
@@ -123,9 +125,9 @@ class TestShapes:
         seen = {}
         orig_ppm_forward = m.ppm.forward
 
-        def spy(x, mode="train"):
+        def spy(x):
             seen["pre"] = x.shape
-            out = orig_ppm_forward(x, mode)
+            out = orig_ppm_forward(x)
             seen["post"] = out.shape
             return out
 
@@ -271,7 +273,7 @@ class TestFoldedStages:
     def test_folded_eval_equals_unfolded_within_float32_rounding(self, rng):
         stage = _stage_with_stats(rng, _EncStage, 5, 8)
         x = rng.standard_normal((4, 5, 32))
-        ref = stage.act.forward(stage.bn.forward(stage.conv.forward(x), "eval"))
+        ref = stage.act.forward(oracle.batchnorm_eval(stage.bn, stage.conv.forward(x)))
         # float32 evaluation of a (C*K)-term dot product plus bias, scale and
         # shift: at most C*K + 4 roundings of the sum of the terms' magnitudes
         # (the leaky activation is 1-Lipschitz)
@@ -281,26 +283,26 @@ class TestFoldedStages:
         tol = (5 * 3 + 4) * np.finfo(np.float32).eps * mag
         cast_model(stage, np.float32)
         x32 = x.astype(np.float32)
-        folded, _ = stage.forward(x32, "eval")
-        unfolded = stage.act.forward(stage.bn.forward(stage.conv.forward(x32), "eval"))
+        folded, _ = stage.forward(x32, False)
+        unfolded = stage.act.forward(oracle.batchnorm_eval(stage.bn, stage.conv.forward(x32)))
         assert folded.dtype == np.float32
         for got in (folded, unfolded):
             assert (np.abs(got - ref) <= tol).all()
         # the fold is recomputed from the live parameters on every call
         stage.bn.running_mean = stage.bn.running_mean + np.float32(1.0)
-        moved, _ = stage.forward(x32, "eval")
+        moved, _ = stage.forward(x32, False)
         assert not np.array_equal(moved, folded)
 
     def test_folded_conv_keeps_no_backward_cache(self, rng):
         stage = _stage_with_stats(rng, _EncStage, 3, 4)
         x = rng.standard_normal((2, 3, 8))
-        stage.forward(x, "train")
-        stage.forward(x, "eval")
+        stage.forward(x, True)
+        stage.forward(x, False)
         with pytest.raises(RuntimeError, match="Conv1d.backward called without a forward cache"):
             stage.conv.backward(np.ones((2, 4, 8)))
 
-    @pytest.mark.parametrize("mode", ["train", "eval"])
-    def test_stages_activate_in_place_only_into_their_own_output(self, rng, mode):
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+    def test_stages_activate_in_place_only_into_their_own_output(self, rng, training):
         enc = _stage_with_stats(rng, _EncStage, 3, 4)
         dec = _stage_with_stats(rng, _DecStage, 4 + 2 + 2, 4)
         x, low, skip_a, skip_g = (rng.standard_normal(shape) for shape in
@@ -309,13 +311,13 @@ class TestFoldedStages:
         kept = [a.copy() for a in inputs]
         pre = []  # each stage's fresh pre-activation array
         for stage in (enc, dec):
-            layer = stage.bn if mode == "train" else stage.conv  # eval: bn folded into conv
+            layer = stage.bn if training else stage.conv  # eval: bn folded into conv
             def spy(*args, _forward=layer.forward, **kwargs):
                 pre.append(_forward(*args, **kwargs))
                 return pre[-1]
             layer.forward = spy
-        act, _ = enc.forward(x, mode)
-        out = dec.forward(low, skip_a, skip_g, mode)
+        act, _ = enc.forward(x, training)
+        out = dec.forward(low, skip_a, skip_g, training)
         assert act is pre[0] and out is pre[1]
         for a, k in zip(inputs, kept):
             np.testing.assert_array_equal(a, k)
@@ -362,6 +364,15 @@ class TestForwardSemantics:
         out = m.forward(a, g, mode="eval")
         out_perm = m.forward(a[perm], g[perm], mode="eval")
         np.testing.assert_array_equal(out[perm], out_perm)
+
+    @pytest.mark.parametrize("mode", ["Train", "EVAL", "", None])
+    def test_unknown_mode_rejected_naming_it(self, rng, mode):
+        m = GestureNet(ArchConfig(), seed=1)
+        bn = m.enc_a[0].bn
+        a = rng.standard_normal((2, 3, 64))
+        with pytest.raises(ValueError, match=re.escape(repr(mode))):
+            m.forward(a, a, mode=mode)
+        np.testing.assert_array_equal(bn.running_mean, np.zeros(bn.channels))
 
     def test_branches_not_weight_tied(self, rng):
         m = GestureNet(ArchConfig(), seed=1)
@@ -486,8 +497,7 @@ class TestTraining:
 
     @pytest.mark.parametrize("field,value", [
         ("batch", 0), ("epochs", 0), ("lr", float("nan")), ("lr", float("inf")), ("lr", -1.0),
-        ("plateau_patience", 0), ("plateau_patience", -1), ("seed", -1),
-        ("plateau_rel_change", -0.001), ("plateau_rel_change", float("nan")),
+        ("seed", -1),
     ])
     def test_bad_hyper_rejected_naming_field(self, field, value):
         hyper = dataclasses.replace(TrainHyper(epochs=1), **{field: value})
@@ -501,7 +511,6 @@ class TestTraining:
     def test_plateau_stops_early(self):
         windows = training_windows(n_windows=8)
         m = GestureNet(ArchConfig(), seed=0)
-        hyper = TrainHyper(lr=0.0, batch=8, epochs=100, seed=0,
-                           plateau_patience=5, plateau_rel_change=0.001)
+        hyper = TrainHyper(lr=0.0, batch=8, epochs=100, seed=0)
         logs = train(m, windows, hyper)
-        assert len(logs) <= 10
+        assert len(logs) == PLATEAU_PATIENCE + 1

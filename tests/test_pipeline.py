@@ -261,9 +261,9 @@ class TestThreadedInference:
         series = held_out_series(0)
         track = infer_track(pinned_model, series, stride=1)
         calls = []
-        monkeypatch.setattr(Conv1d, "forward", lambda self, x, mode="train", fold=None:
+        monkeypatch.setattr(Conv1d, "forward", lambda self, x, fold=None:
                             calls.append("conv") or oracle.conv1d_spans(self, x, fold))
-        monkeypatch.setattr(Upsample1d, "forward", lambda self, x, mode="train":
+        monkeypatch.setattr(Upsample1d, "forward", lambda self, x:
                             calls.append("up") or oracle.upsample1d_repeat(x, self.factor))
         want = infer_track(pinned_model, series, stride=1)
         assert {"conv", "up"} <= set(calls)
