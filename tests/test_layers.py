@@ -19,6 +19,7 @@ from washseg.nn import (
     Sigmoid,
     Upsample1d,
 )
+from washseg.model import _ConvBnAct
 from conftest import cast_model
 from gradcheck import grad_check
 import oracle
@@ -246,12 +247,26 @@ class TestSimpleLayers:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("slope", [0.0, 0.01, 1.0])
-    def test_leaky_relu_backward_bits_match_where(self, rng, dtype, slope):
-        act = LeakyReLU(slope)
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_leaky_relu_backward_bits_match_where(self, rng, dtype, slope, mode):
+        # the activation as a stage runs it after its train or eval branch:
+        # in place, into the stage's own pre-activation array
+        stage = _ConvBnAct(4, 4, slope, rng)
         tiny = np.finfo(dtype).smallest_subnormal
         special = np.array([0.0, -0.0, tiny, -tiny, 3 * tiny, -3 * tiny], dtype=dtype)
         x = np.concatenate([rng.standard_normal(58).astype(dtype), special]).reshape(2, 4, 8)
-        out = act.forward(x)
+        folds = []
+
+        def conv_forward(_x, fold=None):
+            folds.append(fold)
+            return x.copy()
+
+        stage.conv.forward = conv_forward
+        stage.bn.forward = lambda y: y
+        out = stage._conv_bn_act(x, training=mode == "train")
+        assert folds == [None if mode == "train" else stage.bn]
+        np.testing.assert_array_equal(out, np.where(x > 0, x, slope * x))
+        act = stage.act
         g = rng.standard_normal(x.shape).astype(dtype)
         g[0, 0] = 0.0
         g[0, 1] = -0.0
