@@ -11,7 +11,7 @@ Subpackages/modules:
     cli          -- the `washseg` command
 """
 
-from .signal_data import SampleSeries, Window, extract_windows, load_csv, write_csv
+from .signal_data import SampleSeries, extract_windows, load_csv, write_csv
 from .model import ArchConfig, GestureNet, TrainHyper, train
 from .pipeline import (
     LabelTrack,

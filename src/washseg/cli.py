@@ -16,12 +16,17 @@ import numpy as np
 
 from . import evaluation, pipeline, scoring, synth
 from .model import ArchConfig, GestureNet, TrainHyper, train
-from .signal_data import DEFAULT_RATE_HZ, load_corpus, load_csv
+from .signal_data import RATE_HZ, load_corpus, load_csv
 
 
 def _fail(origin: str, message: str) -> int:
     print(f"error: {origin}: {message}", file=sys.stderr)
     return 1
+
+
+def _write_text(path, text: str):
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(text)
 
 
 def _hyper(args) -> TrainHyper:
@@ -31,7 +36,7 @@ def _hyper(args) -> TrainHyper:
 def cmd_synth(args) -> int:
     spec = synth.GenSpec()
     if args.spec:
-        with open(args.spec) as f:
+        with open(args.spec, encoding="utf-8") as f:
             spec = synth.GenSpec.from_text(f.read())
     spec.seed = args.seed
     if args.participants is not None:
@@ -50,7 +55,7 @@ def cmd_train(args) -> int:
     corpus = load_corpus(args.data)
     arch = ArchConfig()
     if args.arch_config:
-        with open(args.arch_config) as f:
+        with open(args.arch_config, encoding="utf-8") as f:
             arch = ArchConfig.from_text(f.read())
     windows = evaluation.fold_windows(
         corpus, arch.input_length, args.stride,
@@ -60,10 +65,8 @@ def cmd_train(args) -> int:
     logs = train(model, windows, hyper, verbose=not args.quiet)
     bits = model.save(args.out)
     log_path = args.out + ".log.csv"
-    with open(log_path, "w") as f:
-        f.write("epoch,loss,accuracy\n")
-        for entry in logs:
-            f.write(f"{entry.epoch},{entry.loss:.9g},{entry.accuracy:.9g}\n")
+    _write_text(log_path, "epoch,loss,accuracy\n" + "".join(
+        f"{entry.epoch},{entry.loss:.9g},{entry.accuracy:.9g}\n" for entry in logs))
     print(f"saved {args.out} ({bits / 1000.0:.1f} Kbit), log at {log_path}")
     return 0
 
@@ -75,7 +78,7 @@ def cmd_infer(args) -> int:
     track = pipeline.smooth(pipeline.infer_track(model, series, stride=stride), args.smooth)
     pipeline.export_track_csv(args.out, track, series)
     svg_path = os.path.splitext(args.out)[0] + ".svg"
-    pipeline.export_timeline_svg(svg_path, track, series.rate_hz)
+    pipeline.export_timeline_svg(svg_path, track, RATE_HZ)
     print(f"wrote {args.out} and {svg_path}")
     return 0
 
@@ -83,7 +86,6 @@ def cmd_infer(args) -> int:
 def cmd_score(args) -> int:
     if args.track:
         track = pipeline.load_track_csv(args.track)
-        rate = args.rate_hz
     else:
         if not (args.checkpoint and args.series):
             return _fail("score", "need either --track or --checkpoint with --series")
@@ -91,13 +93,11 @@ def cmd_score(args) -> int:
         series = load_csv(args.series)
         raw = pipeline.infer_track(model, series, stride=1)
         track = pipeline.smooth(raw, "mtv+tmf")
-        rate = series.rate_hz
-    durations = pipeline.gesture_durations(track, rate)
+    durations = pipeline.gesture_durations(track, RATE_HZ)
     report = scoring.score(durations)
     text = report.to_json()
     if args.out:
-        with open(args.out, "w") as f:
-            f.write(text + "\n")
+        _write_text(args.out, text + "\n")
     print(text)
     return 0
 
@@ -114,16 +114,15 @@ def cmd_eval(args) -> int:
         verbose=not args.quiet,
     )
     os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "metrics.json"), "w") as f:
-        f.write(evaluation.report_to_json(results) + "\n")
+    _write_text(os.path.join(args.out, "metrics.json"), evaluation.report_to_json(results) + "\n")
     for fold, metrics in results.items():
         if fold == "_aggregate":
             continue
         m = metrics["mtv+tmf"]
-        with open(os.path.join(args.out, f"{fold}_confusion.csv"), "w") as f:
-            f.write(evaluation.confusion_to_csv(m.confusion))
-        with open(os.path.join(args.out, f"{fold}_participants.csv"), "w") as f:
-            f.write(evaluation.per_participant_csv(m.per_participant_accuracy))
+        _write_text(os.path.join(args.out, f"{fold}_confusion.csv"),
+                    evaluation.confusion_to_csv(m.confusion))
+        _write_text(os.path.join(args.out, f"{fold}_participants.csv"),
+                    evaluation.per_participant_csv(m.per_participant_accuracy))
     print(json.dumps(results["_aggregate"], indent=2))
     return 0
 
@@ -174,10 +173,9 @@ def build_parser() -> argparse.ArgumentParser:
     ip.set_defaults(func=cmd_infer)
 
     scp = sub.add_parser("score", help="score a label track or a series")
-    scp.add_argument("--track", help="label-track CSV from `infer`")
+    scp.add_argument("--track", help="label-track CSV from `infer`, one row per 20 ms sample")
     scp.add_argument("--checkpoint")
     scp.add_argument("--series")
-    scp.add_argument("--rate-hz", type=float, default=DEFAULT_RATE_HZ)
     scp.add_argument("--out")
     scp.set_defaults(func=cmd_score)
 

@@ -107,7 +107,6 @@ def mean_sd(values) -> tuple:
 
 @dataclass
 class SplitPlan:
-    kind: str  # user-dependent | lopo | lolo
     folds: list  # list of (name, train_series, test_series)
 
     def validate(self):
@@ -147,13 +146,13 @@ def make_split(corpus, kind: str) -> SplitPlan:
                 )
             train_set.extend(series_list[:-1])
             test_set.append(series_list[-1])
-        plan = SplitPlan(kind, [("user-dependent", train_set, test_set)])
+        plan = SplitPlan([("user-dependent", train_set, test_set)])
     elif kind == "lopo":
         folds = []
         for (loc, pid), test_list in sorted(by_participant.items()):
             train_list = [s for s in corpus if (s.location_id, s.participant_id) != (loc, pid)]
             folds.append((f"lopo_{loc}_{pid}", train_list, test_list))
-        plan = SplitPlan(kind, folds)
+        plan = SplitPlan(folds)
     elif kind == "lolo":
         locations = sorted({s.location_id for s in corpus})
         folds = []
@@ -161,7 +160,7 @@ def make_split(corpus, kind: str) -> SplitPlan:
             train_list = [s for s in corpus if s.location_id != loc]
             test_list = [s for s in corpus if s.location_id == loc]
             folds.append((f"lolo_{loc}", train_list, test_list))
-        plan = SplitPlan(kind, folds)
+        plan = SplitPlan(folds)
     else:
         raise ValueError(f"unknown split kind '{kind}'")
     return plan.validate()

@@ -197,16 +197,23 @@ def export_track_csv(path, track: LabelTrack, series: SampleSeries):
 
 
 def load_track_csv(path) -> LabelTrack:
-    """The ``predicted`` column of a track CSV, each value an integer label."""
+    """The ``predicted`` column of a track CSV, each value an integer label;
+    every failure names the file, and the line when one row is at fault."""
     labels = []
     with open(path, encoding="utf-8", newline="") as f:
         rows = csv.DictReader(f)
+        if rows.fieldnames is not None and "predicted" not in rows.fieldnames:
+            raise ValueError(f"{path}: header has no 'predicted' column")
         for row in rows:
-            value = (row.get("predicted") or "").strip()
+            value = (row["predicted"] or "").strip()
             if not (value.isascii() and value.isdigit()):
                 raise ValueError(f"{path}:{rows.line_num}: 'predicted' is not an integer "
                                  f"label: {value!r}")
             labels.append(int(value))
+            if labels[-1] >= NUM_CLASSES:
+                raise ValueError(f"{path}:{rows.line_num}: label {labels[-1]} outside 0..9")
+    if not labels:
+        raise ValueError(f"{path}: empty track (no data rows)")
     return LabelTrack(labels=labels)
 
 

@@ -2,13 +2,15 @@
 
 CSV contract: UTF-8 without a byte-order mark (the first byte that is not
 UTF-8 is an error naming its line), header exactly ``t,ax,ay,az,gx,gy,gz,label``,
-one row per nominal 20 ms tick at 50 Hz. Fields are ASCII decimal numbers (no
-``1_0``, no non-ASCII digits), whitespace around them is ignored, and they must
-be finite; timestamps are seconds and strictly increasing; labels are integers
-0..9 without a fraction (0 = background, 1..9 = the nine guideline gestures).
-LF, CRLF and CR line ends are accepted. Empty lines are skipped but counted in
-the line numbers errors name; a whitespace-only line is an error. Corpus files
-are named ``<location>_<participant>_<procedure>.csv``.
+one row per nominal 20 ms tick. ``RATE_HZ`` is the one sampling rate: the
+model's sample-count geometry is calibrated at it, and no file, generator
+spec, checkpoint or command carries another. Fields are ASCII decimal numbers
+(no ``1_0``, no non-ASCII digits), whitespace around them is ignored, and they
+must be finite; timestamps are seconds and strictly increasing; labels are
+integers 0..9 without a fraction (0 = background, 1..9 = the nine guideline
+gestures). LF, CRLF and CR line ends are accepted. Empty lines are skipped but
+counted in the line numbers errors name; a whitespace-only line is an error.
+Corpus files are named ``<location>_<participant>_<procedure>.csv``.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import partial
+from typing import ClassVar
 
 import numpy as np
 
@@ -25,7 +28,7 @@ _ROW = np.dtype([(name, np.float64) for name in COLUMNS[:7]] + [("label", np.int
 # lines to one structured row per non-empty line; ValueError when any line fails
 _parse = partial(np.loadtxt, dtype=_ROW, delimiter=",", comments=None, ndmin=1)
 NUM_CLASSES = 10
-DEFAULT_RATE_HZ = 50.0
+RATE_HZ = 50.0
 DEFAULT_WINDOW = 64
 
 
@@ -44,7 +47,7 @@ class SampleSeries:
     accel: np.ndarray  # (3, N)
     gyro: np.ndarray  # (3, N)
     label: np.ndarray  # (N,) ints in 0..9
-    rate_hz: float = DEFAULT_RATE_HZ
+    rate_hz: ClassVar[float] = RATE_HZ
 
     def __post_init__(self):
         n = self.t.shape[0]
@@ -58,8 +61,6 @@ class SampleSeries:
             raise ValueError("labels must lie in 0..9")
         if not np.all(self.t[1:] > self.t[:-1]):
             raise ValueError("timestamps must be strictly increasing")
-        if self.rate_hz <= 0:
-            raise ValueError("rate_hz must be positive")
         for arr in (self.t, self.accel, self.gyro, self.label):
             arr.setflags(write=False)
 
@@ -129,8 +130,7 @@ class WindowSet:
             yield Window(self.series[sid], start, self.length)
 
 
-def load_csv(path, participant_id="", location_id="", procedure_id=0,
-             rate_hz=DEFAULT_RATE_HZ) -> SampleSeries:
+def load_csv(path, participant_id="", location_id="", procedure_id=0) -> SampleSeries:
     """Parse one recording file in one vectorized pass and validate it; a line
     scan runs only to name the first bad line. Identity fields default to
     empty and can be filled by the caller (e.g. from the corpus filename)."""
@@ -172,7 +172,7 @@ def load_csv(path, participant_id="", location_id="", procedure_id=0,
             raise error(row_line[row], f"non-finite {COLUMNS[col]} value {data[col, row]}")
         raise error(row_line[later[0]], f"timestamp {t[later[0]]} not strictly increasing")
     return SampleSeries(participant_id, location_id, procedure_id, t=t, accel=data[1:4],
-                        gyro=data[4:7], label=label, rate_hz=rate_hz)
+                        gyro=data[4:7], label=label)
 
 
 def _first_bad_line(lines):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .scoring import PROFESSIONAL_DURATIONS
-from .signal_data import DEFAULT_WINDOW, SampleSeries, corpus_filename, write_csv
+from .signal_data import DEFAULT_WINDOW, RATE_HZ, SampleSeries, corpus_filename, write_csv
 from .textconfig import TextConfig
 
 # distinct base frequencies (Hz) for gestures 1..9, within hand-motion range
@@ -32,7 +32,6 @@ class GenSpec(TextConfig):
     participants: int = 10
     locations: int = 1
     procedures_per_participant: int = 5
-    rate_hz: float = 50.0
     duration_means: tuple = tuple(PROFESSIONAL_DURATIONS.tolist())
     duration_jitter: float = 0.2
     noise_sigma: float = 0.1
@@ -49,8 +48,6 @@ class GenSpec(TextConfig):
         for name in ("participants", "locations", "procedures_per_participant"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
-        if not 0.0 < self.rate_hz < math.inf:
-            raise ValueError("rate_hz must be finite and positive")
         if len(self.duration_means) != 9 or not all(0.0 < d < math.inf
                                                    for d in self.duration_means):
             raise ValueError("duration_means needs 9 finite, positive values")
@@ -82,10 +79,10 @@ def _gesture_profile(gesture: int):
 _PROFILES = {g: _gesture_profile(g) for g in range(1, 10)}
 
 
-def _gesture_signal(gesture, n, rate_hz, amp_mul, phase_off, noise, rng):
+def _gesture_signal(gesture, n, amp_mul, phase_off, noise, rng):
     """(accel (3,n), gyro (3,n)) for one gesture segment."""
     f = BASE_FREQS[gesture - 1]
-    t = np.arange(n) / rate_hz
+    t = np.arange(n) / RATE_HZ
     accel_amp, gyro_amp, phases = _PROFILES[gesture]
     out = []
     for m, base_amp in enumerate((accel_amp, gyro_amp)):
@@ -120,7 +117,6 @@ def _participant_traits(spec: GenSpec, loc: int, part: int):
 def generate_procedure(spec: GenSpec, loc: int, part: int, proc: int) -> SampleSeries:
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, loc, part, proc]))
     amp_mul, phase_off = _participant_traits(spec, loc, part)
-    rate = spec.rate_hz
 
     order = list(range(1, 10))
     for i in range(len(order) - 1):
@@ -132,7 +128,7 @@ def generate_procedure(spec: GenSpec, loc: int, part: int, proc: int) -> SampleS
 
     def background():
         dur = rng.uniform(*spec.background_range_s)
-        n = max(1, int(round(dur * rate)))
+        n = max(1, int(round(dur * RATE_HZ)))
         a, g = _background_signal(n, spec.background_walk_sigma, spec.noise_sigma, rng)
         acc_parts.append(a)
         gyr_parts.append(g)
@@ -142,8 +138,8 @@ def generate_procedure(spec: GenSpec, loc: int, part: int, proc: int) -> SampleS
     for gesture in order:
         mean = spec.duration_means[gesture - 1]
         dur = mean * (1.0 + rng.uniform(-spec.duration_jitter, spec.duration_jitter))
-        n = max(1, int(round(dur * rate)))
-        a, g = _gesture_signal(gesture, n, rate, amp_mul, phase_off, spec.noise_sigma, rng)
+        n = max(1, int(round(dur * RATE_HZ)))
+        a, g = _gesture_signal(gesture, n, amp_mul, phase_off, spec.noise_sigma, rng)
         acc_parts.append(a)
         gyr_parts.append(g)
         lab_parts.append(np.full(n, gesture, dtype=np.int64))
@@ -157,11 +153,10 @@ def generate_procedure(spec: GenSpec, loc: int, part: int, proc: int) -> SampleS
         participant_id=f"p{part:02d}",
         location_id=f"loc{loc}",
         procedure_id=proc,
-        t=np.arange(n) / rate,
+        t=np.arange(n) / RATE_HZ,
         accel=accel,
         gyro=gyro,
         label=labels,
-        rate_hz=rate,
     )
 
 

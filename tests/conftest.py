@@ -7,7 +7,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from washseg.nn import BatchNorm1d
-from washseg.signal_data import SampleSeries
+from washseg.signal_data import RATE_HZ, SampleSeries
 
 
 @pytest.fixture
@@ -15,7 +15,7 @@ def rng():
     return np.random.default_rng(0)
 
 
-def make_series(labels, rate_hz=50.0, participant="p00", location="loc0", procedure=1, seed=0):
+def make_series(labels, participant="p00", location="loc0", procedure=1, seed=0):
     """A SampleSeries with given labels and random sensor content."""
     labels = np.asarray(labels, dtype=np.int64)
     n = labels.size
@@ -24,11 +24,10 @@ def make_series(labels, rate_hz=50.0, participant="p00", location="loc0", proced
         participant_id=participant,
         location_id=location,
         procedure_id=procedure,
-        t=np.arange(n) / rate_hz,
+        t=np.arange(n) / RATE_HZ,
         accel=g.standard_normal((3, n)),
         gyro=g.standard_normal((3, n)),
         label=labels,
-        rate_hz=rate_hz,
     )
 
 

@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import washseg
 from washseg.cli import main
 from washseg.model import ArchConfig, GestureNet
 from washseg.pipeline import LabelTrack, gesture_durations, infer_track, smooth as smooth_track
@@ -67,6 +71,16 @@ def test_synth_spec_unknown_key_fails(capsys, tmp_path):
     spec.write_text("participants=1\nbogus=1\n")
     assert main(["synth", "--seed", "9", "--spec", str(spec), "--out", str(tmp_path / "c")]) != 0
     assert capsys.readouterr().err.strip() == "error: ValueError: unknown generator key 'bogus'"
+
+
+def test_synth_spec_with_a_rate_is_refused(capsys, tmp_path):
+    # 50 Hz is the one rate: a spec cannot write a corpus that loads at another
+    spec = tmp_path / "rate.spec"
+    spec.write_text("participants=1\nrate_hz=100\n")
+    out = tmp_path / "c"
+    assert main(["synth", "--seed", "9", "--spec", str(spec), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: ValueError: unknown generator key 'rate_hz'\n"
+    assert not out.exists()
 
 
 def test_synth_zero_participants_fails(capsys, tmp_path):
@@ -177,24 +191,59 @@ def test_score_on_a_one_row_track(capsys, tmp_path):
     assert json.loads(capsys.readouterr().out)["total"] == expected.total > 0
 
 
+@pytest.mark.parametrize("text,message", [
+    ("index,t,predicted,ground_truth\n0,0,0,0\n1,0.02,10,0\n", "{path}:3: label 10 outside 0..9"),
+    ("index,t,ground_truth\n0,0,0\n", "{path}: header has no 'predicted' column"),
+    ("index,t,predicted,ground_truth\n", "{path}: empty track (no data rows)"),
+    ("", "{path}: empty track (no data rows)"),
+])
+def test_score_rejects_a_bad_track_naming_the_file(capsys, tmp_path, text, message):
+    track_path = tmp_path / "track.csv"
+    track_path.write_text(text, encoding="utf-8")
+    assert main(["score", "--track", str(track_path)]) == 1
+    assert capsys.readouterr().err == f"error: ValueError: {message.format(path=track_path)}\n"
+
+
+# the track-level conversions still take a rate, since a LabelTrack carries none
 @pytest.mark.parametrize("rate", ["0", "nan", "inf", "-50"])
-def test_score_rejects_a_bad_rate_naming_it(capsys, tmp_path, rate):
-    track_path = tmp_path / "track.csv"
-    _write_track(track_path, ["0", "3", "3", "0"])
-    assert main(["score", "--track", str(track_path), "--rate-hz", rate]) != 0
-    assert capsys.readouterr().err == (
-        f"error: ValueError: rate_hz must be finite and positive, got {float(rate)}\n")
+def test_score_rejects_a_bad_rate_naming_it(rate):
+    track = LabelTrack(labels=[0, 3, 3, 0])
+    with pytest.raises(ValueError) as info:
+        score(gesture_durations(track, float(rate)))
+    assert str(info.value) == f"rate_hz must be finite and positive, got {float(rate)}"
 
 
-def test_score_with_a_rate_so_small_durations_overflow_fails_in_one_line(capsys, tmp_path):
-    track_path = tmp_path / "track.csv"
-    _write_track(track_path, ["0", "3", "3", "0"])
+def test_score_with_a_rate_so_small_durations_overflow_fails_in_one_line():
+    track = LabelTrack(labels=[0, 3, 3, 0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main(["score", "--track", str(track_path), "--rate-hz", "1e-310"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: ValueError: gesture 3 duration inf is not finite\n"
+        with pytest.raises(ValueError) as info:
+            score(gesture_durations(track, 1e-310))
+    assert str(info.value) == "gesture 3 duration inf is not finite"
+
+
+def test_commands_open_every_text_file_as_utf8(tmp_path, corpus_dir):
+    # a text-mode open without an encoding warns under -X warn_default_encoding
+    def run(*argv):
+        cmd = [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+               "-m", "washseg.cli", *argv]
+        return subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=120)
+
+    env = {**os.environ, "PYTHONPATH": str(Path(washseg.__file__).parents[1])}
+    spec, arch = tmp_path / "s.txt", tmp_path / "arch.txt"
+    spec.write_text("participants=1\n", encoding="utf-8")
+    arch.write_text(ArchConfig().to_text(), encoding="utf-8")
+    ckpt = tmp_path / "m.ckpt"
+    series = sorted(corpus_dir.glob("*.csv"))[0]
+    for argv in (
+        ["synth", "--seed", "1", "--spec", str(spec), "--out", str(tmp_path / "d")],
+        ["train", "--data", str(corpus_dir), "--seed", "0", "--epochs", "1", "--stride", "32",
+         "--max-windows", "256", "--quiet", "--arch-config", str(arch), "--out", str(ckpt)],
+        ["score", "--checkpoint", str(ckpt), "--series", str(series),
+         "--out", str(tmp_path / "score.json")],
+    ):
+        result = run(*argv)
+        assert result.returncode == 0, result.stderr
 
 
 def test_eval_lolo_on_one_location_names_the_empty_fold(capsys, tmp_path, corpus_dir):

@@ -182,7 +182,7 @@ class TestSplits:
     def test_overlap_detected(self):
         s = make_series(np.zeros(64, dtype=int))
         with pytest.raises(ValueError, match="overlap"):
-            SplitPlan("user-dependent", [("f", [s], [s])]).validate()
+            SplitPlan([("f", [s], [s])]).validate()
 
     def test_lolo_with_one_location_names_the_fold(self):
         with pytest.raises(ValueError, match="^fold 'lolo_loc0' has no training series$"):
@@ -210,7 +210,7 @@ def test_run_evaluation_names_a_short_test_recording_before_training(monkeypatch
     monkeypatch.setattr("washseg.evaluation.train", no_training)
     full = [make_series(np.zeros(100, dtype=int), participant=f"p0{i}") for i in range(3)]
     short = make_series(np.zeros(50, dtype=int), participant="p09", procedure=5)
-    plan = SplitPlan("lopo", [("first", full[:1], full[1:2]), ("second", full[2:], [short])])
+    plan = SplitPlan([("first", full[:1], full[1:2]), ("second", full[2:], [short])])
     with pytest.raises(ValueError, match="^loc0_p09_5.csv has 50 samples, "
                                          "fewer than the 64-sample model input$"):
         run_evaluation(plan)

@@ -115,7 +115,6 @@ def planted_series(labels, noisy_labels=None):
         accel=accel,
         gyro=np.zeros((3, n)),
         label=labels,
-        rate_hz=50.0,
     )
 
 

@@ -10,6 +10,7 @@ from washseg import synth
 from washseg.signal_data import (
     COLUMNS,
     CSV_HEADER,
+    RATE_HZ,
     SampleSeries,
     SeriesFormatError,
     WindowSet,
@@ -45,6 +46,18 @@ class TestLoadCsv:
         s = load_csv(p)
         assert len(s) == 64
         assert s.label[13] == 3
+
+    def test_every_series_is_at_the_one_rate(self, tmp_path):
+        p = tmp_path / "loc0_p00_1.csv"
+        write_rows(p, valid_rows(64))
+        series = load_csv(p)
+        assert series.rate_hz == RATE_HZ == 50.0
+        assert synth.generate_procedure(synth.GenSpec(), 0, 0, 1).rate_hz == RATE_HZ
+        with pytest.raises(TypeError, match="rate_hz"):
+            load_csv(p, rate_hz=100.0)
+        with pytest.raises(TypeError, match="rate_hz"):
+            SampleSeries("p00", "loc0", 1, t=series.t, accel=series.accel, gyro=series.gyro,
+                         label=series.label, rate_hz=100.0)
 
     def test_label_out_of_range_names_line(self, tmp_path):
         rows = valid_rows(10)

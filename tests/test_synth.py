@@ -110,9 +110,9 @@ NAN, INF = math.nan, math.inf
     ("participants", 0),
     ("locations", 0),
     ("procedures_per_participant", 0),
-    ("rate_hz", 0.0),
-    ("rate_hz", INF),
-    ("rate_hz", NAN),
+    ("duration_jitter", -0.1),
+    ("participant_variation", INF),
+    ("gesture_drop_prob", -0.1),
     ("duration_means", (1.0, 2.0)),
     ("duration_means", (0.0,) + (4.0,) * 8),
     ("duration_means", (4.0,) * 8 + (INF,)),
@@ -169,7 +169,6 @@ def gen_specs(draw):
         participants=draw(st.integers(1, 10**6)),
         locations=draw(st.integers(1, 10**6)),
         procedures_per_participant=draw(st.integers(1, 10**6)),
-        rate_hz=draw(positive),
         duration_means=draw(st.tuples(*[positive] * 9)),
         duration_jitter=draw(_floats(min_value=0.0, max_value=1.0, exclude_max=True)),
         noise_sigma=draw(_floats(min_value=0.0)),
