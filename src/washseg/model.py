@@ -124,7 +124,9 @@ class _EncStage(_ConvBnAct):
         return act, self.pool.forward(act)
 
     def backward(self, grad_pooled, grad_skip):
-        return self._conv_bn_act_backward(self.pool.backward(grad_pooled) + grad_skip)
+        grad = self.pool.backward(grad_pooled)
+        grad += grad_skip
+        return self._conv_bn_act_backward(grad)
 
 
 class _DecStage(_ConvBnAct):

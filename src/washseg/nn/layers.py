@@ -16,11 +16,15 @@ eval map, ``eval_affine``, into the preceding conv. Other layers' eval
 forwards write a cache that nothing reads.
 The layers run the geometry ``GestureNet`` builds: convs of odd kernel keep
 the input length (stride 1, padding kernel // 2), and pools step by their own
-window. Kernels read strided slices and never copy their input; selects are
+window. Forwards read strided slices and never copy their input; selects are
 multiplies by an exact factor, and per-channel sums reduce the (B, C*T) view
-over the batch first; conv tap sums and upsample copies run over whole
-contiguous rows. Parameter values are only ever mutated by an optimizer
-— forward/backward touch gradients exclusively.
+over the batch first. No hot op reduces over a short axis or broadcasts a
+per-channel (C, 1) vector over (B, C, T), since numpy then runs one short
+inner loop per row: conv tap sums, upsample copies and sums over the last
+axis run over whole contiguous rows, the sums in numpy's own order, batch
+norm expands its per-channel vectors to (C, T) rows, and max-pool backward
+compares contiguous copies of its window columns. Parameter values are only
+ever mutated by an optimizer — forward/backward touch gradients exclusively.
 
 Layers form one tree: leaves (``Conv1d``, ``BatchNorm1d``, ``Linear``) own
 their ``Param`` slots; a composite's sublayers, parameter-free ones included,
@@ -107,6 +111,51 @@ def _channel_sum(x):
     return x.reshape(b, c * t).sum(0).reshape(c, t).sum(1)
 
 
+def _rows(v, t):
+    """(C,) -> contiguous (C, T), each channel's value along its row, so that an
+    op broadcasting it over (B, C, T) runs one C*T-long loop per example."""
+    return np.repeat(v, t).reshape(-1, t)
+
+
+def _last_axis_sum(a):
+    """``a.sum(axis=-1)`` bit for bit, with each add over whole arrays.
+
+    numpy's reduce runs one inner loop per output element, slow when the
+    axis is short. Its pairwise summation adds a row in sequence below 8
+    terms; up to 128, as 8 sequential partial sums over a stride of 8 joined
+    as a tree, then the rest in sequence; above that, as two halves cut at a
+    multiple of 8. The terms here are the row's columns, added in that order.
+    """
+    def sequential(terms):
+        out = terms[0] + terms[1] if len(terms) > 1 else terms[0].copy()
+        for term in terms[2:]:
+            out += term
+        return out
+
+    def pairwise(terms):
+        n = len(terms)
+        if n < 8:
+            return sequential(terms)
+        if n > 128:
+            half = n // 2 - n // 2 % 8
+            out = pairwise(terms[:half])
+            out += pairwise(terms[half:])
+            return out
+        blocks = n - n % 8
+        partial = [sequential(terms[j:blocks:8]) for j in range(8)]
+        for width in (1, 2, 4):
+            for j in range(0, 8, 2 * width):
+                partial[j] += partial[j + width]
+        out = partial[0]
+        for term in terms[blocks:]:
+            out += term
+        return out
+
+    out = pairwise([a[..., j] for j in range(a.shape[-1])])
+    out += 0.0  # the reduce starts from +0.0, which turns a -0.0 total into 0.0
+    return out
+
+
 def _window_slices(t_in, window):
     """Slice j picks element j of every non-overlapping window along time."""
     end = t_in // window * window  # a tail shorter than a window is dropped
@@ -184,9 +233,16 @@ class Conv1d(Layer):
         batch, cells = x.shape[0], self.out_ch * self.in_ch
         row_bytes = cells * np.result_type(grad_out, x).itemsize
         rows = max(1, batch if cells == 1 else _PRODUCT_BYTES // row_bytes)
+        # as in forward, each tap's input-gradient products land in a
+        # full-width buffer, zero where the tap reaches no input, so the add
+        # runs over whole rows; grad_x never holds -0.0, so adding 0.0 keeps it
+        tap_x = np.empty(x.shape, np.result_type(taps, grad_out))
         for k, o_sl, i_sl in spans:
             g, xt = grad_out[:, :, o_sl], x[:, :, i_sl].transpose(0, 2, 1)
-            grad_x[:, :, i_sl] += taps[k].T @ g
+            tap_x[:, :, : i_sl.start] = 0
+            tap_x[:, :, i_sl.stop :] = 0
+            np.matmul(taps[k].T, g, out=tap_x[:, :, i_sl])
+            grad_x += tap_x
             total = None
             for lo in range(0, max(batch, 1), rows):  # an empty batch still sums once
                 prod = g[lo : lo + rows] @ xt[lo : lo + rows]
@@ -212,18 +268,23 @@ class BatchNorm1d(Layer):
         return {"gamma": self.gamma, "beta": self.beta}
 
     def forward(self, x):
-        n = x.shape[0] * x.shape[2]
+        b, _, t = x.shape
+        n = b * t
         if n < 2:
             raise ValueError("batchnorm train mode needs at least 2 samples per channel")
         mean = _channel_sum(x) / n
-        # unnamed, so numpy squares it in place and frees it before the output
-        var = _channel_sum((x - mean[:, None]) ** 2) / n
+        dev = x - _rows(mean, t)
+        dev *= dev
+        var = _channel_sum(dev) / n
+        del dev  # freed before the output is made
         # in place, so the buffers keep their dtype whatever the input's
         self.running_mean[...] = (1 - BN_MOMENTUM) * self.running_mean + BN_MOMENTUM * mean
         self.running_var[...] = (1 - BN_MOMENTUM) * self.running_var + BN_MOMENTUM * var
         inv_std, scale, shift = self._affine(mean, var)
         self._cache = (x, mean, inv_std)
-        return x * scale[:, None] + shift[:, None]
+        out = x * _rows(scale, t)
+        out += _rows(shift, t)
+        return out
 
     def _affine(self, mean, var):
         """(1/std, scale, shift) with normalize(x) = x * scale + shift per channel."""
@@ -239,17 +300,22 @@ class BatchNorm1d(Layer):
     def backward(self, grad_out):
         """The train-mode gradient, through the batch statistics."""
         x, mean, inv_std = self._saved()
-        xhat = (x - mean[:, None]) * inv_std[:, None]
-        d_gamma = _channel_sum(grad_out * xhat)
+        t = x.shape[2]
+        xhat = x - _rows(mean, t)
+        xhat *= _rows(inv_std, t)
+        prod = grad_out * xhat
+        d_gamma = _channel_sum(prod)
         d_beta = _channel_sum(grad_out)
         self.gamma.grad += d_gamma
         self.beta.grad += d_beta
         scale = self.gamma.value * inv_std
         # its reductions are gamma*d_beta and gamma*d_gamma
-        n = grad_out.shape[0] * grad_out.shape[2]
-        grad_x = n * grad_out - d_beta[:, None]
-        grad_x -= xhat * d_gamma[:, None]
-        grad_x *= (scale / n)[:, None]
+        n = grad_out.shape[0] * t
+        grad_x = n * grad_out
+        grad_x -= _rows(d_beta, t)
+        # prod has the dtype of xhat * d_gamma, which it takes over
+        grad_x -= np.multiply(xhat, _rows(d_gamma, t), out=prod)
+        grad_x *= _rows(scale / n, t)
         return grad_x
 
 
@@ -267,7 +333,9 @@ class LeakyReLU(Layer):
 
     def backward(self, grad_out):
         # exactly 1 or slope, so each product equals the select's operand
-        return grad_out * np.maximum(self._saved() > 0, self.slope, dtype=grad_out.dtype)
+        factor = np.maximum(self._saved() > 0, self.slope, dtype=grad_out.dtype)
+        factor *= grad_out
+        return factor
 
 
 class Sigmoid(Layer):
@@ -302,12 +370,20 @@ class MaxPool1d(Layer):
 
     def backward(self, grad_out):
         x, out = self._saved()
-        grad_x = np.zeros_like(x)
+        b, c, t = x.shape
+        end = t // self.window * self.window
+        grad_x = np.empty_like(x)
+        grad_x[:, :, end:] = 0
+        # column j of this view is position j of every window
+        cols = grad_x[:, :, :end].reshape(b, c, end // self.window, self.window)
         free = np.ones(out.shape, dtype=bool)  # gradient not yet routed
-        for sl in _window_slices(x.shape[2], self.window):
-            hit = free & (x[:, :, sl] == out)
-            grad_x[:, :, sl] += grad_out * hit
+        for j, sl in enumerate(_window_slices(t, self.window)):
+            # compared as a contiguous copy: numpy compares strided operands slowly
+            hit = free & (np.ascontiguousarray(x[:, :, sl]) == out)
             free &= ~hit
+            routed = grad_out * hit
+            routed += 0.0  # a -0.0 becomes 0.0, as when it was added onto zeros
+            cols[..., j] = routed
         return grad_x
 
 
@@ -347,7 +423,7 @@ class Upsample1d(Layer):
 
     def backward(self, grad_out):
         b, c, t = grad_out.shape
-        return grad_out.reshape(b, c, t // self.factor, self.factor).sum(axis=3)
+        return _last_axis_sum(grad_out.reshape(b, c, t // self.factor, self.factor))
 
 
 class Linear(Layer):
@@ -401,7 +477,7 @@ class SEBlock(Layer):
     def backward(self, grad_out):
         x, g = self._saved()
         grad_x = grad_out * g[:, :, None]
-        grad_g = (grad_out * x).sum(axis=2)
+        grad_g = _last_axis_sum(grad_out * x)
         grad_s = self.fc1.backward(
             self.act.backward(self.fc2.backward(self.gate.backward(grad_g)))
         )

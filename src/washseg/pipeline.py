@@ -206,11 +206,12 @@ def load_track_csv(path) -> LabelTrack:
             raise ValueError(f"{path}: header has no 'predicted' column")
         for row in rows:
             value = (row["predicted"] or "").strip()
-            if not (value.isascii() and value.isdigit()):
+            digits = value[1:] if value.startswith("-") else value
+            if not (digits.isascii() and digits.isdigit()):
                 raise ValueError(f"{path}:{rows.line_num}: 'predicted' is not an integer "
                                  f"label: {value!r}")
             labels.append(int(value))
-            if labels[-1] >= NUM_CLASSES:
+            if not 0 <= labels[-1] < NUM_CLASSES:
                 raise ValueError(f"{path}:{rows.line_num}: label {labels[-1]} outside 0..9")
     if not labels:
         raise ValueError(f"{path}: empty track (no data rows)")

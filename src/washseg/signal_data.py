@@ -6,7 +6,8 @@ one row per nominal 20 ms tick. ``RATE_HZ`` is the one sampling rate: the
 model's sample-count geometry is calibrated at it, and no file, generator
 spec, checkpoint or command carries another. Fields are ASCII decimal numbers
 (no ``1_0``, no non-ASCII digits), whitespace around them is ignored, and they
-must be finite; timestamps are seconds and strictly increasing; labels are
+must be finite, the sensor values within float32's finite range (the model's
+precision); timestamps are seconds and strictly increasing; labels are
 integers 0..9 without a fraction (0 = background, 1..9 = the nine guideline
 gestures). LF, CRLF and CR line ends are accepted. Empty lines are skipped but
 counted in the line numbers errors name; a whitespace-only line is an error.
@@ -162,7 +163,9 @@ def load_csv(path, participant_id="", location_id="", procedure_id=0) -> SampleS
     outside = np.flatnonzero((label < 0) | (label >= NUM_CLASSES))
     finite = np.isfinite(data).all()
     later = np.flatnonzero(t[1:] <= t[:-1]) + 1  # compared, not subtracted: no overflow
-    if outside.size or not finite or later.size:
+    with np.errstate(over="ignore"):  # the model's float32 turns these sensor values into inf
+        narrow = np.isfinite(data[1:].astype(np.float32))
+    if outside.size or not finite or later.size or not narrow.all():
         row_line = [n for n, line in enumerate(lines, start=2) if line]  # empty lines hold no row
         if outside.size:
             row = outside[0]
@@ -170,7 +173,11 @@ def load_csv(path, participant_id="", location_id="", procedure_id=0) -> SampleS
         if not finite:
             row, col = np.argwhere(~np.isfinite(data.T))[0]  # the first in file order
             raise error(row_line[row], f"non-finite {COLUMNS[col]} value {data[col, row]}")
-        raise error(row_line[later[0]], f"timestamp {t[later[0]]} not strictly increasing")
+        if later.size:
+            raise error(row_line[later[0]], f"timestamp {t[later[0]]} not strictly increasing")
+        row, col = np.argwhere(~narrow.T)[0]
+        raise error(row_line[row], f"{COLUMNS[col + 1]} value {data[col + 1, row]} "
+                                   "beyond float32's finite range")
     return SampleSeries(participant_id, location_id, procedure_id, t=t, accel=data[1:4],
                         gyro=data[4:7], label=label)
 

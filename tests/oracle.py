@@ -6,11 +6,15 @@ with the library implementations it checks, except ``unfolded_forward``,
 tap spans and batch norm's ``eval_affine``, which the fold also applies), the
 result and error types of ``load_csv_loops``, and
 ``Window``, ``window_starts`` and ``corpus_filename`` in the list-of-``Window``
-training windows.
+training windows. The train kernels that whole-row kernels replaced are kept
+verbatim below (``upsample1d_backward_sum``, ``batchnorm_forward_broadcast``,
+``batchnorm_backward_broadcast``, ``maxpool1d_backward_free_mask``), reading
+only the layer's parameters, buffers and constants.
 """
 
 import numpy as np
 
+from washseg.nn import layers
 from washseg.signal_data import (
     CSV_HEADER,
     DEFAULT_WINDOW,
@@ -60,7 +64,9 @@ def conv1d_spans(conv, x, fold=None):
 
 def conv1d_backward_whole(conv, x, grad_out):
     """``Conv1d.backward``'s input and weight gradients as it made them before
-    slicing: each tap's whole (B, O, C) product summed over the batch at once."""
+    slicing and full-width buffers: each tap's whole (B, O, C) product summed
+    over the batch at once, and its input-gradient products added into the
+    cut slice its span reaches."""
     spans = conv._spans(x.shape[2])
     taps = np.ascontiguousarray(conv.w.value.transpose(2, 0, 1))
     grad_x, grad_w = np.zeros_like(x), np.zeros_like(conv.w.grad)
@@ -74,6 +80,48 @@ def conv1d_backward_whole(conv, x, grad_out):
 def upsample1d_repeat(x, factor):
     """``Upsample1d.forward`` before column copies: ``np.repeat``."""
     return np.repeat(x, factor, axis=2)
+
+
+def upsample1d_backward_sum(grad_out, factor):
+    """``Upsample1d.backward`` before whole-row column adds: numpy's reduce
+    over the short last axis of the (B, C, T/f, f) view."""
+    b, c, t = grad_out.shape
+    return grad_out.reshape(b, c, t // factor, factor).sum(axis=3)
+
+
+def _channel_sum(x):
+    """(B, C, T) -> (C,): the (B, C*T) view summed over the batch, then over time."""
+    b, c, t = x.shape
+    return x.reshape(b, c * t).sum(0).reshape(c, t).sum(1)
+
+
+def batchnorm_forward_broadcast(bn, x):
+    """``BatchNorm1d.forward`` before (C, T) rows: per-channel (C, 1) vectors
+    broadcast over (B, C, T). Updates ``bn``'s running statistics as the
+    layer does; returns the output and the (mean, 1/std) backward reads."""
+    n = x.shape[0] * x.shape[2]
+    mean = _channel_sum(x) / n
+    var = _channel_sum((x - mean[:, None]) ** 2) / n
+    momentum = layers.BN_MOMENTUM
+    bn.running_mean[...] = (1 - momentum) * bn.running_mean + momentum * mean
+    bn.running_var[...] = (1 - momentum) * bn.running_var + momentum * var
+    inv_std = 1.0 / np.sqrt(var + layers.BN_EPSILON)
+    scale = bn.gamma.value * inv_std
+    shift = bn.beta.value - mean * scale
+    return x * scale[:, None] + shift[:, None], mean, inv_std
+
+
+def batchnorm_backward_broadcast(bn, x, mean, inv_std, grad_out):
+    """``BatchNorm1d.backward`` before (C, T) rows: (grad_x, d_gamma, d_beta)."""
+    xhat = (x - mean[:, None]) * inv_std[:, None]
+    d_gamma = _channel_sum(grad_out * xhat)
+    d_beta = _channel_sum(grad_out)
+    scale = bn.gamma.value * inv_std
+    n = grad_out.shape[0] * grad_out.shape[2]
+    grad_x = n * grad_out - d_beta[:, None]
+    grad_x -= xhat * d_gamma[:, None]
+    grad_x *= (scale / n)[:, None]
+    return grad_x, d_gamma, d_beta
 
 
 def maxpool1d_loops(x, window, stride):
@@ -96,6 +144,21 @@ def maxpool1d_backward_loops(x, grad_out, window, stride):
             for j in range(grad_out.shape[2]):
                 win = list(x[n, ch, j * stride : j * stride + window])
                 grad_x[n, ch, j * stride + win.index(max(win))] += grad_out[n, ch, j]
+    return grad_x
+
+
+def maxpool1d_backward_free_mask(x, out, grad_out, window):
+    """``MaxPool1d.backward`` before contiguous compares and column writes:
+    each window position's routed gradient added into zeros through a
+    strided slice, a mask of outputs not yet routed giving ties to the earliest."""
+    grad_x = np.zeros_like(x)
+    free = np.ones(out.shape, dtype=bool)
+    end = x.shape[2] // window * window
+    for j in range(window):
+        sl = slice(j, end, window)
+        hit = free & (x[:, :, sl] == out)
+        grad_x[:, :, sl] += grad_out * hit
+        free &= ~hit
     return grad_x
 
 

@@ -13,7 +13,7 @@ from washseg.cli import main
 from washseg.model import ArchConfig, GestureNet
 from washseg.pipeline import LabelTrack, gesture_durations, infer_track, smooth as smooth_track
 from washseg.scoring import PROFESSIONAL_DURATIONS, score
-from washseg.signal_data import load_csv, write_csv
+from washseg.signal_data import CSV_HEADER, load_csv, write_csv
 from washseg.synth import GenSpec, generate_procedure
 from conftest import make_series
 
@@ -196,12 +196,30 @@ def test_score_on_a_one_row_track(capsys, tmp_path):
     ("index,t,ground_truth\n0,0,0\n", "{path}: header has no 'predicted' column"),
     ("index,t,predicted,ground_truth\n", "{path}: empty track (no data rows)"),
     ("", "{path}: empty track (no data rows)"),
+    ("index,t,predicted,ground_truth\n0,0,-1,0\n", "{path}:2: label -1 outside 0..9"),
 ])
 def test_score_rejects_a_bad_track_naming_the_file(capsys, tmp_path, text, message):
     track_path = tmp_path / "track.csv"
     track_path.write_text(text, encoding="utf-8")
     assert main(["score", "--track", str(track_path)]) == 1
     assert capsys.readouterr().err == f"error: ValueError: {message.format(path=track_path)}\n"
+
+
+@pytest.mark.parametrize("col,value,shown", [("ax", "1e300", "1e+300"),
+                                              ("gz", "-3.5e38", "-3.5e+38")])
+def test_score_rejects_a_sensor_value_beyond_float32_naming_line_and_column(
+        capsys, tmp_path, corpus_dir, col, value, shown):
+    # before, the recording loaded and forward failed: accel input contains NaN/Inf
+    lines = sorted(corpus_dir.glob("*.csv"))[0].read_text(encoding="utf-8").splitlines()
+    fields = lines[4].split(",")
+    fields[CSV_HEADER.split(",").index(col)] = value
+    lines[4] = ",".join(fields)
+    series_path = tmp_path / "huge.csv"
+    series_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    pinned = Path(__file__).resolve().parent.parent / "perfbench" / "user_dep.ckpt"
+    assert main(["score", "--checkpoint", str(pinned), "--series", str(series_path)]) == 1
+    assert capsys.readouterr().err == (f"error: SeriesFormatError: {series_path}: line 5: "
+                                       f"{col} value {shown} beyond float32's finite range\n")
 
 
 # the track-level conversions still take a rate, since a LabelTrack carries none

@@ -397,9 +397,20 @@ def conv_cases(draw):
                 seed=draw(st.integers(0, 2**32 - 1)))
 
 
+# batches of 0, 1 and odd sizes
+BATCHES = st.one_of(st.sampled_from([0, 1]), st.integers(1, 64).map(lambda k: 2 * k + 1))
+
+
+def signed_zeros(rng, a, share=0.1):
+    """``a`` with about ``share`` of its entries set to -0.0."""
+    a[rng.random(a.shape) < share] = -0.0
+    return a
+
+
 class TestWholeRowKernels:
-    """The full-width tap buffer and the column-copy upsample give the bits of
-    the clipped-span accumulation and ``np.repeat`` they replaced."""
+    """The full-width tap buffers, the column-copy upsample, the column-add
+    upsample backward, batch norm's (C, T) rows and the contiguous max-pool
+    routing give the bits of the kernels they replaced (``tests/oracle.py``)."""
 
     @settings(max_examples=80, deadline=None)
     @given(conv_cases())
@@ -437,6 +448,86 @@ class TestWholeRowKernels:
         with mock.patch.object(layers, "_PRODUCT_BYTES", slice_rows * row_bytes):
             assert_same_bits(conv.backward(grad_out), want_x)
         assert_same_bits(conv.w.grad, want_w)
+
+    @settings(max_examples=120, deadline=None)
+    @given(factor=st.integers(1, 8), batch=BATCHES, channels=st.integers(1, 20),
+           length=st.integers(0, 20), dtype=st.sampled_from([np.float32, np.float64]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_upsample_backward_bits_equal_axis_sum(self, factor, batch, channels, length,
+                                                   dtype, seed):
+        rng = np.random.default_rng(seed)
+        # a channel slice of a wider gradient, as the decoder's split hands it over
+        wide = rng.standard_normal((batch, channels + 3, length * factor)).astype(dtype)
+        grad = signed_zeros(rng, wide)[:, 1 : channels + 1]
+        assert_same_bits(Upsample1d(factor).backward(grad),
+                         oracle.upsample1d_backward_sum(grad, factor))
+
+    @settings(max_examples=60, deadline=None)
+    @given(length=st.integers(1, 300), dtype=st.sampled_from([np.float32, np.float64]),
+           seed=st.integers(0, 2**32 - 1))
+    # the lengths where numpy's pairwise summation changes its order
+    @example(length=7, dtype=np.float32, seed=0)
+    @example(length=8, dtype=np.float32, seed=0)
+    @example(length=128, dtype=np.float64, seed=0)
+    @example(length=129, dtype=np.float32, seed=0)
+    def test_last_axis_sum_bits_equal_numpy_sum(self, length, dtype, seed):
+        # SEBlock.backward sums over the bottleneck's time axis this way
+        rng = np.random.default_rng(seed)
+        a = signed_zeros(rng, rng.standard_normal((3, 40, length)).astype(dtype))
+        a[0, :4] = -0.0  # rows that sum to -0.0
+        for view in (a, a[:, ::3]):
+            assert_same_bits(layers._last_axis_sum(view), view.sum(axis=-1))
+
+    @settings(max_examples=120, deadline=None)
+    @given(batch=BATCHES, channels=st.integers(1, 40), length=st.integers(1, 70),
+           dtypes=st.sampled_from(KERNEL_DTYPES), seed=st.integers(0, 2**32 - 1))
+    def test_batchnorm_bits_equal_channel_broadcast(self, batch, channels, length, dtypes,
+                                                    seed):
+        rng = np.random.default_rng(seed)
+        p_dtype, x_dtype = dtypes
+        bns = []
+        for _ in range(2):  # the layer and the reference, with equal parameters
+            bn = cast_model(BatchNorm1d(channels), p_dtype)
+            draw = np.random.default_rng(seed)
+            bn.gamma.value[:] = draw.uniform(-2, 2, channels)
+            bn.beta.value[:] = draw.standard_normal(channels)
+            bn.running_mean[:] = draw.standard_normal(channels)
+            bn.running_var[:] = draw.uniform(0.1, 3, channels)
+            bns.append(bn)
+        bn, ref = bns
+        x = (3.0 + 2.0 * rng.standard_normal((batch, channels, length))).astype(x_dtype)
+        if batch * length < 2:
+            with pytest.raises(ValueError, match="at least 2 samples"):
+                bn.forward(x)
+            return
+        y = bn.forward(x)
+        want_y, mean, inv_std = oracle.batchnorm_forward_broadcast(ref, x)
+        assert_same_bits(y, want_y)
+        assert_same_bits(bn.running_mean, ref.running_mean)
+        assert_same_bits(bn.running_var, ref.running_var)
+        grad = signed_zeros(rng, rng.standard_normal(y.shape).astype(y.dtype))
+        want_x, d_gamma, d_beta = oracle.batchnorm_backward_broadcast(ref, x, mean, inv_std, grad)
+        assert_same_bits(bn.backward(grad), want_x)
+        ref.gamma.grad += d_gamma
+        ref.beta.grad += d_beta
+        assert_same_bits(bn.gamma.grad, ref.gamma.grad)
+        assert_same_bits(bn.beta.grad, ref.beta.grad)
+
+    @settings(max_examples=120, deadline=None)
+    @given(window=st.integers(2, 4), batch=BATCHES, channels=st.integers(1, 12),
+           windows=st.integers(1, 20), tail=st.integers(0, 3),
+           dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**32 - 1))
+    def test_maxpool_backward_bits_equal_free_mask(self, window, batch, channels, windows,
+                                                   tail, dtype, seed):
+        rng = np.random.default_rng(seed)
+        length = windows * window + min(tail, window - 1)  # a tail shorter than a window
+        x = rng.integers(-1, 2, size=(batch, channels, length)).astype(dtype)  # ties, +-0.0
+        x[x == 0] *= rng.choice([-1, 1], size=int((x == 0).sum())).astype(dtype)
+        pool = MaxPool1d(window)
+        out = pool.forward(x)
+        grad = signed_zeros(rng, rng.standard_normal(out.shape).astype(dtype))
+        assert_same_bits(pool.backward(grad),
+                         oracle.maxpool1d_backward_free_mask(x, out, grad, window))
 
     @pytest.mark.parametrize("factor", range(1, 9))
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])

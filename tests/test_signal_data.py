@@ -114,6 +114,24 @@ class TestLoadCsv:
         with pytest.raises(SeriesFormatError, match=rf"nonfinite\.csv: line 102: non-finite {name}"):
             load_csv(p)
 
+    @pytest.mark.parametrize("col", range(1, 7))
+    def test_sensor_value_beyond_float32_names_line_and_column(self, tmp_path, col):
+        f32_max = float(np.finfo(np.float32).max)
+        rows = valid_rows(12)
+        rows[3][col] = f32_max  # the largest value float32 holds loads as it is
+        rows[4][col] = -f32_max
+        p = tmp_path / "edge.csv"
+        write_rows(p, rows)
+        loaded = load_csv(p)
+        assert np.vstack([loaded.accel, loaded.gyro])[col - 1, 3:5].tolist() == [f32_max, -f32_max]
+        rows[9][col] = "-3.5e38"  # line 11; float32 would hold it as -inf
+        rows[10][col] = "1e300"
+        write_rows(p, rows)
+        name = CSV_HEADER.split(",")[col]
+        message = rf"edge\.csv: line 11: {name} value -3\.5e\+38 beyond float32's finite range"
+        with pytest.raises(SeriesFormatError, match=message):
+            load_csv(p)
+
     def test_round_trip_9_significant_digits(self, tmp_path, rng):
         s = make_series(rng.integers(0, 10, size=200), seed=3)
         p = tmp_path / "rt.csv"
@@ -289,6 +307,10 @@ def rounded(values):
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
+# sensor values load only within float32's finite range; 9 significant digits of
+# a value in it stay in it
+F32_MAX = float(np.finfo(np.float32).max)
+sensor_values = st.floats(min_value=-F32_MAX, max_value=F32_MAX)
 
 
 @st.composite
@@ -296,7 +318,7 @@ def written_series(draw):
     # timestamps distinct after rounding, so the reloaded file stays strictly increasing
     t = np.unique(rounded(draw(st.lists(finite, min_size=1, max_size=20))))
     n = t.size
-    sensors = np.array(draw(st.lists(finite, min_size=6 * n, max_size=6 * n))).reshape(6, n)
+    sensors = np.array(draw(st.lists(sensor_values, min_size=6 * n, max_size=6 * n))).reshape(6, n)
     labels = np.array(draw(st.lists(st.integers(0, 9), min_size=n, max_size=n)))
     return SampleSeries("p00", "loc0", 1, t, sensors[:3], sensors[3:], labels)
 
