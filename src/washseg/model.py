@@ -315,11 +315,11 @@ class EpochLog:
 
 
 def windows_to_arrays(windows: WindowSet):
-    """Gather a ``WindowSet`` into (N,3,L) float32 accel/gyro and (N,L) int64
-    labels: per series, one fancy index into a sliding-window view of each
-    array fills that series' contiguous run of rows. Each sensor is first
-    cast whole to a contiguous float32 copy, so the gather moves half the
-    bytes.
+    """Gather a ``WindowSet`` into (N,3,L) float32 accel/gyro and (N,L) uint8
+    labels, one byte for a label in 0..9: per series, one fancy index into a
+    sliding-window view of each array fills that series' contiguous run of
+    rows. Each sensor is first cast whole to a contiguous float32 copy, so
+    the gather moves half the bytes.
 
     float32 is the model's compute dtype, so ``GestureNet.forward`` casts
     nothing; a value beyond its range becomes inf, which forward rejects.
@@ -327,7 +327,7 @@ def windows_to_arrays(windows: WindowSet):
     n, length = len(windows), windows.length
     accel = np.empty((n, 3, length), np.float32)
     gyro = np.empty((n, 3, length), np.float32)
-    labels = np.empty((n, length), np.int64)
+    labels = np.empty((n, length), np.uint8)
     bounds = np.searchsorted(windows.series_id, np.arange(len(windows.series) + 1))
     for s, lo, hi in zip(windows.series, bounds[:-1].tolist(), bounds[1:].tolist()):
         starts = windows.start[lo:hi]
@@ -342,7 +342,8 @@ def windows_to_arrays(windows: WindowSet):
 def train(model: GestureNet, windows, hyper: TrainHyper, verbose=False):
     """Minimize mean sample-wise cross-entropy over a window dataset: a
     ``WindowSet``, or the (accel, gyro, labels) tuple ``windows_to_arrays``
-    makes of one.
+    makes of one. A tuple whose arrays disagree in shape, or whose labels
+    are not integers, is rejected before the first step.
 
     Deterministic given hyper.seed (single-threaded). Stops early once the
     epoch loss changes by less than ``PLATEAU_REL_CHANGE`` (relative) over
@@ -355,6 +356,15 @@ def train(model: GestureNet, windows, hyper: TrainHyper, verbose=False):
         windows if isinstance(windows, tuple) else windows_to_arrays(windows)
     )
     n = accel.shape[0]
+    for name, arr, shape in (("gyro", gyro, accel.shape),
+                             ("labels", labels, (n, accel.shape[-1]))):
+        if arr.shape != shape:
+            raise ValueError(f"{name} has shape {arr.shape}, expected {shape} "
+                             f"for accel of shape {accel.shape}")
+    if labels.dtype.kind not in "iu":
+        raise ValueError(f"labels have dtype {labels.dtype}, not an integer type")
+    if n == 0:
+        raise ValueError("training dataset is empty")
     rng = np.random.default_rng(hyper.seed)
     opt = Adam(lr=hyper.lr)
     logs = []
@@ -371,10 +381,12 @@ def train(model: GestureNet, windows, hyper: TrainHyper, verbose=False):
             model.zero_grad()
             logits = model.forward(xb_a, xb_g, mode="train")
             loss, grad = softmax_cross_entropy(logits, yb)
+            # the logits' last reader: they need not live through backward
+            total_correct += int((logits.argmax(axis=1) == yb).sum())
+            del logits
             model.backward(grad)
             opt.step(model.params())
             total_loss += loss * idx.size
-            total_correct += int((logits.argmax(axis=1) == yb).sum())
             total_samples += yb.size
         epoch_loss = total_loss / n
         acc = total_correct / total_samples

@@ -13,6 +13,8 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
     """
     b, c, t = logits.shape
     labels = np.asarray(labels)
+    if labels.dtype.kind not in "iu":
+        raise ValueError(f"labels have dtype {labels.dtype}, not an integer type")
     if labels.shape != (b, t):
         raise ValueError(f"labels shape {labels.shape} does not match logits {(b, t)}")
     if labels.min() < 0 or labels.max() >= c:

@@ -175,16 +175,16 @@ def gesture_durations(track: LabelTrack, rate_hz: float, gap_merge: int = 64) ->
         return np.bincount(track.labels[first:end], minlength=NUM_CLASSES)[1:] / rate_hz
 
 
-def smooth(track: LabelTrack, method: str, window: int = 128) -> LabelTrack:
+def smooth(track: LabelTrack, method: str) -> LabelTrack:
     """Apply a named smoothing pipeline: none | mtv | tmf | mtv+tmf."""
     if method == "none":
         return track
     if method == "mtv":
         return multiple_test_voting(track)
     if method == "tmf":
-        return mode_filter(track, window)
+        return mode_filter(track)
     if method == "mtv+tmf":
-        return mode_filter(multiple_test_voting(track), window)
+        return mode_filter(multiple_test_voting(track))
     raise ValueError(f"unknown smoothing method '{method}'")
 
 

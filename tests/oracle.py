@@ -373,7 +373,7 @@ def fold_windows_list(train_series, length=64, stride=1, max_windows=None, rng=N
 
 
 def windows_to_arrays_list(windows):
-    """Stack a window list into (N,3,L) float32 accel/gyro and (N,L) int64 labels.
+    """Stack a window list into (N,3,L) float32 accel/gyro and (N,L) uint8 labels.
 
     float32 is the model's compute dtype, so ``GestureNet.forward`` casts
     nothing; a value beyond its range becomes inf, which forward rejects.
@@ -381,5 +381,5 @@ def windows_to_arrays_list(windows):
     with np.errstate(over="ignore"):
         accel = np.stack([w.accel_slice for w in windows], dtype=np.float32)
         gyro = np.stack([w.gyro_slice for w in windows], dtype=np.float32)
-    labels = np.stack([w.label_slice for w in windows], dtype=np.int64)
+    labels = np.stack([w.label_slice for w in windows]).astype(np.uint8)
     return accel, gyro, labels

@@ -32,6 +32,12 @@ class TestSoftmaxCrossEntropy:
         with pytest.raises(ValueError):
             softmax_cross_entropy(np.zeros((1, 10, 2)), np.array([[0, 10]]))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, bool])
+    def test_non_integer_labels_rejected_naming_the_dtype(self, dtype):
+        with pytest.raises(ValueError, match=f"^labels have dtype {np.dtype(dtype)}, "
+                                             "not an integer type$"):
+            softmax_cross_entropy(np.zeros((1, 10, 2)), np.zeros((1, 2), dtype))
+
     def test_gradient_vs_finite_differences(self, rng):
         logits = rng.standard_normal((2, 10, 5))
         labels = rng.integers(0, 10, size=(2, 5))

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from washseg.evaluation import fold_windows
 from washseg.model import (
     ArchConfig,
     GestureNet,
@@ -448,11 +449,28 @@ class TestWindowsToArrays:
     def test_float32_stack_equals_float64_stack_cast(self):
         windows = training_windows()
         accel, gyro, labels = windows_to_arrays(windows)
-        assert (accel.dtype, gyro.dtype, labels.dtype) == (np.float32, np.float32, np.int64)
+        assert (accel.dtype, gyro.dtype, labels.dtype) == (np.float32, np.float32, np.uint8)
         for got, part in ((accel, "accel_slice"), (gyro, "gyro_slice")):
             wide = np.stack([getattr(w, part) for w in windows]).astype(np.float64)
             np.testing.assert_array_equal(got, wide.astype(np.float32))
         np.testing.assert_array_equal(labels, np.stack([w.label_slice for w in windows]))
+
+    def test_traced_peak_per_window_is_bounded(self):
+        spec = GenSpec(seed=5, participants=2)
+        series = [generate_procedure(spec, p, 0, k) for p in range(2) for k in (1, 2, 3)]
+        windows = fold_windows(series, 64, 1)
+        windows_to_arrays(windows)  # first-call allocations out of the measurement
+        tracemalloc.start()
+        try:
+            windows_to_arrays(windows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the stacks are two float32 (3, 64) windows and 64 label bytes: 1,600
+        # bytes a window. One series at a time adds its float32 sensor casts
+        # (24 bytes a sample) and one sensor's gathered windows before they
+        # are copied in (768 bytes a window, at most one window a sample)
+        assert peak < 1600 * len(windows) + (24 + 768) * max(map(len, series))
 
     def test_value_beyond_float32_range_becomes_inf_that_forward_rejects(self):
         series = generate_procedure(GenSpec(seed=5, participants=1), 0, 0, 1)
@@ -490,10 +508,43 @@ class TestTraining:
         for k in finals[0]:
             np.testing.assert_array_equal(finals[0][k], finals[1][k])
 
+    def test_uint8_and_int64_labels_train_the_same_bits(self):
+        accel, gyro, labels = windows_to_arrays(training_windows())
+        assert labels.dtype == np.uint8
+        runs = []
+        for y in (labels, labels.astype(np.int64)):
+            m = GestureNet(ArchConfig(), seed=0)
+            logs = train(m, (accel, gyro, y), TrainHyper(lr=0.003, batch=12, epochs=3, seed=7))
+            runs.append(([(log.epoch, log.loss, log.accuracy) for log in logs],
+                         {k: v.tobytes() for k, v in m.named_tensors().items()}))
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("bad,message", [
+        (lambda a, g, y: (a, g, np.concatenate([y, y[:10]])),
+         r"labels has shape \(50, 64\), expected \(40, 64\) for accel of shape \(40, 3, 64\)"),
+        (lambda a, g, y: (a, g, y[:30]),
+         r"labels has shape \(30, 64\), expected \(40, 64\) for accel of shape \(40, 3, 64\)"),
+        (lambda a, g, y: (a, g, y.astype(np.float64)),
+         r"labels have dtype float64, not an integer type"),
+        (lambda a, g, y: (a, g[:39], y),
+         r"gyro has shape \(39, 3, 64\), expected \(40, 3, 64\) for accel of shape \(40, 3, 64\)"),
+    ], ids=["labels-50-rows", "labels-30-rows", "float-labels", "gyro-39-rows"])
+    def test_disagreeing_arrays_rejected_before_the_first_step(self, bad, message):
+        arrays = bad(*windows_to_arrays(training_windows(n_windows=40)))
+        m = GestureNet(ArchConfig(), seed=0)
+        before = {k: v.copy() for k, v in m.named_tensors().items()}
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            train(m, arrays, TrainHyper(batch=16, epochs=1))
+        for k, v in m.named_tensors().items():
+            np.testing.assert_array_equal(v, before[k], err_msg=k)
+
     def test_empty_dataset_rejected(self):
         m = GestureNet(ArchConfig(), seed=0)
         with pytest.raises(ValueError):
             train(m, [], TrainHyper())
+        empty = tuple(a[:0] for a in windows_to_arrays(training_windows(n_windows=8)))
+        with pytest.raises(ValueError, match="^training dataset is empty$"):
+            train(m, empty, TrainHyper())
 
     @pytest.mark.parametrize("field,value", [
         ("batch", 0), ("epochs", 0), ("lr", float("nan")), ("lr", float("inf")), ("lr", -1.0),
