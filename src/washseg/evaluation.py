@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .signal_data import NUM_CLASSES, WindowSet, corpus_filename, extract_windows
-from .model import ArchConfig, GestureNet, TrainHyper, train, windows_to_arrays
+from .model import ArchConfig, GestureNet, TrainHyper, train
 from .pipeline import (
     LabelTrack,
     detect_procedure,

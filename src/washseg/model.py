@@ -314,29 +314,59 @@ class EpochLog:
     seconds: float
 
 
+class WindowRows:
+    """The (N, C, L) stack of a set's windows over one sensor, held as a
+    float32 (C, S) copy of its recordings, concatenated in order, and each
+    window's start in that copy: each sample once, however the windows overlap.
+
+    Indexing with an int, a slice or an index array, alone or leading a tuple,
+    gathers exactly the rows and elements the stack would give; ``shape``,
+    ``dtype``, ``len`` and ``np.asarray`` are the stack's. No result is a
+    view of the recordings.
+    """
+
+    def __init__(self, samples, starts, length):
+        self._view = sliding_window_view(samples, length, axis=1).transpose(1, 0, 2)
+        self._starts = starts
+        self.shape = (starts.size, samples.shape[0], length)
+        self.dtype = samples.dtype
+
+    def __len__(self):
+        return self.shape[0]
+
+    def __getitem__(self, key):
+        lead, rest = (key[0], key[1:]) if isinstance(key, tuple) else (key, ())
+        starts = self._starts[lead]
+        if isinstance(lead, slice):
+            # the stack indexes a slice as a basic view, not as an index array
+            return self._view[starts][(slice(None), *rest)]
+        rows = self._view[(starts, *rest)]
+        return rows.copy() if np.ndim(starts) == 0 else rows
+
+    def __array__(self, dtype=None, copy=None):
+        return np.asarray(self[:], dtype)
+
+
 def windows_to_arrays(windows: WindowSet):
-    """Gather a ``WindowSet`` into (N,3,L) float32 accel/gyro and (N,L) uint8
-    labels, one byte for a label in 0..9: per series, one fancy index into a
-    sliding-window view of each array fills that series' contiguous run of
-    rows. Each sensor is first cast whole to a contiguous float32 copy, so
-    the gather moves half the bytes.
+    """(accel, gyro, labels) of a ``WindowSet``: accel and gyro as (N,3,L)
+    ``WindowRows`` over float32 copies of its series' sensors, and labels as
+    an (N,L) uint8 stack, one byte for a label in 0..9. ``train`` gathers a
+    batch's rows from the sources as it draws the batch.
 
     float32 is the model's compute dtype, so ``GestureNet.forward`` casts
     nothing; a value beyond its range becomes inf, which forward rejects.
     """
-    n, length = len(windows), windows.length
-    accel = np.empty((n, 3, length), np.float32)
-    gyro = np.empty((n, 3, length), np.float32)
-    labels = np.empty((n, length), np.uint8)
-    bounds = np.searchsorted(windows.series_id, np.arange(len(windows.series) + 1))
-    for s, lo, hi in zip(windows.series, bounds[:-1].tolist(), bounds[1:].tolist()):
-        starts = windows.start[lo:hi]
-        with np.errstate(over="ignore"):
-            a, g = s.accel.astype(np.float32), s.gyro.astype(np.float32)
-        accel[lo:hi] = sliding_window_view(a, length, axis=1).transpose(1, 0, 2)[starts]
-        gyro[lo:hi] = sliding_window_view(g, length, axis=1).transpose(1, 0, 2)[starts]
-        labels[lo:hi] = sliding_window_view(s.label, length)[starts]
-    return accel, gyro, labels
+    series, length = windows.series, windows.length
+    starts = np.cumsum([0] + [len(s) for s in series])[windows.series_id]
+    starts += windows.start
+    # the concatenated labels are freed before the sensor copies are made
+    label = np.concatenate([s.label for s in series], dtype=np.uint8, casting="unsafe")
+    labels = sliding_window_view(label, length)[starts]
+    del label
+    with np.errstate(over="ignore"):
+        accel, gyro = (np.concatenate([getattr(s, part) for s in series], axis=1,
+                                      dtype=np.float32) for part in ("accel", "gyro"))
+    return WindowRows(accel, starts, length), WindowRows(gyro, starts, length), labels
 
 
 def train(model: GestureNet, windows, hyper: TrainHyper, verbose=False):

@@ -6,11 +6,12 @@ precision checkpoints store and load. Layers compute in the dtype their input
 shares with their parameters and allocate nothing wider, so tests cast a model
 to float64 to gradcheck it through the same code; a mixed pair follows numpy's
 promotion, but batch-norm buffers keep their own dtype. Layers cache their input
-(activations: their output) and derive masks, normalized inputs and argmax
-positions in backward. A cache lives from forward to backward: the backward
-that reads it also drops it, so a train step's saved activations are freed
-layer by layer as backward passes, and a backward without a fresh forward
-raises ``RuntimeError``. A forward takes only its input: no layer has a train
+(activations: their output; batch norm: its centred input) and derive masks,
+normalized inputs and argmax positions in backward. A cache lives from forward
+to backward: the backward that reads it also drops it, so a train step's saved
+activations are freed layer by layer as backward passes (a conv's input before
+its input gradient is made), and a backward without a fresh forward raises
+``RuntimeError``. A forward takes only its input: no layer has a train
 or eval mode. Batch norm's forward is the train forward; the model folds its
 eval map, ``eval_affine``, into the preceding conv. Other layers' eval
 forwards write a cache that nothing reads.
@@ -225,24 +226,33 @@ class Conv1d(Layer):
 
     def backward(self, grad_out):
         x, taps, spans = self._saved()
-        grad_x = np.zeros_like(x)
-        # each tap's (B, O, C) weight-gradient products are made and summed a
-        # slice of rows at a time. numpy sums axis 0 row by row when O*C > 1,
-        # so adding one slice's sum into the next slice's first row keeps
-        # every bit; a (B, 1, 1) product is summed pairwise, so it stays whole
-        batch, cells = x.shape[0], self.out_ch * self.in_ch
-        row_bytes = cells * np.result_type(grad_out, x).itemsize
-        rows = max(1, batch if cells == 1 else _PRODUCT_BYTES // row_bytes)
+        shape, dtype = x.shape, x.dtype
+        self._weight_grads(x, grad_out, spans)
+        self.b.grad += _channel_sum(grad_out)
+        del x  # its last reader is done: freed before the input gradient is made
+        grad_x = np.zeros(shape, dtype)
         # as in forward, each tap's input-gradient products land in a
         # full-width buffer, zero where the tap reaches no input, so the add
         # runs over whole rows; grad_x never holds -0.0, so adding 0.0 keeps it
-        tap_x = np.empty(x.shape, np.result_type(taps, grad_out))
+        tap_x = np.empty(shape, np.result_type(taps, grad_out))
         for k, o_sl, i_sl in spans:
-            g, xt = grad_out[:, :, o_sl], x[:, :, i_sl].transpose(0, 2, 1)
             tap_x[:, :, : i_sl.start] = 0
             tap_x[:, :, i_sl.stop :] = 0
-            np.matmul(taps[k].T, g, out=tap_x[:, :, i_sl])
+            np.matmul(taps[k].T, grad_out[:, :, o_sl], out=tap_x[:, :, i_sl])
             grad_x += tap_x
+        return grad_x
+
+    def _weight_grads(self, x, grad_out, spans):
+        """Add each tap's weight gradient into ``w.grad``. Its (B, O, C)
+        products are made and summed a slice of rows at a time: numpy sums
+        axis 0 row by row when O*C > 1, so adding one slice's sum into the
+        next slice's first row keeps every bit; a (B, 1, 1) product is summed
+        pairwise, so it stays whole."""
+        batch, cells = x.shape[0], self.out_ch * self.in_ch
+        row_bytes = cells * np.result_type(grad_out, x).itemsize
+        rows = max(1, batch if cells == 1 else _PRODUCT_BYTES // row_bytes)
+        for k, o_sl, i_sl in spans:
+            g, xt = grad_out[:, :, o_sl], x[:, :, i_sl].transpose(0, 2, 1)
             total = None
             for lo in range(0, max(batch, 1), rows):  # an empty batch still sums once
                 prod = g[lo : lo + rows] @ xt[lo : lo + rows]
@@ -250,8 +260,6 @@ class Conv1d(Layer):
                     prod[0] += total
                 total = prod.sum(axis=0)
             self.w.grad[:, :, k] += total
-        self.b.grad += _channel_sum(grad_out)
-        return grad_x
 
 
 class BatchNorm1d(Layer):
@@ -273,15 +281,15 @@ class BatchNorm1d(Layer):
         if n < 2:
             raise ValueError("batchnorm train mode needs at least 2 samples per channel")
         mean = _channel_sum(x) / n
-        dev = x - _rows(mean, t)
-        dev *= dev
-        var = _channel_sum(dev) / n
-        del dev  # freed before the output is made
+        centred = x - _rows(mean, t)  # saved: backward scales it into xhat
+        square = centred * centred
+        var = _channel_sum(square) / n
+        del square  # freed before the output is made
         # in place, so the buffers keep their dtype whatever the input's
         self.running_mean[...] = (1 - BN_MOMENTUM) * self.running_mean + BN_MOMENTUM * mean
         self.running_var[...] = (1 - BN_MOMENTUM) * self.running_var + BN_MOMENTUM * var
         inv_std, scale, shift = self._affine(mean, var)
-        self._cache = (x, mean, inv_std)
+        self._cache = (centred, inv_std)
         out = x * _rows(scale, t)
         out += _rows(shift, t)
         return out
@@ -299,10 +307,9 @@ class BatchNorm1d(Layer):
 
     def backward(self, grad_out):
         """The train-mode gradient, through the batch statistics."""
-        x, mean, inv_std = self._saved()
-        t = x.shape[2]
-        xhat = x - _rows(mean, t)
-        xhat *= _rows(inv_std, t)
+        xhat, inv_std = self._saved()
+        t = xhat.shape[2]
+        xhat *= _rows(inv_std, t)  # the centred input, scaled in place
         prod = grad_out * xhat
         d_gamma = _channel_sum(prod)
         d_beta = _channel_sum(grad_out)

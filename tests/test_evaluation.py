@@ -273,6 +273,7 @@ def test_fold_windows_and_arrays_match_the_window_list_oracle(case):
                                     rng=np.random.default_rng(seed))
     assert [(w.source, w.start_index) for w in got] == [(w.source, w.start_index) for w in want]
     for g, w in zip(windows_to_arrays(got), oracle.windows_to_arrays_list(want), strict=True):
+        g = np.asarray(g)  # accel and gyro are row sources; labels are a stack
         assert (g.dtype, g.shape) == (w.dtype, w.shape)
         assert g.tobytes() == w.tobytes()
 

@@ -1,5 +1,6 @@
 import os
 import sys
+import tempfile
 import threading
 import time
 import tracemalloc
@@ -21,6 +22,7 @@ from washseg.pipeline import (
     smooth,
     export_track_csv,
     export_timeline_svg,
+    load_track_csv,
 )
 from washseg.signal_data import SampleSeries, window_starts
 from washseg.synth import GenSpec, generate_procedure
@@ -584,6 +586,40 @@ class TestSmoothAndExports:
         export_timeline_svg(path, track, 50.0)
         text = path.read_text()
         assert text.startswith("<svg") and text.count("<rect") == 3
+
+
+# a ``predicted`` cell edited to a value that is not a label in 0..9, and the
+# failure ``load_track_csv`` names after the file and the line
+BAD_PREDICTED = {
+    "1.5": "'predicted' is not an integer label: '1.5'",
+    "": "'predicted' is not an integer label: ''",
+    "-1": "label -1 outside 0..9",
+    "10": "label 10 outside 0..9",
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(labels=st.lists(st.integers(0, 9), min_size=1, max_size=200),
+       edit=st.one_of(st.none(), st.tuples(st.integers(0, 199), st.sampled_from(sorted(BAD_PREDICTED)))))
+def test_track_csv_reads_back_its_labels_and_names_a_bad_cell(labels, edit):
+    series = planted_series(np.array(labels))
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "track.csv")
+        export_track_csv(path, LabelTrack(labels=series.label.copy()), series)
+        if edit is None:
+            np.testing.assert_array_equal(load_track_csv(path).labels, labels)
+            return
+        row, value = edit[0] % len(labels), edit[1]
+        with open(path, encoding="utf-8") as f:
+            lines = f.read().splitlines()
+        fields = lines[row + 1].split(",")  # line 1 is the header
+        fields[2] = value
+        lines[row + 1] = ",".join(fields)
+        with open(path, "w", encoding="utf-8") as f:
+            f.write("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as failure:
+            load_track_csv(path)
+    assert str(failure.value) == f"{path}:{row + 2}: {BAD_PREDICTED[value]}"
 
 
 def test_smoothing_improves_noisy_tracks_on_average(rng):
