@@ -72,12 +72,15 @@ def cmd_train(args) -> int:
 
 
 def cmd_infer(args) -> int:
+    svg_path = os.path.splitext(args.out)[0] + ".svg"
+    if svg_path == args.out:
+        return _fail("infer", f"--out {args.out} is where the timeline SVG goes; "
+                              "give the track CSV another extension")
     model = GestureNet.load(args.checkpoint)
     series = load_csv(args.series)
     stride = 1 if args.smooth in ("mtv", "mtv+tmf") else model.config.input_length
     track = pipeline.smooth(pipeline.infer_track(model, series, stride=stride), args.smooth)
     pipeline.export_track_csv(args.out, track, series)
-    svg_path = os.path.splitext(args.out)[0] + ".svg"
     pipeline.export_timeline_svg(svg_path, track, RATE_HZ)
     print(f"wrote {args.out} and {svg_path}")
     return 0
@@ -85,6 +88,8 @@ def cmd_infer(args) -> int:
 
 def cmd_score(args) -> int:
     if args.track:
+        if args.checkpoint or args.series:
+            return _fail("score", "--track does not combine with --checkpoint or --series")
         track = pipeline.load_track_csv(args.track)
     else:
         if not (args.checkpoint and args.series):

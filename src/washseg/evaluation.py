@@ -249,7 +249,7 @@ def predict_variants(model, test_series, variants=SMOOTH_VARIANTS):
     return out
 
 
-def fold_windows(train_series, length=64, stride=1, max_windows=None, rng=None) -> WindowSet:
+def fold_windows(train_series, length, stride, max_windows=None, rng=None) -> WindowSet:
     """Pool every series' training windows into one ``WindowSet``, in series
     order; keep at most ``max_windows`` of them (None: all), drawn without
     replacement and left in that order."""
@@ -273,20 +273,14 @@ def fold_windows(train_series, length=64, stride=1, max_windows=None, rng=None) 
     return WindowSet(tuple(p.series[0] for p in parts), series_id, start, length)
 
 
-def run_evaluation(
-    split: SplitPlan,
-    arch: ArchConfig | None = None,
-    hyper: TrainHyper | None = None,
-    window_stride: int = 1,
-    max_windows=None,
-    verbose=False,
-):
-    """Train and evaluate every fold of a split plan.
+def run_evaluation(split: SplitPlan, hyper: TrainHyper | None = None, window_stride: int = 1,
+                   max_windows=None, verbose=False):
+    """Train a default-architecture model on every fold of a split plan and evaluate it.
 
     Returns {fold_name: {variant: VariantMetrics}} plus an "_aggregate"
     entry whose accuracy is the sample-weighted combination over folds.
     """
-    arch = arch or ArchConfig()
+    arch = ArchConfig()
     hyper = (hyper or TrainHyper()).validate()
     for _, _, test_series in split.folds:  # before any fold trains
         for s in test_series:
@@ -296,13 +290,8 @@ def run_evaluation(
     results = {}
     totals = {v: [0, 0] for v in SMOOTH_VARIANTS}  # correct, total
     for fold_name, train_series, test_series in split.folds:
-        windows = fold_windows(
-            train_series,
-            arch.input_length,
-            window_stride,
-            max_windows,
-            rng=np.random.default_rng(hyper.seed),
-        )
+        windows = fold_windows(train_series, arch.input_length, window_stride, max_windows,
+                               rng=np.random.default_rng(hyper.seed))
         model = GestureNet(arch, seed=hyper.seed)
         train(model, windows, hyper, verbose=verbose)
         tracks = predict_variants(model, test_series)

@@ -4,7 +4,9 @@ A LabelTrack carries one predicted label per sample of a series, plus the
 per-sample vote counts of every window that covered it. Smoothing:
 multiple-test voting (per-sample mode over all covering windows) and a
 centered running mode filter. Ties always break toward the smallest label
-so every stage is deterministic.
+so every stage is deterministic. The batch, mode-filter window and merge
+gap are module constants, not options; ``perfbench/check.py`` restates the
+window and the gap on purpose, independently of this module.
 """
 
 from __future__ import annotations
@@ -20,6 +22,10 @@ from .signal_data import NUM_CLASSES, SampleSeries, window_starts
 # not called here: the benchmark's traced run hooks both names on this module
 from .signal_data import extract_windows  # noqa: F401
 from .model import windows_to_arrays  # noqa: F401
+
+INFER_BATCH = 128  # windows per eval forward, so a batch's activations stay in cache
+MODE_WINDOW = 128  # samples in the centred mode filter
+GAP_MERGE = 64  # background samples that split a procedure span
 
 
 @dataclass
@@ -42,7 +48,7 @@ class LabelTrack:
         return self.labels.size
 
 
-def infer_track(model, series: SampleSeries, stride: int = 64, batch: int = 128) -> LabelTrack:
+def infer_track(model, series: SampleSeries, stride: int) -> LabelTrack:
     """Run sliding-window inference over a whole series.
 
     Windows start every ``stride`` samples, plus one end-aligned window when
@@ -67,7 +73,7 @@ def infer_track(model, series: SampleSeries, stride: int = 64, batch: int = 128)
     tiles = np.empty((tile_starts.size, length), np.int64)
     votes = np.zeros(n * NUM_CLASSES, np.int64)
     lo = 0
-    for preds in _predict_windows(model, series, starts, length, batch):
+    for preds in _predict_windows(model, series, starts, length):
         # fold this batch in now, so only the batches in flight are held
         hi = lo + preds.shape[0]
         first, end = starts[lo], starts[hi - 1] + length
@@ -82,8 +88,8 @@ def infer_track(model, series: SampleSeries, stride: int = 64, batch: int = 128)
     return LabelTrack(labels=labels, votes=votes.reshape(n, NUM_CLASSES))
 
 
-def _predict_windows(model, series, starts, length, batch):
-    """Yield the per-sample argmax of every window, batch by batch in order,
+def _predict_windows(model, series, starts, length):
+    """Yield the per-sample argmax of every window, ``INFER_BATCH`` at a time in order,
     each batch gathered as rows of one (N-L+1, 3, L) view of each sensor;
     only a batch is ever copied. The batches run on up to one thread per CPU
     this process may use (numpy's kernels release the GIL); batch-invariant
@@ -94,10 +100,10 @@ def _predict_windows(model, series, starts, length, batch):
     def predict(rows):
         return model.forward(accel[rows], gyro[rows], mode="eval").argmax(axis=1)
 
-    batches = [starts[lo : lo + batch] for lo in range(0, starts.size, batch)]
+    batches = [starts[lo : lo + INFER_BATCH] for lo in range(0, starts.size, INFER_BATCH)]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    # at most 512 windows in flight, so peak memory stays that of one 512-window batch
-    workers = min(len(batches), cpus or 1, max(1, 512 // batch))
+    # at most 512 windows (four batches) in flight, the peak of one 512-window batch
+    workers = min(len(batches), cpus or 1, 512 // INFER_BATCH)
     if workers == 1:
         yield from map(predict, batches)
         return
@@ -115,32 +121,25 @@ def multiple_test_voting(track: LabelTrack) -> LabelTrack:
     return LabelTrack(labels=track.votes.argmax(axis=1))
 
 
-def mode_filter(track: LabelTrack, window: int = 128) -> LabelTrack:
+def mode_filter(track: LabelTrack) -> LabelTrack:
     """Replace every label with the mode of the centered window around it.
 
-    The window covers indices [i - window//2, i + (window-1)//2], truncated
-    at the series edges. Ties break to the smallest label.
+    The window covers indices [i - MODE_WINDOW//2, i + (MODE_WINDOW-1)//2],
+    truncated at the series edges. Ties break to the smallest label.
     """
-    if window < 1:
-        raise ValueError("window must be >= 1")
     n = len(track)
-    labels = track.labels
-    onehot = np.zeros((n, NUM_CLASSES), dtype=np.int64)
-    onehot[np.arange(n), labels] = 1
     csum = np.zeros((n + 1, NUM_CLASSES), dtype=np.int64)
-    np.cumsum(onehot, axis=0, out=csum[1:])
-    left = window // 2
-    right = (window - 1) // 2
-    lo = np.maximum(np.arange(n) - left, 0)
-    hi = np.minimum(np.arange(n) + right + 1, n)
+    np.cumsum(np.eye(NUM_CLASSES, dtype=np.int64)[track.labels], axis=0, out=csum[1:])
+    i = np.arange(n)
+    lo, hi = np.maximum(i - MODE_WINDOW // 2, 0), np.minimum(i + (MODE_WINDOW + 1) // 2, n)
     counts = csum[hi] - csum[lo]
     return LabelTrack(labels=counts.argmax(axis=1))
 
 
-def _procedure_span(track: LabelTrack, rate_hz: float, gap_merge: int):
+def _procedure_span(track: LabelTrack, rate_hz: float):
     """``(first, end)`` sample indices of the procedure, ``end`` exclusive, or
     None when every sample is background. Non-background samples fewer than
-    ``gap_merge`` background samples apart join one span; the longest span
+    ``GAP_MERGE`` background samples apart join one span; the longest span
     wins, the earliest of equal ones."""
     if not 0 < rate_hz < np.inf:
         raise ValueError(f"rate_hz must be finite and positive, got {rate_hz}")
@@ -149,20 +148,20 @@ def _procedure_span(track: LabelTrack, rate_hz: float, gap_merge: int):
     nz = np.flatnonzero(track.labels)
     if nz.size == 0:
         return None
-    cut = np.flatnonzero(np.diff(nz) > gap_merge) + 1
+    cut = np.flatnonzero(np.diff(nz) > GAP_MERGE) + 1
     firsts, lasts = nz[np.r_[0, cut]], nz[np.r_[cut, nz.size] - 1]
     best = np.argmax(lasts - firsts)
     return int(firsts[best]), int(lasts[best]) + 1
 
 
-def detect_procedure(track: LabelTrack, rate_hz: float, gap_merge: int = 64):
+def detect_procedure(track: LabelTrack, rate_hz: float):
     """The handwashing span of a track as (onset_seconds, offset_seconds),
     offset exclusive, or None when the track has no non-background sample."""
-    span = _procedure_span(track, rate_hz, gap_merge)
+    span = _procedure_span(track, rate_hz)
     return None if span is None else (span[0] / rate_hz, span[1] / rate_hz)
 
 
-def gesture_durations(track: LabelTrack, rate_hz: float, gap_merge: int = 64) -> np.ndarray:
+def gesture_durations(track: LabelTrack, rate_hz: float) -> np.ndarray:
     """Seconds spent in each gesture 1..9 inside the detected procedure.
 
     Occurrences of a gesture need not be contiguous; counts are summed.
@@ -170,7 +169,7 @@ def gesture_durations(track: LabelTrack, rate_hz: float, gap_merge: int = 64) ->
     procedure is detected. A rate so small that a count over it overflows
     gives inf, which ``scoring.score`` rejects.
     """
-    first, end = _procedure_span(track, rate_hz, gap_merge) or (0, 0)
+    first, end = _procedure_span(track, rate_hz) or (0, 0)
     with np.errstate(over="ignore"):
         return np.bincount(track.labels[first:end], minlength=NUM_CLASSES)[1:] / rate_hz
 

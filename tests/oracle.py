@@ -339,6 +339,12 @@ def load_csv_loops(path):
     for row in range(1, len(rows)):
         if data[row, 0] <= data[row - 1, 0]:
             raise error(linenos[row], f"timestamp {data[row, 0]} not strictly increasing")
+    with np.errstate(over="ignore"):  # the cast of a value beyond float32 overflows
+        bad = np.argwhere(~np.isfinite(data[:, 1:].astype(np.float32)))
+    if bad.size:
+        row, col = bad[0]
+        name = CSV_HEADER.split(",")[col + 1]
+        raise error(linenos[row], f"{name} value {data[row, col + 1]} beyond float32's finite range")
     return SampleSeries("", "", 0, data[:, 0], data[:, 1:4].T, data[:, 4:7].T,
                         np.array(labels, dtype=np.int64))
 

@@ -128,6 +128,18 @@ def test_infer_writes_track_and_svg(tmp_path, checkpoint):
     assert header == "index,t,predicted,ground_truth"
 
 
+def test_infer_refuses_an_out_path_the_svg_would_overwrite(capsys, tmp_path):
+    # before, the track CSV was written and then overwritten by the SVG, exit 0;
+    # the refusal comes before the checkpoint or the series is read
+    out = tmp_path / "x.svg"
+    rc = main(["infer", "--checkpoint", str(tmp_path / "missing.ckpt"),
+               "--series", str(tmp_path / "missing.csv"), "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (f"error: infer: --out {out} is where the timeline SVG "
+                                       "goes; give the track CSV another extension\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("smooth", ["none", "tmf"])
 def test_infer_strides_by_the_model_input(tmp_path, smooth):
     # a 32-sample model: a 64-sample stride would leave samples uncovered
@@ -181,6 +193,31 @@ def test_score_rejects_a_non_integer_label_naming_the_line(capsys, tmp_path):
     assert main(["score", "--track", str(track_path)]) != 0
     err = capsys.readouterr().err
     assert f"{track_path}:3:" in err and "1.7" in err
+
+
+@pytest.mark.parametrize("extra", [["--checkpoint"], ["--series"], ["--checkpoint", "--series"]],
+                         ids=["checkpoint", "series", "both"])
+def test_score_refuses_a_track_with_checkpoint_or_series(capsys, tmp_path, extra):
+    # before, the track was scored and the other flags ignored, even naming no file
+    track_path = tmp_path / "track.csv"
+    _write_track(track_path, ["3"])
+    argv = ["score", "--track", str(track_path), "--out", str(tmp_path / "score.json")]
+    for flag in extra:
+        argv += [flag, str(tmp_path / f"missing{flag[2:]}")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: score: --track does not combine with --checkpoint or --series\n")
+    assert not (tmp_path / "score.json").exists()
+
+
+@pytest.mark.parametrize("given", [[], ["--checkpoint"], ["--series"]],
+                         ids=["neither", "checkpoint", "series"])
+def test_score_without_a_track_needs_checkpoint_and_series(capsys, tmp_path, given):
+    argv = ["score"]
+    for flag in given:
+        argv += [flag, str(tmp_path / f"missing{flag[2:]}")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: score: need either --track or --checkpoint with --series\n"
 
 
 def test_score_on_a_one_row_track(capsys, tmp_path):

@@ -13,6 +13,8 @@ from hypothesis import example, given, settings, strategies as st
 from washseg.model import GestureNet
 from washseg.nn import Conv1d, Upsample1d
 from washseg.pipeline import (
+    GAP_MERGE,
+    MODE_WINDOW,
     LabelTrack,
     detect_procedure,
     gesture_durations,
@@ -313,8 +315,7 @@ class TestThreadedInference:
             infer_track(FailingModel(), series, stride=1)
         assert caught.value is error
 
-    @pytest.mark.parametrize("batch, most", [(128, 512), (300, 300), (1024, 1024)])
-    def test_workers_hold_512_windows_or_one_batch_in_flight(self, monkeypatch, batch, most):
+    def test_workers_hold_512_windows_in_flight(self, monkeypatch):
         set_cpus(monkeypatch, 64)
         lock, flight = threading.Lock(), [0, 0]  # windows in flight now, and at the peak
 
@@ -330,10 +331,11 @@ class TestThreadedInference:
 
         n = 64 + 17 * 128 - 1  # 2,176 stride-1 windows
         series = planted_series(np.zeros(n, dtype=int), noisy_labels=np.arange(n))
-        got = infer_track(CountingModel(), series, stride=1, batch=batch)
-        want = infer_track(StartModel(), series, stride=1, batch=n)
-        np.testing.assert_array_equal(got.votes, want.votes)
-        assert flight[1] == most
+        got = infer_track(CountingModel(), series, stride=1)
+        votes, labels = serial_track(StartModel(), series)
+        np.testing.assert_array_equal(got.votes, votes)
+        np.testing.assert_array_equal(got.labels, labels)
+        assert flight[1] == 512  # four batches of 128
 
     @pytest.mark.parametrize("affinity", [True, False])
     def test_one_cpu_runs_in_the_calling_thread(self, pinned_model, monkeypatch, affinity):
@@ -407,8 +409,16 @@ class TestModeFilter:
         np.testing.assert_array_equal(mode_filter(track).labels, track.labels)
 
     def test_small_window_fixture(self):
+        # a track shorter than the window: every window is the whole track
         track = LabelTrack(labels=np.array([1, 1, 1, 2, 1, 1]))
-        np.testing.assert_array_equal(mode_filter(track, 3).labels, [1, 1, 1, 1, 1, 1])
+        np.testing.assert_array_equal(mode_filter(track).labels, [1, 1, 1, 1, 1, 1])
+
+    def test_window_bounds_fixture(self):
+        # sample i sees [i - 64, i + 63]: at i = 100, 64 ones tie 64 twos and
+        # the smaller label wins; from i = 101 the twos lead
+        labels = np.repeat([1, 2], 100)
+        np.testing.assert_array_equal(mode_filter(LabelTrack(labels=labels)).labels,
+                                      np.repeat([1, 2], [101, 99]))
 
     def test_isolated_spike_removed_at_128(self, rng):
         for _ in range(10):
@@ -416,34 +426,33 @@ class TestModeFilter:
             spike = int(rng.integers(0, 10))
             labels = np.full(200, base, dtype=int)
             labels[int(rng.integers(66, 134))] = spike
-            out = mode_filter(LabelTrack(labels=labels), 128)
+            out = mode_filter(LabelTrack(labels=labels))
             assert (out.labels == base).all()
 
     def test_matches_bruteforce_oracle(self, rng):
-        for _ in range(50):
-            n = int(rng.integers(1, 120))
-            window = int(rng.integers(1, 20))
-            labels = rng.integers(0, 10, size=n)
-            out = mode_filter(LabelTrack(labels=labels), window)
-            np.testing.assert_array_equal(out.labels, oracle.mode_filter_loops(labels, window))
+        # tracks shorter than the window, and long enough for a full interior
+        for n in [1, 2, 63, 64, 65, 127, 128, 129, 130, 300] + rng.integers(1, 400, 40).tolist():
+            labels = rng.integers(0, int(rng.integers(1, 11)), size=n)
+            out = mode_filter(LabelTrack(labels=labels))
+            np.testing.assert_array_equal(out.labels, oracle.mode_filter_loops(labels, MODE_WINDOW))
 
     def test_idempotent_on_locally_constant(self):
         # idempotence holds where the track is constant across a full window
         labels = np.repeat([0, 3, 7], 150)
-        once = mode_filter(LabelTrack(labels=labels), 128)
-        twice = mode_filter(once, 128)
+        once = mode_filter(LabelTrack(labels=labels))
+        twice = mode_filter(once)
         for i in range(64, labels.size - 64):
             if (once.labels[i - 64 : i + 64] == once.labels[i]).all():
                 assert twice.labels[i] == once.labels[i]
 
     def test_idempotent_on_fully_constant(self):
         labels = np.full(400, 6, dtype=int)
-        once = mode_filter(LabelTrack(labels=labels), 128)
-        np.testing.assert_array_equal(mode_filter(once, 128).labels, once.labels)
+        once = mode_filter(LabelTrack(labels=labels))
+        np.testing.assert_array_equal(mode_filter(once).labels, once.labels)
 
     def test_closure_under_window_contents(self, rng):
         labels = rng.integers(0, 3, size=500)
-        out = mode_filter(LabelTrack(labels=labels), 128)
+        out = mode_filter(LabelTrack(labels=labels))
         assert set(np.unique(out.labels)) <= set(np.unique(labels))
 
 
@@ -499,11 +508,12 @@ class TestGestureDurations:
 
     def test_durations_plus_background_equal_series_duration(self, rng):
         labels = rng.integers(0, 10, size=400)
-        labels[:5] = 1  # guarantee a detected procedure spanning everything
+        labels[:5] = 1  # a detected procedure spanning everything: no gap reaches 64
         labels[-5:] = 9
         track = LabelTrack(labels=labels)
-        d = gesture_durations(track, 50.0, gap_merge=10**9)
-        onset, offset = detect_procedure(track, 50.0, gap_merge=10**9)
+        d = gesture_durations(track, 50.0)
+        onset, offset = detect_procedure(track, 50.0)
+        assert (onset, offset) == (0.0, labels.size / 50.0)
         background_inside = (offset - onset) - d.sum()
         outside = labels.size / 50.0 - (offset - onset)
         assert d.sum() + background_inside + outside == pytest.approx(labels.size / 50.0)
@@ -512,12 +522,9 @@ class TestGestureDurations:
 @st.composite
 def span_cases(draw):
     """Labels built from alternating background gaps and non-background runs,
-    a merge gap and a rate. Gaps near the merge gap and short runs (so equal
-    spans are common) are drawn often."""
-    gap_merge = draw(st.sampled_from([1, 2, 10, 64, 10**9]) | st.integers(1, 80))
-    gap = st.integers(0, 81)
-    if gap_merge <= 80:
-        gap |= st.sampled_from([gap_merge - 1, gap_merge, gap_merge + 1])
+    and a rate. Gaps of 63, 64 and 65 (around ``GAP_MERGE``) and short runs
+    (so equal spans are common) are drawn often."""
+    gap = st.integers(0, 130) | st.sampled_from([GAP_MERGE - 1, GAP_MERGE, GAP_MERGE + 1])
     labels = [0] * draw(st.integers(0, 5))
     for _ in range(draw(st.integers(0, 6))):
         labels += draw(st.lists(st.integers(1, 9), min_size=1, max_size=6))
@@ -525,26 +532,26 @@ def span_cases(draw):
     if not labels:
         labels = [draw(st.integers(0, 9))]
     rate_hz = draw(st.sampled_from([3.3, 7.0, 50.0, 100.0]) | st.floats(1e-3, 1e4))
-    return labels, gap_merge, rate_hz
+    return labels, rate_hz
 
 
 class TestProcedureSpanProperty:
     @settings(max_examples=400, deadline=None)
     @given(span_cases())
-    @example(([0] * 7, 64, 50.0))  # all background
-    @example(([3], 64, 50.0))  # one sample
-    @example(([1] + [0] * 9 + [2], 10, 3.3))  # gap of gap_merge - 1 merges
-    @example(([1] + [0] * 10 + [2, 2], 10, 3.3))  # gap of gap_merge splits
-    @example(([1, 1] + [0] * 11 + [2], 10, 3.3))  # gap of gap_merge + 1 splits
-    @example(([4, 4] + [0] * 3 + [5, 5] + [0], 3, 7.0))  # equal spans: the earliest wins
-    @example(([1, 0, 2, 0, 0, 3], 1, 50.0))  # gap_merge 1: any gap splits
-    @example(([1] + [0] * 500 + [9], 10**9, 3.3))  # gap_merge 10**9 merges everything
+    @example(([0] * 7, 50.0))  # all background
+    @example(([3], 50.0))  # one sample
+    @example(([1] + [0] * 63 + [2], 3.3))  # a gap of 63 merges
+    @example(([1] + [0] * 64 + [2, 2], 3.3))  # a gap of 64 splits
+    @example(([1, 1] + [0] * 65 + [2], 3.3))  # a gap of 65 splits
+    @example(([4, 4] + [0] * 64 + [5, 5] + [0], 7.0))  # equal spans: the earliest wins
+    @example(([1, 0, 2, 0, 0, 3], 50.0))  # short gaps merge
+    @example(([1] + [0] * 500 + [9], 3.3))  # a long gap splits one-sample spans: the first wins
     def test_span_and_durations_match_loop_oracle(self, case):
-        labels, gap_merge, rate_hz = case
+        labels, rate_hz = case
         track = LabelTrack(labels=labels)
-        span = oracle.procedure_span_loops(labels, gap_merge)
-        detected = detect_procedure(track, rate_hz, gap_merge)
-        durations = gesture_durations(track, rate_hz, gap_merge)
+        span = oracle.procedure_span_loops(labels, GAP_MERGE)
+        detected = detect_procedure(track, rate_hz)
+        durations = gesture_durations(track, rate_hz)
         assert durations.shape == (9,)
         if span is None:
             assert detected is None
@@ -563,7 +570,7 @@ class TestSmoothAndExports:
         series = planted_series(labels)
         track = infer_track(PlantedModel(), series, stride=1)
         combo = smooth(track, "mtv+tmf")
-        manual = mode_filter(multiple_test_voting(track), 128)
+        manual = mode_filter(multiple_test_voting(track))
         np.testing.assert_array_equal(combo.labels, manual.labels)
 
     def test_unknown_method_rejected(self):
@@ -634,7 +641,7 @@ def test_smoothing_improves_noisy_tracks_on_average(rng):
         series = planted_series(truth, noisy_labels=noisy)
         raw = infer_track(PlantedModel(), series, stride=64)
         voted = multiple_test_voting(infer_track(PlantedModel(), series, stride=1))
-        smoothed = mode_filter(voted, 128)
+        smoothed = mode_filter(voted)
         raw_acc = (raw.labels == truth).mean()
         smooth_acc = (smoothed.labels == truth).mean()
         deltas.append(smooth_acc - raw_acc)

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from washseg import synth
 from washseg.signal_data import (
@@ -340,7 +340,7 @@ SHARED_VALUES = ["x", "", "1.2.3", "--1", "0x10", "1e", "nan", "inf", "-inf", "3
                  " 0.5 ", "+7", "1e400"]
 # values float() and int() read as numbers that the contract rejects
 NARROWED_VALUES = ["1_0", "\u0661", "\u0663.5"]
-EDITS = ["field", "narrowed", "blank", "whitespace", "short", "long", "repeat", "decrease"]
+EDITS = ["field", "narrowed", "blank", "whitespace", "short", "long", "repeat", "decrease", "huge"]
 
 
 def apply_edit(lines, kind, at, col, value, narrowed):
@@ -365,6 +365,8 @@ def apply_edit(lines, kind, at, col, value, narrowed):
         fields[0] = lines[i - 1].split(",")[0]
     elif kind == "decrease":
         fields[0] = "-1e300"
+    elif kind == "huge":  # a sensor value beyond float32's finite range
+        fields[min(1 + col % 6, len(fields) - 1)] = "3.5e38" if at % 2 else "-1e39"
     lines[i] = ",".join(fields)
 
 
@@ -383,7 +385,13 @@ edits = st.lists(st.tuples(st.sampled_from(EDITS), st.integers(0, 10**6), st.int
                  max_size=4)
 
 
+TWO_ROWS = SampleSeries("p00", "loc0", 1, np.array([0.0, 0.02]), np.zeros((3, 2)),
+                        np.zeros((3, 2)), np.array([0, 1]))
+
+
 @given(written_series(), edits, st.sampled_from(["\n", "\r\n", "\r"]))
+@example(TWO_ROWS, [("field", 1, 1, "3.4e38", "1_0")], "\n")  # within float32: loads
+@example(TWO_ROWS, [("huge", 1, 5, "3.0", "1_0")], "\n")  # gz 3.5e38 on line 3
 def test_edited_files_load_as_the_loop_reads_them(series, edits, newline):
     with tempfile.TemporaryDirectory() as d:
         written = Path(d) / "written.csv"
