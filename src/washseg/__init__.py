@@ -11,17 +11,4 @@ Subpackages/modules:
     cli          -- the `washseg` command
 """
 
-from .signal_data import SampleSeries, extract_windows, load_csv, write_csv
-from .model import ArchConfig, GestureNet, TrainHyper, train
-from .pipeline import (
-    LabelTrack,
-    detect_procedure,
-    gesture_durations,
-    infer_track,
-    mode_filter,
-    multiple_test_voting,
-)
-from .scoring import PROFESSIONAL_DURATIONS, ScoreReport, score, score_error, trimmed_average
-from .synth import GenSpec, generate
-
 __version__ = "0.1.0"

@@ -29,6 +29,19 @@ def _write_text(path, text: str):
         f.write(text)
 
 
+def _overwrite(command, outputs, inputs):
+    """The failure for the first output that is an existing input file, naming
+    both; None when no output is. Outputs are (name, path), inputs (flag, path);
+    a path of None is a flag not given."""
+    for name, out in outputs:
+        for flag, path in inputs:
+            both = out and path and os.path.exists(out) and os.path.exists(path)
+            if both and os.path.samefile(out, path):
+                return _fail(command, f"{name} {out} is the {flag} input; "
+                                      "give the output another path")
+    return None
+
+
 def _hyper(args) -> TrainHyper:
     return TrainHyper(lr=args.lr, batch=args.batch, epochs=args.epochs, seed=args.seed)
 
@@ -51,6 +64,11 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
+    log_path = args.out + ".log.csv"
+    refused = _overwrite("train", [("--out", args.out), ("--out's log", log_path)],
+                         [("--arch-config", args.arch_config)])
+    if refused:
+        return refused
     hyper = _hyper(args).validate()
     corpus = load_corpus(args.data)
     arch = ArchConfig()
@@ -64,7 +82,6 @@ def cmd_train(args) -> int:
     model = GestureNet(arch, seed=hyper.seed)
     logs = train(model, windows, hyper, verbose=not args.quiet)
     bits = model.save(args.out)
-    log_path = args.out + ".log.csv"
     _write_text(log_path, "epoch,loss,accuracy\n" + "".join(
         f"{entry.epoch},{entry.loss:.9g},{entry.accuracy:.9g}\n" for entry in logs))
     print(f"saved {args.out} ({bits / 1000.0:.1f} Kbit), log at {log_path}")
@@ -76,6 +93,10 @@ def cmd_infer(args) -> int:
     if svg_path == args.out:
         return _fail("infer", f"--out {args.out} is where the timeline SVG goes; "
                               "give the track CSV another extension")
+    refused = _overwrite("infer", [("--out", args.out), ("--out's timeline SVG", svg_path)],
+                         [("--series", args.series), ("--checkpoint", args.checkpoint)])
+    if refused:
+        return refused
     model = GestureNet.load(args.checkpoint)
     series = load_csv(args.series)
     stride = 1 if args.smooth in ("mtv", "mtv+tmf") else model.config.input_length
@@ -87,13 +108,17 @@ def cmd_infer(args) -> int:
 
 
 def cmd_score(args) -> int:
+    if args.track and (args.checkpoint or args.series):
+        return _fail("score", "--track does not combine with --checkpoint or --series")
+    if not (args.track or (args.checkpoint and args.series)):
+        return _fail("score", "need either --track or --checkpoint with --series")
+    refused = _overwrite("score", [("--out", args.out)], [
+        ("--track", args.track), ("--series", args.series), ("--checkpoint", args.checkpoint)])
+    if refused:
+        return refused
     if args.track:
-        if args.checkpoint or args.series:
-            return _fail("score", "--track does not combine with --checkpoint or --series")
         track = pipeline.load_track_csv(args.track)
     else:
-        if not (args.checkpoint and args.series):
-            return _fail("score", "need either --track or --checkpoint with --series")
         model = GestureNet.load(args.checkpoint)
         series = load_csv(args.series)
         raw = pipeline.infer_track(model, series, stride=1)

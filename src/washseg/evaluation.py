@@ -260,9 +260,7 @@ def fold_windows(train_series, length, stride, max_windows=None, rng=None) -> Wi
         if len(s) < length:
             raise ValueError(f"{corpus_filename(s)} has {len(s)} samples, "
                              f"fewer than the {length}-sample window")
-        part = extract_windows(s, length, stride)
-        if len(part):
-            parts.append(part)
+        parts.append(extract_windows(s, length, stride))
     series_id = np.repeat(np.arange(len(parts)), [len(p) for p in parts])
     start = np.concatenate([p.start for p in parts]) if parts else series_id
     if max_windows is not None and start.size > max_windows:

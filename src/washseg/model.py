@@ -396,15 +396,13 @@ def train(model: GestureNet, windows, hyper: TrainHyper, verbose=False):
     if n == 0:
         raise ValueError("training dataset is empty")
     rng = np.random.default_rng(hyper.seed)
-    opt = Adam(lr=hyper.lr)
+    opt = Adam(model.params().values(), lr=hyper.lr)
     logs = []
-    history = []
     for epoch in range(hyper.epochs):
         t0 = time.perf_counter()
         order = rng.permutation(n)
         total_loss = 0.0
         total_correct = 0
-        total_samples = 0
         for start in range(0, n, hyper.batch):
             idx = order[start : start + hyper.batch]
             xb_a, xb_g, yb = accel[idx], gyro[idx], labels[idx]
@@ -415,17 +413,15 @@ def train(model: GestureNet, windows, hyper: TrainHyper, verbose=False):
             total_correct += int((logits.argmax(axis=1) == yb).sum())
             del logits
             model.backward(grad)
-            opt.step(model.params())
+            opt.step()
             total_loss += loss * idx.size
-            total_samples += yb.size
         epoch_loss = total_loss / n
-        acc = total_correct / total_samples
+        acc = total_correct / labels.size
         logs.append(EpochLog(epoch, epoch_loss, acc, time.perf_counter() - t0))
         if verbose:
             print(f"epoch {epoch:4d}  loss {epoch_loss:.5f}  acc {acc:.4f}")
-        history.append(epoch_loss)
-        if len(history) > PLATEAU_PATIENCE:
-            past = history[-1 - PLATEAU_PATIENCE]
+        if len(logs) > PLATEAU_PATIENCE:
+            past = logs[-1 - PLATEAU_PATIENCE].loss
             if abs(past - epoch_loss) < PLATEAU_REL_CHANGE * abs(past):
                 break
     return logs

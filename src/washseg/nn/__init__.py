@@ -16,20 +16,3 @@ from .loss import softmax_cross_entropy
 from .adam import Adam
 from . import checkpoint
 
-__all__ = [
-    "Adam",
-    "AvgPool1d",
-    "BatchNorm1d",
-    "Conv1d",
-    "Layer",
-    "LeakyReLU",
-    "Linear",
-    "MaxPool1d",
-    "Param",
-    "PPMBlock",
-    "SEBlock",
-    "Sigmoid",
-    "Upsample1d",
-    "checkpoint",
-    "softmax_cross_entropy",
-]

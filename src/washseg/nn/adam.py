@@ -1,4 +1,4 @@
-"""Adam optimizer over named parameter slots."""
+"""Adam optimizer over a fixed list of parameter slots."""
 
 from __future__ import annotations
 
@@ -9,33 +9,26 @@ BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8
 
 
 class Adam:
-    """Standard Adam with bias correction.
+    """Standard Adam with bias correction over the ``Param`` slots it is
+    built with; moment ``i`` belongs to slot ``i``."""
 
-    Moment tensors are keyed by parameter name and created lazily on the
-    first step so the optimizer can be built before the model is final.
-    """
-
-    def __init__(self, lr=0.001):
+    def __init__(self, params, lr=0.001):
+        self.params = list(params)
         self.lr = lr
         self.step_count = 0
-        self.m = {}
-        self.v = {}
+        self.m = [np.zeros_like(p.value) for p in self.params]
+        self.v = [np.zeros_like(p.value) for p in self.params]
 
-    def step(self, params: dict):
-        """Apply one update to every parameter in ``params``."""
+    def step(self):
+        """Apply one update to every slot from its current gradient."""
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - BETA1**t
         bc2 = 1.0 - BETA2**t
-        for name, p in params.items():
-            if name not in self.m:
-                self.m[name] = np.zeros_like(p.value)
-                self.v[name] = np.zeros_like(p.value)
-            if self.m[name].shape != p.value.shape:
-                raise ValueError(f"adam: state shape mismatch for '{name}'")
+        for i, p in enumerate(self.params):
             g = p.grad
-            self.m[name] = BETA1 * self.m[name] + (1 - BETA1) * g
-            self.v[name] = BETA2 * self.v[name] + (1 - BETA2) * g * g
-            m_hat = self.m[name] / bc1
-            v_hat = self.v[name] / bc2
+            self.m[i] = BETA1 * self.m[i] + (1 - BETA1) * g
+            self.v[i] = BETA2 * self.v[i] + (1 - BETA2) * g * g
+            m_hat = self.m[i] / bc1
+            v_hat = self.v[i] / bc2
             p.value -= self.lr * m_hat / (np.sqrt(v_hat) + EPSILON)

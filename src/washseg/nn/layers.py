@@ -157,6 +157,25 @@ def _last_axis_sum(a):
     return out
 
 
+def _tap_sum(out, taps, x, spans):
+    """Add ``taps[k] @ x[:, :, i_sl]`` into ``out[:, :, o_sl]`` for every
+    (k, o_sl, i_sl) of ``spans``; returns ``out``.
+
+    (O, C) @ (C, T) per example keeps the reduction order independent of
+    batch size, so eval outputs are bit-identical however windows are
+    batched; one flat (B*T, C*K) GEMM is not (README, "Layer kernels").
+    Each tap's products land in a full-width buffer that is zero where the
+    tap reaches no input, so the add runs over whole rows.
+    """
+    prod = np.empty(out.shape, np.result_type(taps, x))
+    for k, o_sl, i_sl in spans:
+        prod[:, :, : o_sl.start] = 0
+        prod[:, :, o_sl.stop :] = 0
+        np.matmul(taps[k], x[:, :, i_sl], out=prod[:, :, o_sl])
+        out += prod
+    return out
+
+
 def _window_slices(t_in, window):
     """Slice j picks element j of every non-overlapping window along time."""
     end = t_in // window * window  # a tail shorter than a window is dropped
@@ -210,17 +229,7 @@ class Conv1d(Layer):
             w, b = w * scale[:, None, None], b * scale + shift
         taps = np.ascontiguousarray(w.transpose(2, 0, 1))  # (K, O, C)
         out = np.broadcast_to(b[:, None], (x.shape[0], self.out_ch, x.shape[2])).copy()
-        # (O, C) @ (C, T) per example keeps the reduction order independent of
-        # batch size, so eval outputs are bit-identical however windows are
-        # batched; one flat (B*T, C*K) GEMM is not (README, "Layer kernels").
-        # Each tap's products land in a full-width buffer that is zero where
-        # the tap reaches no input, so the add runs over whole rows
-        prod = np.empty(out.shape, np.result_type(taps, x))
-        for k, o_sl, i_sl in spans:
-            prod[:, :, : o_sl.start] = 0
-            prod[:, :, o_sl.stop :] = 0
-            np.matmul(taps[k], x[:, :, i_sl], out=prod[:, :, o_sl])
-            out += prod
+        _tap_sum(out, taps, x, spans)
         self._cache = None if fold is not None else (x, taps, spans)
         return out
 
@@ -230,17 +239,10 @@ class Conv1d(Layer):
         self._weight_grads(x, grad_out, spans)
         self.b.grad += _channel_sum(grad_out)
         del x  # its last reader is done: freed before the input gradient is made
-        grad_x = np.zeros(shape, dtype)
-        # as in forward, each tap's input-gradient products land in a
-        # full-width buffer, zero where the tap reaches no input, so the add
-        # runs over whole rows; grad_x never holds -0.0, so adding 0.0 keeps it
-        tap_x = np.empty(shape, np.result_type(taps, grad_out))
-        for k, o_sl, i_sl in spans:
-            tap_x[:, :, : i_sl.start] = 0
-            tap_x[:, :, i_sl.stop :] = 0
-            np.matmul(taps[k].T, grad_out[:, :, o_sl], out=tap_x[:, :, i_sl])
-            grad_x += tap_x
-        return grad_x
+        # the forward's tap sum run back: transposed taps, each span's slices
+        # swapped; grad_x never holds -0.0, so adding 0.0 keeps it
+        return _tap_sum(np.zeros(shape, dtype), taps.transpose(0, 2, 1), grad_out,
+                        [(k, i_sl, o_sl) for k, o_sl, i_sl in spans])
 
     def _weight_grads(self, x, grad_out, spans):
         """Add each tap's weight gradient into ``w.grad``. Its (B, O, C)

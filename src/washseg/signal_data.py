@@ -71,36 +71,18 @@ class SampleSeries:
 
 @dataclass(frozen=True)
 class Window:
-    """A fixed-length slice of a series, as a ``WindowSet`` yields it; views
-    into the parent arrays."""
+    """One window of a ``WindowSet``, as iterating the set yields it."""
 
     source: SampleSeries
     start_index: int
-    length: int
-
-    def __post_init__(self):
-        if self.start_index < 0 or self.start_index + self.length > len(self.source):
-            raise ValueError("window does not fit inside its series")
-
-    @property
-    def accel_slice(self) -> np.ndarray:
-        return self.source.accel[:, self.start_index : self.start_index + self.length]
-
-    @property
-    def gyro_slice(self) -> np.ndarray:
-        return self.source.gyro[:, self.start_index : self.start_index + self.length]
-
-    @property
-    def label_slice(self) -> np.ndarray:
-        return self.source.label[self.start_index : self.start_index + self.length]
 
 
 @dataclass(frozen=True, eq=False)
 class WindowSet:
     """Windows as indices: window ``i`` is the ``length`` samples of
     ``series[series_id[i]]`` from ``start[i]`` on. The ids never decrease, so
-    each series' windows form one contiguous run. Indexing an int or
-    iterating yields ``Window`` items; indexing a slice yields a ``WindowSet``."""
+    each series' windows form one contiguous run. Iterating yields a
+    ``Window`` per window."""
 
     series: tuple  # of SampleSeries
     series_id: np.ndarray  # (N,) ints
@@ -121,14 +103,9 @@ class WindowSet:
     def __len__(self) -> int:
         return self.start.size
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return WindowSet(self.series, self.series_id[i], self.start[i], self.length)
-        return Window(self.series[self.series_id[i]], int(self.start[i]), self.length)
-
     def __iter__(self):
         for sid, start in zip(self.series_id.tolist(), self.start.tolist()):
-            yield Window(self.series[sid], start, self.length)
+            yield Window(self.series[sid], start)
 
 
 def load_csv(path, participant_id="", location_id="", procedure_id=0) -> SampleSeries:

@@ -5,12 +5,14 @@ with the library implementations it checks, except ``unfolded_forward``,
 ``batchnorm_eval``, ``conv1d_spans`` and ``conv1d_backward_whole`` (the conv's
 tap spans and batch norm's ``eval_affine``, which the fold also applies), the
 result and error types of ``load_csv_loops``, and
-``Window``, ``window_starts`` and ``corpus_filename`` in the list-of-``Window``
-training windows. The train kernels that whole-row kernels replaced are kept
+``window_starts`` and ``corpus_filename`` in the list-of-windows training
+windows. The train kernels that whole-row kernels replaced are kept
 verbatim below (``upsample1d_backward_sum``, ``batchnorm_forward_broadcast``,
 ``batchnorm_backward_broadcast``, ``maxpool1d_backward_free_mask``), reading
 only the layer's parameters, buffers and constants.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +23,6 @@ from washseg.signal_data import (
     NUM_CLASSES,
     SampleSeries,
     SeriesFormatError,
-    Window,
     corpus_filename,
     window_starts,
 )
@@ -349,14 +350,23 @@ def load_csv_loops(path):
                         np.array(labels, dtype=np.int64))
 
 
-# -- training windows as one ``Window`` object per window --------------------
+# -- training windows as one object per window ----------------------------------
 # ``signal_data.extract_windows``, ``evaluation.fold_windows`` and
 # ``model.windows_to_arrays`` as they were before windows became a
 # ``WindowSet``: the same kept windows, in the same order, and the same arrays.
 
+@dataclass(frozen=True)
+class ListWindow:
+    """The ``length`` samples of ``source`` from ``start`` on."""
+
+    source: SampleSeries
+    start: int
+    length: int
+
+
 def extract_windows_list(series: SampleSeries, length=DEFAULT_WINDOW, stride=1):
-    """One ``Window`` per start of ``window_starts``."""
-    return [Window(series, start, length)
+    """One ``ListWindow`` per start of ``window_starts``."""
+    return [ListWindow(series, start, length)
             for start in window_starts(len(series), length, stride).tolist()]
 
 
@@ -384,8 +394,9 @@ def windows_to_arrays_list(windows):
     float32 is the model's compute dtype, so ``GestureNet.forward`` casts
     nothing; a value beyond its range becomes inf, which forward rejects.
     """
+    cuts = [(w.source, slice(w.start, w.start + w.length)) for w in windows]
     with np.errstate(over="ignore"):
-        accel = np.stack([w.accel_slice for w in windows], dtype=np.float32)
-        gyro = np.stack([w.gyro_slice for w in windows], dtype=np.float32)
-    labels = np.stack([w.label_slice for w in windows]).astype(np.uint8)
+        accel = np.stack([s.accel[:, cut] for s, cut in cuts], dtype=np.float32)
+        gyro = np.stack([s.gyro[:, cut] for s, cut in cuts], dtype=np.float32)
+    labels = np.stack([s.label[cut] for s, cut in cuts]).astype(np.uint8)
     return accel, gyro, labels

@@ -140,6 +140,67 @@ def test_infer_refuses_an_out_path_the_svg_would_overwrite(capsys, tmp_path):
     assert not out.exists()
 
 
+def _inputs(tmp_path, checkpoint_name, series_name):
+    """A saved fresh model and a recording under the given names, and their bytes."""
+    checkpoint, series = tmp_path / checkpoint_name, tmp_path / series_name
+    GestureNet(ArchConfig(), seed=0).save(checkpoint)
+    write_csv(generate_procedure(GenSpec(seed=5, participants=2), 0, 0, 5), series)
+    return checkpoint, series, {p: p.read_bytes() for p in (checkpoint, series)}
+
+
+@pytest.mark.parametrize("out_name,checkpoint_name,series_name,output,flag", [
+    ("rec.csv", "m.ckpt", "rec.csv", "--out", "--series"),
+    ("m.ckpt", "m.ckpt", "rec.csv", "--out", "--checkpoint"),
+    ("rec.csv", "m.ckpt", "rec.svg", "--out's timeline SVG", "--series"),
+    ("m.csv", "m.svg", "rec.csv", "--out's timeline SVG", "--checkpoint"),
+], ids=["csv-series", "csv-checkpoint", "svg-series", "svg-checkpoint"])
+def test_infer_refuses_to_write_over_an_input(capsys, tmp_path, out_name, checkpoint_name,
+                                              series_name, output, flag):
+    # before, the inputs were read and then one of them overwritten, exit 0
+    checkpoint, series, before = _inputs(tmp_path, checkpoint_name, series_name)
+    out = tmp_path / "." / out_name  # another spelling of the path
+    written = {"--out": out, "--out's timeline SVG": out.with_suffix(".svg")}[output]
+    assert main(["infer", "--checkpoint", str(checkpoint), "--series", str(series),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (f"error: infer: {output} {written} is the {flag} input; "
+                                       "give the output another path\n")
+    assert {p: p.read_bytes() for p in before} == before
+
+
+@pytest.mark.parametrize("flag", ["--track", "--series", "--checkpoint"])
+def test_score_refuses_to_write_over_an_input(capsys, tmp_path, flag):
+    # before, the inputs were read and then one of them overwritten, exit 0
+    checkpoint, series, before = _inputs(tmp_path, "m.ckpt", "rec.csv")
+    track = tmp_path / "track.csv"
+    _write_track(track, ["3"])
+    before[track] = track.read_bytes()
+    argv = (["--track", str(track)] if flag == "--track"
+            else ["--checkpoint", str(checkpoint), "--series", str(series)])
+    out = {"--track": track, "--series": series, "--checkpoint": checkpoint}[flag]
+    assert main(["score", *argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (f"error: score: --out {out} is the {flag} input; "
+                                       "give the output another path\n")
+    assert {p: p.read_bytes() for p in before} == before
+
+
+@pytest.mark.parametrize("out_name,config_name,output", [
+    ("arch.txt", "arch.txt", "--out"), ("arch", "arch.log.csv", "--out's log")],
+    ids=["checkpoint", "log"])
+def test_train_refuses_to_write_over_its_arch_config(capsys, tmp_path, corpus_dir, out_name,
+                                                     config_name, output):
+    # before, a model was trained and then the architecture file overwritten, exit 0
+    config, out = tmp_path / config_name, tmp_path / out_name
+    config.write_text(ArchConfig().to_text(), encoding="utf-8")
+    before = config.read_bytes()
+    assert main(["train", "--data", str(corpus_dir), "--seed", "0", "--epochs", "1",
+                 "--max-windows", "64", "--quiet", "--arch-config", str(config),
+                 "--out", str(out)]) == 1
+    written = {"--out": out, "--out's log": f"{out}.log.csv"}[output]
+    assert capsys.readouterr().err == (f"error: train: {output} {written} is the --arch-config "
+                                       "input; give the output another path\n")
+    assert config.read_bytes() == before
+
+
 @pytest.mark.parametrize("smooth", ["none", "tmf"])
 def test_infer_strides_by_the_model_input(tmp_path, smooth):
     # a 32-sample model: a 64-sample stride would leave samples uncovered

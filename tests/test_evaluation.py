@@ -13,6 +13,7 @@ from washseg.evaluation import (
     accuracy_per_participant,
     confusion_matrix,
     confusion_to_csv,
+    evaluate_tracks,
     fold_windows,
     make_split,
     mean_sd,
@@ -23,7 +24,8 @@ from washseg.evaluation import (
     run_evaluation,
 )
 from washseg.model import TrainHyper, windows_to_arrays
-from washseg.pipeline import infer_track, smooth
+from washseg.pipeline import LabelTrack, infer_track, smooth
+from washseg.signal_data import extract_windows
 from washseg.synth import GenSpec, generate
 from conftest import make_series
 import oracle
@@ -125,6 +127,17 @@ class TestOnsetOffsetError:
 
     def test_detection_failure(self):
         assert onset_offset_error(None, (2.0, 9.0)) is None
+
+    def test_evaluate_tracks_counts_a_detection_failure(self):
+        # the all-background track detects no procedure: it is counted and
+        # left out of the onset/offset means, which are the other track's
+        labels = np.array([0] * 20 + [3] * 100 + [0] * 20)
+        shown, missed = make_series(labels), make_series(labels, participant="p01")
+        late = np.concatenate([np.zeros(5, int), labels[:-5]])  # every edge 5 samples late
+        m = evaluate_tracks([shown, missed], [LabelTrack(late), LabelTrack(np.zeros(140, int))])
+        assert m.detection_failures == 1
+        assert m.onset_mean == pytest.approx(0.1) and m.offset_mean == pytest.approx(0.1)
+        assert m.onset_sd == m.offset_sd == 0.0
 
     def test_mean_sd_population(self):
         mean, sd = mean_sd([1.0, 3.0])
@@ -233,7 +246,7 @@ def test_fold_windows_keeps_at_most_max_windows_and_none_keeps_all():
 def test_fold_windows_names_a_recording_shorter_than_the_window(monkeypatch):
     calls = []
     monkeypatch.setattr("washseg.evaluation.extract_windows",
-                        lambda s, *args: calls.append(len(s)) or [])
+                        lambda s, *args: calls.append(len(s)) or extract_windows(s, *args))
     series = [make_series(np.zeros(100, dtype=int)),
               make_series(np.zeros(50, dtype=int), participant="p09")]
     with pytest.raises(ValueError, match="^loc0_p09_1.csv has 50 samples, "
@@ -271,7 +284,8 @@ def test_fold_windows_and_arrays_match_the_window_list_oracle(case):
     got = fold_windows(series, 64, stride, max_windows, rng=np.random.default_rng(seed))
     want = oracle.fold_windows_list(series, 64, stride, max_windows,
                                     rng=np.random.default_rng(seed))
-    assert [(w.source, w.start_index) for w in got] == [(w.source, w.start_index) for w in want]
+    assert [(got.series[i], start) for i, start in zip(got.series_id, got.start.tolist())] == [
+        (w.source, w.start) for w in want]
     for g, w in zip(windows_to_arrays(got), oracle.windows_to_arrays_list(want), strict=True):
         g = np.asarray(g)  # accel and gyro are row sources; labels are a stack
         assert (g.dtype, g.shape) == (w.dtype, w.shape)

@@ -75,43 +75,43 @@ class TestAdam:
         # step 1 with g=1: bias corrections cancel, |delta| = lr*|g|/(|g|+eps)
         p = param64([1.0])
         p.grad[:] = 1.0
-        opt = Adam(lr=0.001)
-        opt.step({"p": p})
+        opt = Adam([p], lr=0.001)
+        opt.step()
         assert abs((1.0 - p.value[0]) - 0.001 * 1.0 / (1.0 + 1e-8)) < 1e-12
 
     def test_zero_gradient_leaves_params(self):
         p = param64([2.0, -3.0])
-        opt = Adam(lr=0.1)
+        opt = Adam([p], lr=0.1)
         for _ in range(5):
             p.zero_grad()
-            opt.step({"p": p})
+            opt.step()
         np.testing.assert_allclose(p.value, [2.0, -3.0])
 
     def test_independent_parameters(self, rng):
         # two slots evolve exactly as they would alone
         a = param64([1.0])
         b = param64([5.0])
-        opt = Adam(lr=0.01)
+        opt = Adam([a, b], lr=0.01)
         a_alone = param64([1.0])
-        opt_alone = Adam(lr=0.01)
+        opt_alone = Adam([a_alone], lr=0.01)
         for _ in range(10):
             g = float(rng.standard_normal())
             a.grad[:] = g
             b.grad[:] = -g
             a_alone.grad[:] = g
-            opt.step({"a": a, "b": b})
-            opt_alone.step({"a": a_alone})
+            opt.step()
+            opt_alone.step()
         np.testing.assert_allclose(a.value, a_alone.value)
 
     def test_matches_hand_recurrence(self, rng):
         p = param64([0.5])
-        opt = Adam(lr=0.002)
+        opt = Adam([p], lr=0.002)
         m = v = 0.0
         x = 0.5
         for t in range(1, 6):
             g = float(rng.standard_normal())
             p.grad[:] = g
-            opt.step({"p": p})
+            opt.step()
             m = 0.9 * m + 0.1 * g
             v = 0.999 * v + 0.001 * g * g
             x -= 0.002 * (m / (1 - 0.9**t)) / (math.sqrt(v / (1 - 0.999**t)) + 1e-8)
@@ -119,7 +119,7 @@ class TestAdam:
 
     def test_step_counter_increases(self):
         p = param64([1.0])
-        opt = Adam()
+        opt = Adam([p])
         for i in range(3):
-            opt.step({"p": p})
+            opt.step()
         assert opt.step_count == 3

@@ -22,7 +22,7 @@ from washseg.model import (
 )
 from washseg.nn import Adam, BatchNorm1d, softmax_cross_entropy
 from washseg.nn import checkpoint as ckpt
-from washseg.signal_data import extract_windows
+from washseg.signal_data import WindowSet, extract_windows
 from washseg.synth import GenSpec, generate_procedure
 from conftest import cast_model, make_series
 import oracle
@@ -248,12 +248,11 @@ class TestPrecision:
         logits = m.forward(a, a[::-1], mode="train")
         loss, grad = softmax_cross_entropy(logits, rng.integers(0, 10, size=(4, 64)))
         m.backward(grad)
-        opt = Adam()
-        opt.step(m.params())
+        opt = Adam(m.params().values())
+        opt.step()
         assert logits.dtype == grad.dtype == np.float32
         assert {p.grad.dtype for p in m.params().values()} == {np.dtype(np.float32)}
-        assert {v.dtype for v in opt.m.values()} | {v.dtype for v in opt.v.values()} == {
-            np.dtype(np.float32)}
+        assert {v.dtype for v in opt.m + opt.v} == {np.dtype(np.float32)}
         m.save(tmp_path / "m.ckpt")
         for model in (m, GestureNet.load(tmp_path / "m.ckpt")):
             assert {v.dtype for v in model.named_tensors().values()} == {np.dtype(np.float32)}
@@ -444,7 +443,8 @@ def training_windows(n_windows=32, seed=5):
     spec = GenSpec(seed=seed, participants=1)
     series = generate_procedure(spec, 0, 0, 1)
     stride = max(1, (len(series) - 64) // n_windows)
-    return extract_windows(series, 64, stride)[:n_windows]
+    ws = extract_windows(series, 64, stride)
+    return WindowSet(ws.series, ws.series_id[:n_windows], ws.start[:n_windows], 64)
 
 
 class TestWindowsToArrays:
@@ -452,10 +452,12 @@ class TestWindowsToArrays:
         windows = training_windows()
         accel, gyro, labels = windows_to_arrays(windows)
         assert (accel.dtype, gyro.dtype, labels.dtype) == (np.float32, np.float32, np.uint8)
-        for got, part in ((accel, "accel_slice"), (gyro, "gyro_slice")):
-            wide = np.stack([getattr(w, part) for w in windows]).astype(np.float64)
+        (series,) = windows.series
+        cuts = [slice(start, start + 64) for start in windows.start]
+        for got, part in ((accel, series.accel), (gyro, series.gyro)):
+            wide = np.stack([part[:, cut] for cut in cuts]).astype(np.float64)
             np.testing.assert_array_equal(got, wide.astype(np.float32))
-        np.testing.assert_array_equal(labels, np.stack([w.label_slice for w in windows]))
+        np.testing.assert_array_equal(labels, np.stack([series.label[cut] for cut in cuts]))
 
     @staticmethod
     def traced_peak(windows):
@@ -496,7 +498,7 @@ class TestWindowsToArrays:
         accel = series.accel.copy()
         accel[1, 70] = 1e39
         series = dataclasses.replace(series, accel=accel)
-        a, g, _ = windows_to_arrays(extract_windows(series, 64, 64)[:2])
+        a, g, _ = windows_to_arrays(WindowSet((series,), np.zeros(2, int), np.array([0, 64]), 64))
         assert np.isinf(a[1, 1, 70 - 64]) and np.isfinite(a[0]).all()
         with pytest.raises(ValueError, match="accel input contains NaN/Inf"):
             GestureNet(ArchConfig(), seed=0).forward(a, g)

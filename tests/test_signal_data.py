@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from washseg import synth
+from washseg.model import windows_to_arrays
 from washseg.signal_data import (
     COLUMNS,
     CSV_HEADER,
@@ -235,6 +236,16 @@ class TestCsvContract:
         with pytest.raises(SeriesFormatError, match=r"ws\.csv: line 5: whitespace-only line"):
             load_csv(p)
 
+    def test_empty_line_counts_in_the_bad_line_number(self, tmp_path):
+        # line 5 is empty and skipped; the row after it, line 6, fails to parse
+        rows = valid_rows(6)
+        rows[3][2] = "x"
+        rows = [",".join(map(str, r)) for r in rows]
+        p = tmp_path / "gap.csv"
+        write_text(p, "\n".join([CSV_HEADER, *rows[:3], "", *rows[3:]]) + "\n")
+        with pytest.raises(SeriesFormatError, match=r"gap\.csv: line 6: non-numeric ay value 'x'$"):
+            load_csv(p)
+
     def test_fractional_label_rejected_as_before(self, tmp_path):
         rows = valid_rows(10)
         rows[5][7] = "3.0"
@@ -438,12 +449,12 @@ class TestExtractWindows:
     def test_exact_fit_single_window(self):
         s = make_series(np.zeros(64, dtype=int))
         ws = extract_windows(s, 64, 64)
-        assert [w.start_index for w in ws] == [0]
+        assert (ws.series, ws.series_id.tolist(), ws.start.tolist()) == ((s,), [0], [0])
 
     def test_tail_window_appended(self):
         s = make_series(np.zeros(100, dtype=int))
         ws = extract_windows(s, 64, 64)
-        assert [w.start_index for w in ws] == [0, 36]
+        assert ws.start.tolist() == [0, 36] and ws.series_id.tolist() == [0, 0]
 
     def test_too_long_window_rejected(self):
         s = make_series(np.zeros(32, dtype=int))
@@ -459,7 +470,7 @@ class TestExtractWindows:
             s = make_series(np.zeros(n, dtype=int))
             starts = window_starts(n, 64, stride)
             assert starts.dtype.kind == "i"
-            assert [w.start_index for w in extract_windows(s, 64, stride)] == starts.tolist()
+            assert extract_windows(s, 64, stride).start.tolist() == starts.tolist()
             assert (np.diff(starts) > 0).all() and starts[-1] == n - 64, (n, stride)
             covered = np.zeros(n, dtype=bool)
             for start in starts:
@@ -475,17 +486,17 @@ class TestExtractWindows:
 
     def test_window_slices_match_source(self):
         s = make_series(np.arange(100) % 10)
-        w = extract_windows(s, 64, 64)[1]
-        np.testing.assert_array_equal(w.label_slice, s.label[36:100])
-        np.testing.assert_array_equal(w.accel_slice, s.accel[:, 36:100])
+        accel, gyro, labels = windows_to_arrays(extract_windows(s, 64, 64))
+        np.testing.assert_array_equal(labels[1], s.label[36:100])
+        np.testing.assert_array_equal(accel[1], s.accel[:, 36:100].astype(np.float32))
+        np.testing.assert_array_equal(gyro[1], s.gyro[:, 36:100].astype(np.float32))
 
-    def test_window_set_slices_to_a_set_and_rejects_windows_that_do_not_fit(self):
+    def test_window_set_iterates_and_rejects_bad_windows(self):
+        # iteration yields each window's series and start, in order
         s, t = make_series(np.zeros(100, dtype=int)), make_series(np.zeros(70, dtype=int))
         ws = WindowSet((s, t), np.array([0, 0, 1]), np.array([0, 36, 6]), 64)
-        head = ws[1:]
-        assert isinstance(head, WindowSet) and len(head) == 2
-        assert [(w.source, w.start_index) for w in head] == [(s, 36), (t, 6)]
-        assert (ws[-1].source, ws[-1].start_index) == (t, 6)
+        assert len(ws) == 3
+        assert [(w.source, w.start_index) for w in ws] == [(s, 0), (s, 36), (t, 6)]
         with pytest.raises(ValueError, match="^window does not fit inside its series$"):
             WindowSet((s, t), np.array([0, 1]), np.array([0, 7]), 64)
         with pytest.raises(ValueError, match="^series ids must be non-decreasing"):
