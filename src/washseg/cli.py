@@ -30,9 +30,9 @@ def _write_text(path, text: str):
 
 
 def _overwrite(command, outputs, inputs):
-    """The failure for the first output that is an existing input file, naming
-    both; None when no output is. Outputs are (name, path), inputs (flag, path);
-    a path of None is a flag not given."""
+    """The failure for the first output that is an existing input file or
+    directory, naming both; None when no output is. Outputs are (name, path),
+    inputs (flag, path); a path of None is a flag not given."""
     for name, out in outputs:
         for flag, path in inputs:
             both = out and path and os.path.exists(out) and os.path.exists(path)
@@ -65,8 +65,10 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     log_path = args.out + ".log.csv"
-    refused = _overwrite("train", [("--out", args.out), ("--out's log", log_path)],
-                         [("--arch-config", args.arch_config)])
+    # the log is a CSV, so in the corpus directory it would break the next load
+    refused = _overwrite("train", [("--out", args.out), ("--out's log", log_path),
+                                   ("--out's directory", os.path.dirname(args.out) or ".")],
+                         [("--arch-config", args.arch_config), ("--data", args.data)])
     if refused:
         return refused
     hyper = _hyper(args).validate()
@@ -133,6 +135,10 @@ def cmd_score(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    # the reports include CSVs, which would break the next load of the corpus
+    refused = _overwrite("eval", [("--out", args.out)], [("--data", args.data)])
+    if refused:
+        return refused
     corpus = load_corpus(args.data)
     kind = {"user-dep": "user-dependent", "lopo": "lopo", "lolo": "lolo"}[args.split]
     split = evaluation.make_split(corpus, kind)

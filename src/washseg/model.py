@@ -108,9 +108,6 @@ class _ConvBnAct(Layer):
             y = self.conv.forward(x, fold=self.bn)
         return self.act.forward(y, out=y)
 
-    def _conv_bn_act_backward(self, grad_out):
-        return self.conv.backward(self.bn.backward(self.act.backward(grad_out)))
-
 
 class _EncStage(_ConvBnAct):
     """conv -> batchnorm -> leaky relu -> maxpool/2."""
@@ -121,30 +118,44 @@ class _EncStage(_ConvBnAct):
 
     def forward(self, x, training):
         act = self._conv_bn_act(x, training)
+        if training:
+            self._cache = x  # the conv's input, handed back to it in backward
         return act, self.pool.forward(act)
 
     def backward(self, grad_pooled, grad_skip):
+        x = self._saved()
         grad = self.pool.backward(grad_pooled)
         grad += grad_skip
-        return self._conv_bn_act_backward(grad)
+        return self.conv.backward(self.bn.backward(self.act.backward(grad)), [x])
 
 
 class _DecStage(_ConvBnAct):
-    """upsample x2 -> concat both branches' skip features -> conv -> bn -> leaky."""
+    """upsample x2 -> concat both branches' skip features -> conv -> bn -> leaky.
+
+    In training the stage keeps its input and the two skips, not the
+    concatenation it convolves: the skips are the encoder's own saved
+    activations, and backward re-forms the upsample from the input."""
 
     def __init__(self, in_ch, out_ch, slope, rng):
         self.up = Upsample1d(2)
         super().__init__(in_ch, out_ch, slope, rng)
 
     def forward(self, x, skip_a, skip_g, training):
-        up = self.up.forward(x)
-        self._cache = (up.shape[1], up.shape[1] + skip_a.shape[1])  # channel split points
-        return self._conv_bn_act(np.concatenate([up, skip_a, skip_g], axis=1), training)
+        if training:
+            self._cache = (x, skip_a, skip_g)
+        return self._conv_bn_act(np.concatenate([self.up.forward(x), skip_a, skip_g], axis=1),
+                                 training)
 
     def backward(self, grad_out):
-        grad_up, grad_skip_a, grad_skip_g = np.split(
-            self._conv_bn_act_backward(grad_out), self._saved(), axis=1)
-        return self.up.backward(grad_up), grad_skip_a, grad_skip_g
+        x, skip_a, skip_g = self._saved()
+        grad = self.bn.backward(self.act.backward(grad_out))
+        # the upsample is re-formed only now, so batch norm's backward runs without it
+        grad = self.conv.backward(grad, [self.up.forward(x), skip_a, skip_g])
+        c_a = grad.shape[1] - skip_a.shape[1] - skip_g.shape[1]
+        c_g = c_a + skip_a.shape[1]
+        # copies, so that no view keeps the whole input gradient alive until
+        # the encoder runs; the upsample's part is freed once it is read
+        return self.up.backward(grad[:, :c_a]), grad[:, c_a:c_g].copy(), grad[:, c_g:].copy()
 
 
 class GestureNet(Layer):
@@ -217,13 +228,15 @@ class GestureNet(Layer):
 
         for st, (skip_a, skip_g) in zip(self.dec, reversed(skips)):
             x = st.forward(x, skip_a, skip_g, training)
+        if training:
+            self._cache = x  # the head's input, handed back to it in backward
         logits = self.head.forward(x)
         if not np.isfinite(logits).all():
             raise FloatingPointError("non-finite logits produced")
         return logits
 
     def backward(self, grad_logits):
-        g = self.head.backward(grad_logits)
+        g = self.head.backward(grad_logits, [self._saved()])
         skip_grads = []  # (grad_a, grad_g) per encoder stage, shallowest first
         for st in reversed(self.dec):
             g, gs_a, gs_g = st.backward(g)

@@ -5,16 +5,18 @@ otherwise. ``Param`` slots and batch-norm buffers are built as float32, the
 precision checkpoints store and load. Layers compute in the dtype their input
 shares with their parameters and allocate nothing wider, so tests cast a model
 to float64 to gradcheck it through the same code; a mixed pair follows numpy's
-promotion, but batch-norm buffers keep their own dtype. Layers cache their input
-(activations: their output; batch norm: its centred input) and derive masks,
-normalized inputs and argmax positions in backward. A cache lives from forward
-to backward: the backward that reads it also drops it, so a train step's saved
-activations are freed layer by layer as backward passes (a conv's input before
-its input gradient is made), and a backward without a fresh forward raises
-``RuntimeError``. A forward takes only its input: no layer has a train
-or eval mode. Batch norm's forward is the train forward; the model folds its
-eval map, ``eval_affine``, into the preceding conv. Other layers' eval
-forwards write a cache that nothing reads.
+promotion, but batch-norm buffers keep their own dtype. Layers cache what
+backward needs of their input (activations: their output; batch norm: its
+centred input) and derive masks, normalized inputs and argmax positions in
+backward. A conv caches no input: its caller, which holds that input anyway,
+hands it back to ``Conv1d.backward`` as a list of channel parts, so a decoder
+stage keeps its input and skips, never their concatenation. A cache lives from
+forward to backward: the backward that reads it also drops it, so a train
+step's saved activations are freed layer by layer as backward passes, and a
+backward without a fresh forward raises ``RuntimeError``. A forward takes only
+its input: no layer has a train or eval mode. Batch norm's forward is the
+train forward; the model folds its eval map, ``eval_affine``, into the
+preceding conv. Other layers' eval forwards write a cache that nothing reads.
 The layers run the geometry ``GestureNet`` builds: convs of odd kernel keep
 the input length (stride 1, padding kernel // 2), and pools step by their own
 window. Forwards read strided slices and never copy their input; selects are
@@ -100,7 +102,9 @@ class Layer:
         return cache
 
 
-# bytes of (rows, O, C) weight-gradient products that Conv1d.backward makes at once
+# bytes of the per-tap product rows that a conv makes at once: its (rows, O, T)
+# tap-sum buffer, and its (rows, O, C) weight-gradient products with their
+# gathered input rows
 _PRODUCT_BYTES = 1 << 20
 # batch norm's variance floor and running-statistics update weight
 BN_EPSILON, BN_MOMENTUM = 1e-5, 0.1
@@ -165,14 +169,22 @@ def _tap_sum(out, taps, x, spans):
     batch size, so eval outputs are bit-identical however windows are
     batched; one flat (B*T, C*K) GEMM is not (README, "Layer kernels").
     Each tap's products land in a full-width buffer that is zero where the
-    tap reaches no input, so the add runs over whole rows.
+    tap reaches no input, so the add runs over whole rows. The buffer holds
+    about ``_PRODUCT_BYTES`` of rows, and the batch runs through it a slice
+    of rows at a time: the products are per example and the adds
+    elementwise, so slicing keeps every bit.
     """
-    prod = np.empty(out.shape, np.result_type(taps, x))
-    for k, o_sl, i_sl in spans:
-        prod[:, :, : o_sl.start] = 0
-        prod[:, :, o_sl.stop :] = 0
-        np.matmul(taps[k], x[:, :, i_sl], out=prod[:, :, o_sl])
-        out += prod
+    b, o, t = out.shape
+    dtype = np.result_type(taps, x)
+    rows = max(1, _PRODUCT_BYTES // max(1, o * t * dtype.itemsize))
+    prod = np.empty((min(rows, b), o, t), dtype)
+    for lo in range(0, b, rows):
+        part, xs, outs = prod[: b - lo], x[lo : lo + rows], out[lo : lo + rows]
+        for k, o_sl, i_sl in spans:
+            part[:, :, : o_sl.start] = 0
+            part[:, :, o_sl.stop :] = 0
+            np.matmul(taps[k], xs[:, :, i_sl], out=part[:, :, o_sl])
+            outs += part
     return out
 
 
@@ -230,37 +242,55 @@ class Conv1d(Layer):
         taps = np.ascontiguousarray(w.transpose(2, 0, 1))  # (K, O, C)
         out = np.broadcast_to(b[:, None], (x.shape[0], self.out_ch, x.shape[2])).copy()
         _tap_sum(out, taps, x, spans)
-        self._cache = None if fold is not None else (x, taps, spans)
+        self._cache = None if fold is not None else (taps, spans)
         return out
 
-    def backward(self, grad_out):
-        x, taps, spans = self._saved()
-        shape, dtype = x.shape, x.dtype
-        self._weight_grads(x, grad_out, spans)
+    def backward(self, grad_out, parts):
+        """Gradients of the last unfolded forward, whose input comes back as
+        ``parts``: a list of arrays that, concatenated along channels, are that
+        input. The conv keeps no copy of its input, and a decoder stage never
+        keeps the concatenation it convolved. The list is emptied once the
+        weight gradient is made, so a part only it holds is freed before the
+        input gradient is."""
+        taps, spans = self._saved()
+        if sum(part.shape[1] for part in parts) != self.in_ch:
+            raise ValueError(f"conv1d: backward input parts have "
+                             f"{[part.shape[1] for part in parts]} channels, "
+                             f"weights expect {self.in_ch}")
+        dtype = np.result_type(*parts)
+        self._weight_grads(parts, grad_out, spans)
+        parts.clear()
         self.b.grad += _channel_sum(grad_out)
-        del x  # its last reader is done: freed before the input gradient is made
         # the forward's tap sum run back: transposed taps, each span's slices
         # swapped; grad_x never holds -0.0, so adding 0.0 keeps it
-        return _tap_sum(np.zeros(shape, dtype), taps.transpose(0, 2, 1), grad_out,
-                        [(k, i_sl, o_sl) for k, o_sl, i_sl in spans])
+        shape = (grad_out.shape[0], self.in_ch, grad_out.shape[2])
+        return _tap_sum(np.zeros(shape, dtype), taps.transpose(0, 2, 1),
+                        grad_out, [(k, i_sl, o_sl) for k, o_sl, i_sl in spans])
 
-    def _weight_grads(self, x, grad_out, spans):
+    def _weight_grads(self, parts, grad_out, spans):
         """Add each tap's weight gradient into ``w.grad``. Its (B, O, C)
         products are made and summed a slice of rows at a time: numpy sums
         axis 0 row by row when O*C > 1, so adding one slice's sum into the
         next slice's first row keeps every bit; a (B, 1, 1) product is summed
-        pairwise, so it stays whole."""
-        batch, cells = x.shape[0], self.out_ch * self.in_ch
-        row_bytes = cells * np.result_type(grad_out, x).itemsize
+        pairwise, so it stays whole. A slice of an input given in several
+        parts is gathered whole first: a BLAS product of one part alone may
+        add its terms in another order (a one-column part runs as gemv)."""
+        batch, t = grad_out.shape[0], grad_out.shape[2]
+        cells = self.out_ch * self.in_ch
+        gathered = self.in_ch * t if len(parts) > 1 else 0
+        row_bytes = (cells + gathered) * np.result_type(grad_out, *parts).itemsize
         rows = max(1, batch if cells == 1 else _PRODUCT_BYTES // row_bytes)
-        for k, o_sl, i_sl in spans:
-            g, xt = grad_out[:, :, o_sl], x[:, :, i_sl].transpose(0, 2, 1)
-            total = None
-            for lo in range(0, max(batch, 1), rows):  # an empty batch still sums once
-                prod = g[lo : lo + rows] @ xt[lo : lo + rows]
-                if total is not None:
-                    prod[0] += total
-                total = prod.sum(axis=0)
+        totals = [None] * len(spans)
+        for lo in range(0, max(batch, 1), rows):  # an empty batch still sums once
+            hi = lo + rows
+            x = parts[0][lo:hi] if len(parts) == 1 else np.concatenate(
+                [part[lo:hi] for part in parts], axis=1)
+            for j, (k, o_sl, i_sl) in enumerate(spans):
+                prod = grad_out[lo:hi, :, o_sl] @ x[:, :, i_sl].transpose(0, 2, 1)
+                if totals[j] is not None:
+                    prod[0] += totals[j]
+                totals[j] = prod.sum(axis=0)
+        for (k, _, _), total in zip(spans, totals):
             self.w.grad[:, :, k] += total
 
 
@@ -318,12 +348,15 @@ class BatchNorm1d(Layer):
         self.gamma.grad += d_gamma
         self.beta.grad += d_beta
         scale = self.gamma.value * inv_std
+        # prod takes over xhat * d_gamma in its own dtype, and xhat, the
+        # cached input, is dropped before grad_x is made
+        np.multiply(xhat, _rows(d_gamma, t), out=prod)
+        del xhat
         # its reductions are gamma*d_beta and gamma*d_gamma
         n = grad_out.shape[0] * t
         grad_x = n * grad_out
         grad_x -= _rows(d_beta, t)
-        # prod has the dtype of xhat * d_gamma, which it takes over
-        grad_x -= np.multiply(xhat, _rows(d_gamma, t), out=prod)
+        grad_x -= prod
         grad_x *= _rows(scale / n, t)
         return grad_x
 
@@ -525,14 +558,17 @@ class PPMBlock(Layer):
         t = x.shape[2]
         if t % max(self.POOL_SIZES) != 0:
             raise ValueError(f"ppm_block: temporal length {t} not divisible by 8")
-        branches = [x] + [up.forward(conv.forward(pool.forward(x)))
-                          for pool, conv, up in zip(self.pools, self.reducers, self.ups)]
+        pooled = [pool.forward(x) for pool in self.pools]
+        self._cache = pooled  # the reducers' inputs, handed back to them in backward
+        branches = [x] + [up.forward(conv.forward(p))
+                          for p, conv, up in zip(pooled, self.reducers, self.ups)]
         return np.concatenate(branches, axis=1)
 
     def backward(self, grad_out):
+        pooled = self._saved()
         grad_x = grad_out[:, : self.channels].copy()
         for i, (pool, conv, up) in enumerate(zip(self.pools, self.reducers, self.ups)):
             lo = self.channels + i * self.reduce_ch
             g = grad_out[:, lo : lo + self.reduce_ch]
-            grad_x += pool.backward(conv.backward(up.backward(g)))
+            grad_x += pool.backward(conv.backward(up.backward(g), [pooled[i]]))
         return grad_x

@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from washseg.nn import BatchNorm1d
+from washseg.nn import BatchNorm1d, Conv1d
 from washseg.signal_data import RATE_HZ, SampleSeries
 
 
@@ -43,3 +43,9 @@ def cast_model(model, dtype=np.float64):
             m.running_mean = m.running_mean.astype(dtype)
             m.running_var = m.running_var.astype(dtype)
     return model
+
+
+def layer_backward(layer, grad_out, x):
+    """``layer.backward(grad_out)`` after a forward on ``x``; a ``Conv1d``
+    keeps no copy of its input, so it takes ``x`` back as its one part."""
+    return layer.backward(grad_out, [x]) if isinstance(layer, Conv1d) else layer.backward(grad_out)

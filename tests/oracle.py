@@ -2,9 +2,10 @@
 
 Everything here is written as plain loops, deliberately sharing no code
 with the library implementations it checks, except ``unfolded_forward``,
-``batchnorm_eval``, ``conv1d_spans`` and ``conv1d_backward_whole`` (the conv's
-tap spans and batch norm's ``eval_affine``, which the fold also applies), the
-result and error types of ``load_csv_loops``, and
+``batchnorm_eval``, ``conv1d_spans``, ``conv1d_backward_whole`` and
+``conv1d_backward_concat`` (the conv's tap spans and batch norm's
+``eval_affine``, which the fold also applies), the result and error types of
+``load_csv_loops``, and
 ``window_starts`` and ``corpus_filename`` in the list-of-windows training
 windows. The train kernels that whole-row kernels replaced are kept
 verbatim below (``upsample1d_backward_sum``, ``batchnorm_forward_broadcast``,
@@ -76,6 +77,15 @@ def conv1d_backward_whole(conv, x, grad_out):
         grad_x[:, :, i_sl] += taps[k].T @ g
         grad_w[:, :, k] += (g @ x[:, :, i_sl].transpose(0, 2, 1)).sum(axis=0)
     return grad_x, grad_w
+
+
+def conv1d_backward_concat(conv, parts, grad_out):
+    """``Conv1d.backward`` on an input that comes back in channel parts, as a
+    decoder stage's did while it kept its concatenation: the parts joined
+    into the whole input, whose input and weight gradients
+    ``conv1d_backward_whole`` makes. Returns (grad_x, grad_w, grad_b)."""
+    grad_x, grad_w = conv1d_backward_whole(conv, np.concatenate(parts, axis=1), grad_out)
+    return grad_x, grad_w, np.zeros_like(conv.b.grad) + _channel_sum(grad_out)
 
 
 def upsample1d_repeat(x, factor):

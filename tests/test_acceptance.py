@@ -39,7 +39,7 @@ from washseg.nn import (
 from washseg.pipeline import LabelTrack, mode_filter, multiple_test_voting
 from washseg.scoring import PROFESSIONAL_DURATIONS, score, trimmed_average
 from washseg.synth import GenSpec, generate
-from conftest import cast_model
+from conftest import cast_model, layer_backward
 from gradcheck import grad_check
 import oracle
 
@@ -99,7 +99,7 @@ def test_criterion_1_gradient_fidelity(rng):
             if "p" not in probes:
                 probes["p"] = np.random.default_rng(7).standard_normal(out.shape)
             if compute:
-                layer.backward(probes["p"])
+                layer_backward(layer, probes["p"], x)
             return float((out * probes["p"]).sum())
 
         return grad_check(loss_fn, layer.params(), h=1e-5, tolerance=1e-6).max_error

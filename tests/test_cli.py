@@ -201,6 +201,37 @@ def test_train_refuses_to_write_over_its_arch_config(capsys, tmp_path, corpus_di
     assert config.read_bytes() == before
 
 
+def _own_corpus(tmp_path):
+    """A one-participant corpus of its own, and its files' bytes."""
+    corpus = tmp_path / "corpus"
+    assert main(["synth", "--seed", "5", "--participants", "1", "--out", str(corpus)]) == 0
+    return corpus, _csv_bytes(corpus)
+
+
+def test_train_refuses_to_write_its_log_into_its_corpus(capsys, tmp_path):
+    # before, the model was trained and m.ckpt.log.csv written into the
+    # corpus, exit 0, and the next train on the corpus failed on that name
+    corpus, before = _own_corpus(tmp_path)
+    assert main(["train", "--data", str(corpus), "--seed", "0", "--epochs", "1",
+                 "--max-windows", "64", "--quiet", "--out", str(corpus / "m.ckpt")]) == 1
+    assert capsys.readouterr().err == (f"error: train: --out's directory {corpus} is the --data "
+                                       "input; give the output another path\n")
+    assert _csv_bytes(corpus) == before
+
+
+def test_eval_refuses_to_write_its_reports_into_its_corpus(capsys, tmp_path):
+    # before, the fold was trained and scored and its confusion and
+    # participant CSVs written into the corpus, exit 0, and the next load of
+    # the corpus failed on their names
+    corpus, before = _own_corpus(tmp_path)
+    out = corpus / "."  # another spelling of the path
+    assert main(["eval", "--data", str(corpus), "--seed", "0", "--epochs", "1",
+                 "--max-windows", "64", "--quiet", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (f"error: eval: --out {out} is the --data input; "
+                                       "give the output another path\n")
+    assert _csv_bytes(corpus) == before
+
+
 @pytest.mark.parametrize("smooth", ["none", "tmf"])
 def test_infer_strides_by_the_model_input(tmp_path, smooth):
     # a 32-sample model: a 64-sample stride would leave samples uncovered

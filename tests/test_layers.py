@@ -20,7 +20,7 @@ from washseg.nn import (
     Upsample1d,
 )
 from washseg.model import _ConvBnAct
-from conftest import cast_model
+from conftest import cast_model, layer_backward
 from gradcheck import grad_check
 import oracle
 
@@ -37,7 +37,7 @@ def layer_loss_check(layer, inputs, seed=0):
             probes = np.random.default_rng(99).standard_normal(out.shape)
         loss = float((out * probes).sum())
         if compute:
-            layer.backward(probes)
+            layer_backward(layer, probes, inputs)
         return loss
 
     return grad_check(loss_fn, layer.params(), tolerance=1e-6, rng=rng)
@@ -47,7 +47,7 @@ def input_grad_check(layer, x, tol=1e-6):
     """Central differences of a random linear readout against the input gradient."""
     probes = np.random.default_rng(7).standard_normal(layer.forward(x).shape)
     layer.forward(x)
-    gx = layer.backward(probes)
+    gx = layer_backward(layer, probes, x)
     h = 1e-6
     flat = x.reshape(-1)
     for i in range(flat.size):
@@ -146,9 +146,10 @@ class TestConv1d:
 
     def test_zero_grad_out_gives_zero_grads(self, rng):
         conv = Conv1d(2, 2, 3, rng=rng)
-        conv.forward(rng.standard_normal((1, 2, 8)))
+        x = rng.standard_normal((1, 2, 8))
+        conv.forward(x)
         conv.zero_grad()
-        conv.backward(np.zeros((1, 2, 8)))
+        conv.backward(np.zeros((1, 2, 8)), [x])
         assert not conv.w.grad.any() and not conv.b.grad.any()
 
     def test_batch_gradient_is_sum_of_per_example(self, rng):
@@ -157,20 +158,20 @@ class TestConv1d:
         g = rng.standard_normal((2, 3, 8))
         conv.forward(x)
         conv.zero_grad()
-        conv.backward(g)
+        conv.backward(g, [x])
         batch_grad = conv.w.grad.copy()
         total = np.zeros_like(batch_grad)
         for i in range(2):
             conv.forward(x[i : i + 1])
             conv.zero_grad()
-            conv.backward(g[i : i + 1])
+            conv.backward(g[i : i + 1], [x[i : i + 1]])
             total += conv.w.grad
         np.testing.assert_allclose(batch_grad, total, atol=1e-12)
 
     def test_backward_without_forward_raises(self, rng):
         conv = Conv1d(1, 1, 3, rng=rng)
         with pytest.raises(RuntimeError):
-            conv.backward(np.zeros((1, 1, 4)))
+            conv.backward(np.zeros((1, 1, 4)), [np.zeros((1, 1, 4))])
 
 
 class TestBatchNorm:
@@ -397,6 +398,16 @@ def conv_cases(draw):
                 seed=draw(st.integers(0, 2**32 - 1)))
 
 
+@st.composite
+def conv_parts_cases(draw):
+    """A conv whose input comes back in channel parts, some of one channel."""
+    return dict(batch=draw(st.sampled_from([0, 1, 2, 37, 256])),
+                parts=draw(st.lists(st.integers(1, 8), min_size=1, max_size=4)),
+                out_ch=draw(st.integers(1, 12)), kernel=draw(st.sampled_from([1, 3, 5])),
+                length=draw(st.integers(0, 40)), dtypes=draw(st.sampled_from(KERNEL_DTYPES)),
+                seed=draw(st.integers(0, 2**32 - 1)))
+
+
 # batches of 0, 1 and odd sizes
 BATCHES = st.one_of(st.sampled_from([0, 1]), st.integers(1, 64).map(lambda k: 2 * k + 1))
 
@@ -413,8 +424,10 @@ class TestWholeRowKernels:
     routing give the bits of the kernels they replaced (``tests/oracle.py``)."""
 
     @settings(max_examples=80, deadline=None)
-    @given(conv_cases())
-    def test_conv_forward_bits_equal_clipped_spans(self, case):
+    @given(conv_cases(), st.integers(0, 5))
+    def test_conv_forward_bits_equal_clipped_spans(self, case, slice_rows):
+        # a tap buffer of a few rows, so most batches run in many slices; 0
+        # keeps the default budget
         rng = np.random.default_rng(case["seed"])
         w_dtype, x_dtype = case["dtypes"]
         conv = Conv1d(case["in_ch"], case["out_ch"], case["kernel"], rng=rng)
@@ -426,8 +439,12 @@ class TestWholeRowKernels:
         bn.running_var[:] = rng.uniform(0.1, 3, case["out_ch"])
         cast_model(conv, w_dtype), cast_model(bn, w_dtype)
         x = rng.standard_normal((case["batch"], case["in_ch"], case["length"])).astype(x_dtype)
+        row_bytes = case["out_ch"] * case["length"] * np.result_type(w_dtype, x_dtype).itemsize
+        budget = slice_rows * row_bytes or layers._PRODUCT_BYTES
         for fold in (None, bn):
-            assert_same_bits(conv.forward(x, fold=fold), oracle.conv1d_spans(conv, x, fold))
+            with mock.patch.object(layers, "_PRODUCT_BYTES", budget):
+                got = conv.forward(x, fold=fold)
+            assert_same_bits(got, oracle.conv1d_spans(conv, x, fold))
 
     @settings(max_examples=80, deadline=None)
     @given(conv_cases(), st.integers(1, 5))
@@ -446,8 +463,75 @@ class TestWholeRowKernels:
         want_x, want_w = oracle.conv1d_backward_whole(conv, x, grad_out)
         row_bytes = case["out_ch"] * case["in_ch"] * np.result_type(grad_out, x).itemsize
         with mock.patch.object(layers, "_PRODUCT_BYTES", slice_rows * row_bytes):
-            assert_same_bits(conv.backward(grad_out), want_x)
+            assert_same_bits(conv.backward(grad_out, [x]), want_x)
         assert_same_bits(conv.w.grad, want_w)
+
+    @settings(max_examples=60, deadline=None)
+    @given(conv_parts_cases(), st.integers(0, 5))
+    # one-channel parts, at the model's batch and with one output channel
+    @example(dict(batch=256, parts=[1, 5, 2], out_ch=4, kernel=3, length=16,
+                  dtypes=(np.float32, np.float32), seed=0), 0)
+    @example(dict(batch=37, parts=[2, 1], out_ch=1, kernel=5, length=9,
+                  dtypes=(np.float32, np.float64), seed=1), 2)
+    # the last decoder stage's split: upsample 16, skips 8 and 8
+    @example(dict(batch=2, parts=[16, 8, 8], out_ch=16, kernel=3, length=64,
+                  dtypes=(np.float32, np.float32), seed=2), 1)
+    @example(dict(batch=0, parts=[1, 3], out_ch=2, kernel=3, length=8,
+                  dtypes=(np.float64, np.float64), seed=3), 1)
+    def test_conv_backward_from_channel_parts_bits_equal_concatenation(self, case, slice_rows):
+        # a budget of a few rows, so most batches run in many slices; 0 keeps
+        # the default budget
+        rng = np.random.default_rng(case["seed"])
+        w_dtype, x_dtype = case["dtypes"]
+        in_ch = sum(case["parts"])
+        whole, by_parts = (
+            cast_model(Conv1d(in_ch, case["out_ch"], case["kernel"],
+                              rng=np.random.default_rng(case["seed"])), w_dtype)
+            for _ in range(2))
+        x = rng.standard_normal((case["batch"], in_ch, case["length"])).astype(x_dtype)
+        # separate arrays, as the decoder hands over its upsample and skips
+        parts = [part.copy() for part in np.split(x, np.cumsum(case["parts"])[:-1], axis=1)]
+        out = whole.forward(x)
+        grad_out = rng.standard_normal(out.shape).astype(out.dtype)
+        want_x, want_w, want_b = oracle.conv1d_backward_concat(whole, parts, grad_out)
+        row_bytes = (case["out_ch"] + case["length"]) * in_ch * out.dtype.itemsize
+        with mock.patch.object(layers, "_PRODUCT_BYTES",
+                               slice_rows * row_bytes or layers._PRODUCT_BYTES):
+            assert_same_bits(by_parts.forward(np.concatenate(parts, axis=1)), out)
+            grad_x = by_parts.backward(grad_out, parts)
+            assert_same_bits(whole.backward(grad_out, [x]), want_x)
+        assert parts == []  # emptied once the weight gradient is made
+        assert_same_bits(grad_x, want_x)
+        for conv in (whole, by_parts):
+            assert_same_bits(conv.w.grad, want_w)
+            assert_same_bits(conv.b.grad, want_b)
+
+    def test_conv_backward_rejects_parts_of_another_width(self, rng):
+        conv = Conv1d(3, 2, 3, rng=rng)
+        x = rng.standard_normal((2, 3, 8)).astype(np.float32)
+        conv.forward(x)
+        with pytest.raises(ValueError, match=r"parts have \[2\] channels, weights expect 3"):
+            conv.backward(np.ones((2, 2, 8), np.float32), [x[:, :2]])
+
+    @pytest.mark.parametrize("grad_dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("shape", [(256, 16, 64), (37, 5, 9), (1, 3, 2)])
+    def test_batchnorm_backward_float64_parameters_float32_input_bits(self, rng, shape,
+                                                                      grad_dtype):
+        # xhat * d_gamma is made in the product's dtype, float64 under a
+        # float64 gradient, not in the float32 of the cached input
+        bn, ref = (cast_model(BatchNorm1d(shape[1]), np.float64) for _ in range(2))
+        for layer in (bn, ref):
+            layer.gamma.value[:] = np.random.default_rng(1).uniform(-2, 2, shape[1])
+        x = (3.0 + 2.0 * rng.standard_normal(shape)).astype(np.float32)
+        y = bn.forward(x)
+        _, mean, inv_std = oracle.batchnorm_forward_broadcast(ref, x)
+        grad = rng.standard_normal(y.shape).astype(grad_dtype)
+        want_x, d_gamma, d_beta = oracle.batchnorm_backward_broadcast(ref, x, mean, inv_std, grad)
+        got = bn.backward(grad)
+        assert got.dtype == want_x.dtype == grad_dtype
+        assert_same_bits(got, want_x)
+        assert_same_bits(bn.gamma.grad, np.zeros(shape[1]) + d_gamma)
+        assert_same_bits(bn.beta.grad, np.zeros(shape[1]) + d_beta)
 
     @settings(max_examples=120, deadline=None)
     @given(factor=st.integers(1, 8), batch=BATCHES, channels=st.integers(1, 20),
@@ -557,8 +641,9 @@ class TestFloat32:
             "upsample", "linear", "se", "ppm"])
     def test_forward_and_backward_keep_float32(self, rng, make, shape):
         layer = cast_model(make(rng), np.float32)
-        out = layer.forward(rng.standard_normal(shape).astype(np.float32))
-        grad_x = layer.backward(np.ones_like(out))
+        x = rng.standard_normal(shape).astype(np.float32)
+        out = layer.forward(x)
+        grad_x = layer_backward(layer, np.ones_like(out), x)
         assert out.dtype == grad_x.dtype == np.float32
         assert all(p.grad.dtype == np.float32 for p in layer.params().values())
 
@@ -656,9 +741,10 @@ class TestChannelReductions:
     def test_conv_bias_grad_agrees_with_float64(self, rng, shape):
         b, c, t = shape
         conv = float32_layer(Conv1d(c, 4, 3, rng=rng), rng)
-        out = conv.forward(rng.standard_normal(shape).astype(np.float32))
+        x = rng.standard_normal(shape).astype(np.float32)
+        out = conv.forward(x)
         g = (0.5 + rng.standard_normal(out.shape)).astype(np.float32)
-        conv.backward(g)
+        conv.backward(g, [x])
         g64 = g.astype(np.float64)
         tol = (b + out.shape[2]) * U32 * np.abs(g64).sum(axis=(0, 2))
         assert conv.b.grad.dtype == np.float32
@@ -679,7 +765,7 @@ class TestChannelReductions:
             conv = float32_layer(Conv1d(xs.shape[1], xs.shape[1], 1, rng=np.random.default_rng(4)),
                                  np.random.default_rng(5))
             conv.forward(xs)
-            conv.backward(gs)
+            conv.backward(gs, [xs])
             results.append([y, gx, bn.running_mean, bn.running_var,
                             bn.gamma.grad, bn.beta.grad, conv.b.grad])
         for got, want in zip(*results):
@@ -807,16 +893,14 @@ class TestLayerTree:
     ])
     def test_backward_without_forward_names_the_layer(self, make):
         layer = make()
-        # a PPMBlock's backward first reaches a reducer conv
-        name = "Conv1d" if isinstance(layer, PPMBlock) else type(layer).__name__
-        message = f"^{name}.backward called without a forward cache$"
+        message = f"^{type(layer).__name__}.backward called without a forward cache$"
         with pytest.raises(RuntimeError, match=message):
-            layer.backward(np.zeros((1, 2, 4)))
+            layer_backward(layer, np.zeros((1, 2, 4)), np.zeros((1, 2, 4)))
 
 
 # every layer type of the library with an input its train forward takes, and
-# the layer type a backward without a cache names. A PPMBlock's backward first
-# reaches a reducer conv; an Upsample1d caches nothing and needs nothing
+# the layer type a backward without a cache names. An Upsample1d caches
+# nothing and needs nothing
 CACHE_CASES = [
     (lambda: Conv1d(2, 3, 3), (3, 2, 8), "Conv1d"),
     (lambda: BatchNorm1d(2), (3, 2, 8), "BatchNorm1d"),
@@ -826,7 +910,7 @@ CACHE_CASES = [
     (lambda: AvgPool1d(2), (3, 2, 8), "AvgPool1d"),
     (lambda: Linear(2, 3), (3, 2), "Linear"),
     (lambda: SEBlock(4), (3, 4, 8), "SEBlock"),
-    (lambda: PPMBlock(4, 2), (3, 4, 8), "Conv1d"),
+    (lambda: PPMBlock(4, 2), (3, 4, 8), "PPMBlock"),
 ]
 
 
@@ -842,8 +926,9 @@ class TestCacheLifetime:
                              ids=[type(make()).__name__ for make, _, _ in CACHE_CASES])
     def test_a_second_backward_after_one_forward_raises(self, make, shape, name, rng):
         layer = cast_model(make())
-        out = layer.forward(rng.standard_normal(shape))
-        layer.backward(np.ones_like(out))
+        x = rng.standard_normal(shape)
+        out = layer.forward(x)
+        layer_backward(layer, np.ones_like(out), x)
         assert all(m._cache is None for m in layer.modules())
         with pytest.raises(RuntimeError, match=f"^{name}.backward called without a forward cache$"):
-            layer.backward(np.ones_like(out))
+            layer_backward(layer, np.ones_like(out), x)
