@@ -47,15 +47,12 @@ def _hyper(args) -> TrainHyper:
 
 
 def cmd_synth(args) -> int:
-    spec = synth.GenSpec()
-    if args.spec:
-        with open(args.spec, encoding="utf-8") as f:
-            spec = synth.GenSpec.from_text(f.read())
-    spec.seed = args.seed
-    if args.participants is not None:
-        spec.participants = args.participants
-    if args.locations is not None:
-        spec.locations = args.locations
+    if os.path.isdir(args.out) and any(name.endswith(".csv") for name in os.listdir(args.out)):
+        # a second corpus written beside the first would load as one mixed corpus
+        return _fail("synth", f"--out {args.out} already holds corpus CSV files; "
+                              "give an empty or new directory")
+    spec = synth.GenSpec(seed=args.seed, participants=args.participants,
+                         locations=args.locations)
     corpus = synth.generate(spec)
     synth.write_corpus(corpus, args.out)
     stats = synth.describe(corpus)
@@ -68,15 +65,12 @@ def cmd_train(args) -> int:
     # the log is a CSV, so in the corpus directory it would break the next load
     refused = _overwrite("train", [("--out", args.out), ("--out's log", log_path),
                                    ("--out's directory", os.path.dirname(args.out) or ".")],
-                         [("--arch-config", args.arch_config), ("--data", args.data)])
+                         [("--data", args.data)])
     if refused:
         return refused
     hyper = _hyper(args).validate()
     corpus = load_corpus(args.data)
     arch = ArchConfig()
-    if args.arch_config:
-        with open(args.arch_config, encoding="utf-8") as f:
-            arch = ArchConfig.from_text(f.read())
     windows = evaluation.fold_windows(
         corpus, arch.input_length, args.stride,
         max_windows=args.max_windows, rng=np.random.default_rng(hyper.seed),
@@ -181,9 +175,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("synth", help="generate a synthetic labeled corpus")
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--out", required=True, help="output corpus directory")
-    sp.add_argument("--spec", help="generator key-value config file")
-    sp.add_argument("--participants", type=int)
-    sp.add_argument("--locations", type=int)
+    sp.add_argument("--participants", type=int, default=synth.GenSpec.participants)
+    sp.add_argument("--locations", type=int, default=synth.GenSpec.locations)
     sp.set_defaults(func=cmd_synth)
 
     fit = argparse.ArgumentParser(add_help=False)
@@ -198,7 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     tp = sub.add_parser("train", parents=[fit], help="train a model on a corpus directory")
     tp.add_argument("--out", required=True, help="output checkpoint path")
-    tp.add_argument("--arch-config", help="architecture key-value file")
     tp.set_defaults(func=cmd_train)
 
     ip = sub.add_parser("infer", help="label one series with a trained model")

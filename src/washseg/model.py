@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -34,12 +34,17 @@ from .nn import (
 )
 from .nn import checkpoint as ckpt
 from .signal_data import WindowSet
-from .textconfig import TextConfig
 
 
 @dataclass
-class ArchConfig(TextConfig):
-    _label = "architecture"
+class ArchConfig:
+    """The architecture, stored as the checkpoint header's ``key=value`` text.
+
+    ``from_text`` skips blank and ``#`` lines and strips whitespace around key
+    and value. A value is typed by its field's default: int, float, or a
+    comma-separated tuple. ``to_text`` writes ``str`` values, so text
+    round-trips.
+    """
 
     input_length: int = 64
     in_channels_per_branch: int = 3
@@ -82,6 +87,41 @@ class ArchConfig(TextConfig):
             raise ValueError("in_channels_per_branch must be 3: every recording has "
                              "three accelerometer and three gyroscope axes")
         return self
+
+    def to_text(self) -> str:
+        lines = []
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, tuple):
+                value = ",".join(str(v) for v in value)
+            lines.append(f"{f.name}={value}")
+        return "\n".join(lines) + "\n"
+
+    @classmethod
+    def from_text(cls, text: str) -> "ArchConfig":
+        """Parse and validate; a line without '=', an unknown or repeated key
+        and an unparsable value each raise ``ValueError`` naming the key."""
+        defaults = {f.name: f.default for f in fields(cls)}
+        kwargs = {}
+        for line in text.splitlines():
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            key, sep, value = line.partition("=")
+            key, value = key.strip(), value.strip()
+            if not sep:
+                raise ValueError(f"architecture line '{line}' has no '='")
+            if key not in defaults:
+                raise ValueError(f"unknown architecture key '{key}'")
+            if key in kwargs:
+                raise ValueError(f"architecture key '{key}' is repeated")
+            default = defaults[key]
+            try:
+                kwargs[key] = (tuple(type(default[0])(v) for v in value.split(","))
+                               if isinstance(default, tuple) else type(default)(value))
+            except ValueError:
+                raise ValueError(f"architecture key '{key}' has bad value '{value}'") from None
+        return cls(**kwargs).validate()
 
     @property
     def bottleneck_length(self) -> int:

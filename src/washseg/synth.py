@@ -6,6 +6,14 @@ a sum of two sinusoids at its base frequency and first harmonic, with
 participant-specific amplitude and phase offsets; background is a
 low-amplitude random walk. Labels are exact by construction and the whole
 corpus is a pure function of the spec.
+
+``GenSpec`` holds what a caller sets: the seed, the corpus size and three
+knobs of a procedure's timing. The rest of the generator is fixed:
+``PROCEDURES_PER_PARTICIPANT`` procedures each, gesture durations drawn
+around ``DURATION_MEANS`` (the professional durations), sensor noise
+``NOISE_SIGMA``, background walk step ``BACKGROUND_WALK_SIGMA``, swap
+probability ``SEQUENCE_SHUFFLE_PROB`` for neighbouring gestures and
+participant amplitude spread ``PARTICIPANT_VARIATION``.
 """
 
 from __future__ import annotations
@@ -18,52 +26,40 @@ import numpy as np
 
 from .scoring import PROFESSIONAL_DURATIONS
 from .signal_data import DEFAULT_WINDOW, RATE_HZ, SampleSeries, corpus_filename, write_csv
-from .textconfig import TextConfig
 
 # distinct base frequencies (Hz) for gestures 1..9, within hand-motion range
 BASE_FREQS = np.arange(1.0, 3.7, 0.3)[:9]
+PROCEDURES_PER_PARTICIPANT = 5
+DURATION_MEANS = tuple(PROFESSIONAL_DURATIONS.tolist())
+NOISE_SIGMA = 0.1
+BACKGROUND_WALK_SIGMA = 0.02
+SEQUENCE_SHUFFLE_PROB = 0.1
+PARTICIPANT_VARIATION = 0.35
 
 
 @dataclass
-class GenSpec(TextConfig):
-    _label = "generator"
-
+class GenSpec:
     seed: int = 0
     participants: int = 10
     locations: int = 1
-    procedures_per_participant: int = 5
-    duration_means: tuple = tuple(PROFESSIONAL_DURATIONS.tolist())
     duration_jitter: float = 0.2
-    noise_sigma: float = 0.1
     background_range_s: tuple = (2.0, 5.0)
-    background_walk_sigma: float = 0.02
-    sequence_shuffle_prob: float = 0.1
     gesture_drop_prob: float = 0.05
-    participant_variation: float = 0.35
 
     def validate(self):
         """Reject, naming the field, every spec that generation cannot run."""
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        for name in ("participants", "locations", "procedures_per_participant"):
+        for name in ("participants", "locations"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
-        if len(self.duration_means) != 9 or not all(0.0 < d < math.inf
-                                                   for d in self.duration_means):
-            raise ValueError("duration_means needs 9 finite, positive values")
-        for name in ("noise_sigma", "background_walk_sigma", "participant_variation"):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and non-negative")
         lo_hi = self.background_range_s
         if len(lo_hi) != 2 or not 0.0 <= lo_hi[0] <= lo_hi[1] < math.inf:
             raise ValueError("background_range_s needs two finite values 0 <= lo <= hi")
-        for name in ("sequence_shuffle_prob", "gesture_drop_prob"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1]")
+        if not 0.0 <= self.gesture_drop_prob <= 1.0:
+            raise ValueError("gesture_drop_prob must lie in [0, 1]")
         if not 0.0 <= self.duration_jitter < 1.0:
             raise ValueError("duration_jitter must lie in [0, 1)")
-        if len(set(np.round(BASE_FREQS, 6))) != 9:
-            raise ValueError("gesture base frequencies must be distinct")
         return self
 
 
@@ -79,7 +75,7 @@ def _gesture_profile(gesture: int):
 _PROFILES = {g: _gesture_profile(g) for g in range(1, 10)}
 
 
-def _gesture_signal(gesture, n, amp_mul, phase_off, noise, rng):
+def _gesture_signal(gesture, n, amp_mul, phase_off, rng):
     """(accel (3,n), gyro (3,n)) for one gesture segment."""
     f = BASE_FREQS[gesture - 1]
     t = np.arange(n) / RATE_HZ
@@ -93,22 +89,22 @@ def _gesture_signal(gesture, n, amp_mul, phase_off, noise, rng):
                 np.sin(2 * np.pi * f * t + phases[m, axis, 0] + phase_off[m, axis])
                 + 0.5 * np.sin(2 * np.pi * 2 * f * t + phases[m, axis, 1] + phase_off[m, axis])
             )
-        sig += rng.normal(0.0, noise, size=(3, n))
+        sig += rng.normal(0.0, NOISE_SIGMA, size=(3, n))
         out.append(sig)
     return out[0], out[1]
 
 
-def _background_signal(n, walk_sigma, noise, rng):
-    accel = np.cumsum(rng.normal(0.0, walk_sigma, size=(3, n)), axis=1)
-    gyro = np.cumsum(rng.normal(0.0, walk_sigma, size=(3, n)), axis=1)
-    accel += rng.normal(0.0, noise, size=(3, n))
-    gyro += rng.normal(0.0, noise, size=(3, n))
+def _background_signal(n, rng):
+    accel = np.cumsum(rng.normal(0.0, BACKGROUND_WALK_SIGMA, size=(3, n)), axis=1)
+    gyro = np.cumsum(rng.normal(0.0, BACKGROUND_WALK_SIGMA, size=(3, n)), axis=1)
+    accel += rng.normal(0.0, NOISE_SIGMA, size=(3, n))
+    gyro += rng.normal(0.0, NOISE_SIGMA, size=(3, n))
     return accel, gyro
 
 
 def _participant_traits(spec: GenSpec, loc: int, part: int):
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 7001, loc, part]))
-    amp_mul = 1.0 + spec.participant_variation * rng.standard_normal((2, 3))
+    amp_mul = 1.0 + PARTICIPANT_VARIATION * rng.standard_normal((2, 3))
     amp_mul = np.clip(amp_mul, 0.3, None)
     phase_off = rng.uniform(0, 2 * np.pi, size=(2, 3))
     return amp_mul, phase_off
@@ -120,7 +116,7 @@ def generate_procedure(spec: GenSpec, loc: int, part: int, proc: int) -> SampleS
 
     order = list(range(1, 10))
     for i in range(len(order) - 1):
-        if rng.random() < spec.sequence_shuffle_prob:
+        if rng.random() < SEQUENCE_SHUFFLE_PROB:
             order[i], order[i + 1] = order[i + 1], order[i]
     order = [g for g in order if rng.random() >= spec.gesture_drop_prob]
 
@@ -129,17 +125,17 @@ def generate_procedure(spec: GenSpec, loc: int, part: int, proc: int) -> SampleS
     def background():
         dur = rng.uniform(*spec.background_range_s)
         n = max(1, int(round(dur * RATE_HZ)))
-        a, g = _background_signal(n, spec.background_walk_sigma, spec.noise_sigma, rng)
+        a, g = _background_signal(n, rng)
         acc_parts.append(a)
         gyr_parts.append(g)
         lab_parts.append(np.zeros(n, dtype=np.int64))
 
     background()
     for gesture in order:
-        mean = spec.duration_means[gesture - 1]
+        mean = DURATION_MEANS[gesture - 1]
         dur = mean * (1.0 + rng.uniform(-spec.duration_jitter, spec.duration_jitter))
         n = max(1, int(round(dur * RATE_HZ)))
-        a, g = _gesture_signal(gesture, n, amp_mul, phase_off, spec.noise_sigma, rng)
+        a, g = _gesture_signal(gesture, n, amp_mul, phase_off, rng)
         acc_parts.append(a)
         gyr_parts.append(g)
         lab_parts.append(np.full(n, gesture, dtype=np.int64))
@@ -162,12 +158,12 @@ def generate_procedure(spec: GenSpec, loc: int, part: int, proc: int) -> SampleS
 
 def generate(spec: GenSpec):
     """Full corpus: participants round-robin over locations, each with
-    ``procedures_per_participant`` procedures numbered from 1."""
+    ``PROCEDURES_PER_PARTICIPANT`` procedures numbered from 1."""
     spec.validate()
     corpus = []
     for part in range(spec.participants):
         loc = part % spec.locations
-        for proc in range(1, spec.procedures_per_participant + 1):
+        for proc in range(1, PROCEDURES_PER_PARTICIPANT + 1):
             corpus.append(generate_procedure(spec, loc, part, proc))
     return corpus
 

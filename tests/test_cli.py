@@ -38,10 +38,12 @@ def checkpoint(tmp_path_factory, corpus_dir):
 
 def test_synth_is_deterministic(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
-    assert main(["synth", "--seed", "9", "--participants", "1", "--out", str(a)]) == 0
-    assert main(["synth", "--seed", "9", "--participants", "1", "--out", str(b)]) == 0
+    for out in (a, b):
+        assert main(["synth", "--seed", "9", "--participants", "2", "--locations", "2",
+                     "--out", str(out)]) == 0
     files = sorted(p.name for p in a.iterdir())
     assert files == sorted(p.name for p in b.iterdir())
+    assert {name.split("_")[0] for name in files} == {"loc0", "loc1"}
     for name in files:
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
@@ -50,37 +52,26 @@ def _csv_bytes(directory):
     return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
 
 
-def test_synth_spec_file_matches_flags(tmp_path):
-    spec = tmp_path / "small.spec"
-    spec.write_text("# one participant, two locations\nparticipants=1\nlocations=2\nseed=9\n")
-    via_file, via_flags = tmp_path / "file", tmp_path / "flags"
-    assert main(["synth", "--seed", "9", "--spec", str(spec), "--out", str(via_file)]) == 0
-    assert main(["synth", "--seed", "9", "--participants", "1", "--locations", "2",
-                 "--out", str(via_flags)]) == 0
-    assert _csv_bytes(via_file) == _csv_bytes(via_flags)
-    # --seed overrides the file's seed
-    reseeded, reseeded_flags = tmp_path / "reseeded", tmp_path / "reseeded_flags"
-    assert main(["synth", "--seed", "10", "--spec", str(spec), "--out", str(reseeded)]) == 0
-    assert main(["synth", "--seed", "10", "--participants", "1", "--locations", "2",
-                 "--out", str(reseeded_flags)]) == 0
-    assert _csv_bytes(reseeded) == _csv_bytes(reseeded_flags) != _csv_bytes(via_file)
+def test_synth_refuses_an_out_directory_holding_a_corpus(capsys, tmp_path):
+    # written beside the first, seed 2's p00 would load with seed 1's p01 as one corpus
+    out = tmp_path / "mix"
+    assert main(["synth", "--seed", "1", "--participants", "2", "--out", str(out)]) == 0
+    capsys.readouterr()
+    before = _csv_bytes(out)
+    assert main(["synth", "--seed", "2", "--participants", "1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (f"error: synth: --out {out} already holds corpus CSV "
+                                       "files; give an empty or new directory\n")
+    assert _csv_bytes(out) == before
 
 
-def test_synth_spec_unknown_key_fails(capsys, tmp_path):
-    spec = tmp_path / "bad.spec"
-    spec.write_text("participants=1\nbogus=1\n")
-    assert main(["synth", "--seed", "9", "--spec", str(spec), "--out", str(tmp_path / "c")]) != 0
-    assert capsys.readouterr().err.strip() == "error: ValueError: unknown generator key 'bogus'"
-
-
-def test_synth_spec_with_a_rate_is_refused(capsys, tmp_path):
-    # 50 Hz is the one rate: a spec cannot write a corpus that loads at another
-    spec = tmp_path / "rate.spec"
-    spec.write_text("participants=1\nrate_hz=100\n")
-    out = tmp_path / "c"
-    assert main(["synth", "--seed", "9", "--spec", str(spec), "--out", str(out)]) == 1
-    assert capsys.readouterr().err == "error: ValueError: unknown generator key 'rate_hz'\n"
-    assert not out.exists()
+@pytest.mark.parametrize("argv", [["synth", "--spec", "s.txt", "--out", "c"],
+                                  ["train", "--arch-config", "a.txt", "--data", "c",
+                                   "--out", "m.ckpt"]], ids=["synth", "train"])
+def test_config_file_options_are_refused(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, "--seed", "0"])
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: unrecognized arguments: {argv[1]} {argv[2]}\n")
 
 
 def test_synth_zero_participants_fails(capsys, tmp_path):
@@ -181,24 +172,6 @@ def test_score_refuses_to_write_over_an_input(capsys, tmp_path, flag):
     assert capsys.readouterr().err == (f"error: score: --out {out} is the {flag} input; "
                                        "give the output another path\n")
     assert {p: p.read_bytes() for p in before} == before
-
-
-@pytest.mark.parametrize("out_name,config_name,output", [
-    ("arch.txt", "arch.txt", "--out"), ("arch", "arch.log.csv", "--out's log")],
-    ids=["checkpoint", "log"])
-def test_train_refuses_to_write_over_its_arch_config(capsys, tmp_path, corpus_dir, out_name,
-                                                     config_name, output):
-    # before, a model was trained and then the architecture file overwritten, exit 0
-    config, out = tmp_path / config_name, tmp_path / out_name
-    config.write_text(ArchConfig().to_text(), encoding="utf-8")
-    before = config.read_bytes()
-    assert main(["train", "--data", str(corpus_dir), "--seed", "0", "--epochs", "1",
-                 "--max-windows", "64", "--quiet", "--arch-config", str(config),
-                 "--out", str(out)]) == 1
-    written = {"--out": out, "--out's log": f"{out}.log.csv"}[output]
-    assert capsys.readouterr().err == (f"error: train: {output} {written} is the --arch-config "
-                                       "input; give the output another path\n")
-    assert config.read_bytes() == before
 
 
 def _own_corpus(tmp_path):
@@ -377,15 +350,12 @@ def test_commands_open_every_text_file_as_utf8(tmp_path, corpus_dir):
         return subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=120)
 
     env = {**os.environ, "PYTHONPATH": str(Path(washseg.__file__).parents[1])}
-    spec, arch = tmp_path / "s.txt", tmp_path / "arch.txt"
-    spec.write_text("participants=1\n", encoding="utf-8")
-    arch.write_text(ArchConfig().to_text(), encoding="utf-8")
     ckpt = tmp_path / "m.ckpt"
     series = sorted(corpus_dir.glob("*.csv"))[0]
     for argv in (
-        ["synth", "--seed", "1", "--spec", str(spec), "--out", str(tmp_path / "d")],
+        ["synth", "--seed", "1", "--participants", "1", "--out", str(tmp_path / "d")],
         ["train", "--data", str(corpus_dir), "--seed", "0", "--epochs", "1", "--stride", "32",
-         "--max-windows", "256", "--quiet", "--arch-config", str(arch), "--out", str(ckpt)],
+         "--max-windows", "256", "--quiet", "--out", str(ckpt)],
         ["score", "--checkpoint", str(ckpt), "--series", str(series),
          "--out", str(tmp_path / "score.json")],
     ):

@@ -26,7 +26,7 @@ from washseg.evaluation import (
 from washseg.model import TrainHyper, windows_to_arrays
 from washseg.pipeline import LabelTrack, infer_track, smooth
 from washseg.signal_data import extract_windows
-from washseg.synth import GenSpec, generate
+from washseg.synth import GenSpec, generate, generate_procedure
 from conftest import make_series
 import oracle
 
@@ -164,13 +164,15 @@ class TestSplits:
             make_split(corpus, "user-dependent")
 
     def test_user_dependent_takes_the_corpus_procedure_count(self):
-        corpus = generate(GenSpec(seed=11, participants=2, procedures_per_participant=6))
+        spec = GenSpec(seed=11, participants=2)
+        corpus = generate(spec) + [generate_procedure(spec, 0, part, 6) for part in range(2)]
         _, train_s, test_s = make_split(corpus, "user-dependent").folds[0]
         assert len(train_s) == 2 * 5 and len(test_s) == 2
         assert {s.procedure_id for s in test_s} == {6}
 
     def test_user_dependent_needs_two_procedures(self):
-        corpus = generate(GenSpec(seed=11, participants=2, procedures_per_participant=1))
+        spec = GenSpec(seed=11, participants=2)
+        corpus = [generate_procedure(spec, 0, part, 1) for part in range(2)]
         with pytest.raises(ValueError, match="at least 2"):
             make_split(corpus, "user-dependent")
 

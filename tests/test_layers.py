@@ -324,6 +324,12 @@ class TestSimpleLayers:
         # windows [1,5,5] and [5,2,5], the tail [7] dropped: first maxima at 1 and 3
         np.testing.assert_array_equal(grad, [[[0.0, 1.0, 0.0, 10.0, 0.0, 0.0, 0.0]]])
 
+    @pytest.mark.parametrize("pool,name", [(MaxPool1d(4), "maxpool1d"),
+                                           (AvgPool1d(4), "avgpool1d")])
+    def test_pool_input_shorter_than_window_rejected(self, pool, name):
+        with pytest.raises(ValueError, match=f"^{name}: input shorter than pooling window$"):
+            pool.forward(np.zeros((2, 3, 3)))
+
     def test_avgpool_full_window(self):
         pool = AvgPool1d(8)
         out = pool.forward(np.arange(1.0, 9.0).reshape(1, 1, 8))
@@ -782,6 +788,10 @@ class TestLinear:
         lin = cast_model(Linear(4, 3, rng=rng))
         rep = layer_loss_check(lin, rng.standard_normal((5, 4)))
         assert rep.max_error < 1e-6, rep.failures
+
+    def test_feature_dimension_mismatch_rejected(self, rng):
+        with pytest.raises(ValueError, match="^linear: feature dimension mismatch$"):
+            Linear(4, 3, rng=rng).forward(np.zeros((5, 3)))
 
 
 class TestSEBlock:

@@ -75,16 +75,45 @@ class TestArchConfig:
             ArchConfig(num_classes=5).validate()
 
     def test_text_round_trip(self):
-        cfg = ArchConfig()
-        assert ArchConfig.from_text(cfg.to_text()) == cfg
+        for cfg in (ArchConfig(), ArchConfig(encoder_channels=(4, 8, 16), bottleneck_channels=32,
+                                             leaky_slope=0.25)):
+            assert ArchConfig.from_text(cfg.to_text()) == cfg
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^unknown architecture key 'bogus'$"):
             ArchConfig.from_text("bogus=3\n")
 
     def test_repeated_key_rejected(self):
-        with pytest.raises(ValueError, match="'input_length' is repeated"):
+        with pytest.raises(ValueError, match="^architecture key 'input_length' is repeated$"):
             ArchConfig.from_text("input_length=64\ninput_length=128\n")
+
+    @pytest.mark.parametrize("text,message", [
+        ("input_length", "architecture line 'input_length' has no '='"),
+        ("input_length=x", "architecture key 'input_length' has bad value 'x'"),
+        ("input_length=64.0", "architecture key 'input_length' has bad value '64.0'"),
+        ("leaky_slope=x", "architecture key 'leaky_slope' has bad value 'x'"),
+        ("encoder_channels=8,x", "architecture key 'encoder_channels' has bad value '8,x'"),
+    ], ids=["no-equals", "bad-int", "float-for-int", "bad-float", "bad-tuple"])
+    def test_bad_line_named(self, text, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ArchConfig.from_text(text)
+
+    def test_text_skips_comments_and_strips_whitespace(self):
+        text = ("# a longer input\n\n  input_length = 128 \n"
+                "encoder_channels= 4 , 8,16\nbottleneck_channels=32\n")
+        assert ArchConfig.from_text(text) == ArchConfig(
+            input_length=128, encoder_channels=(4, 8, 16), bottleneck_channels=32)
+
+    @settings(max_examples=300, deadline=None)
+    @given(arch_configs(), st.floats(0.0, 1.0))
+    def test_every_accepted_config_round_trips_exactly(self, cfg, slope):
+        # a float at full precision: to_text writes str, which reads back exactly
+        cfg = dataclasses.replace(cfg, leaky_slope=slope)
+        try:
+            cfg.validate()
+        except ValueError:
+            return
+        assert ArchConfig.from_text(cfg.to_text()) == cfg
 
     def test_bottleneck_shorter_than_ppm_bin_rejected(self):
         # 32 / 2^3 = 4 samples cannot be pooled by the PPM's 8-bin

@@ -377,6 +377,18 @@ class TestLongRecording:
         assert peak < 400 * n + (cpus - 1) * 8e6
 
 
+@pytest.mark.parametrize("labels,votes,message", [
+    (np.zeros((2, 3)), None, "labels must be 1-D"),
+    ([0, 10], None, "labels must lie in 0..9"),
+    ([0, -1], None, "labels must lie in 0..9"),
+    ([0, 1], np.zeros((2, 9)), r"votes must be \(N, 10\)"),
+    ([0, 1], np.zeros((3, 10)), r"votes must be \(N, 10\)"),
+])
+def test_label_track_rejects_bad_arrays(labels, votes, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        LabelTrack(labels=labels, votes=votes)
+
+
 class TestMultipleTestVoting:
     def test_agreeing_windows_pass_through(self, rng):
         labels = np.repeat(rng.integers(0, 10, size=4), 70)

@@ -17,6 +17,7 @@ from washseg.signal_data import (
     WindowSet,
     corpus_filename,
     extract_windows,
+    load_corpus,
     load_csv,
     parse_corpus_filename,
     window_starts,
@@ -511,3 +512,32 @@ def test_parse_corpus_filename():
     assert corpus_filename(series) == "loc0_p07_3.csv"
     with pytest.raises(ValueError):
         parse_corpus_filename("nounderscores.csv")
+    with pytest.raises(ValueError, match=re.escape(
+            "corpus filename 'loc0_p07_x.csv': procedure id 'x' is not an integer")):
+        parse_corpus_filename("loc0_p07_x.csv")
+
+
+def test_load_corpus_names_a_directory_without_csv(tmp_path):
+    (tmp_path / "notes.txt").write_text("not a recording\n")
+    with pytest.raises(FileNotFoundError, match=re.escape(f"no corpus CSV files found in {tmp_path}")):
+        load_corpus(tmp_path)
+
+
+def _series_arrays(n=4):
+    return dict(t=np.arange(n) / RATE_HZ, accel=np.zeros((3, n)), gyro=np.zeros((3, n)),
+                label=np.zeros(n, dtype=np.int64))
+
+
+@pytest.mark.parametrize("edit,message", [
+    (dict(t=np.zeros(0), accel=np.zeros((3, 0)), gyro=np.zeros((3, 0)),
+          label=np.zeros(0, dtype=np.int64)), "series must contain at least one sample"),
+    (dict(accel=np.zeros((4, 4))), r"accel/gyro must be shaped \(3, N\) matching t"),
+    (dict(gyro=np.zeros((3, 5))), r"accel/gyro must be shaped \(3, N\) matching t"),
+    (dict(label=np.zeros(3, dtype=np.int64)), "label length must match t"),
+    (dict(label=np.array([0, 1, 10, 0])), "labels must lie in 0..9"),
+    (dict(label=np.array([0, -1, 0, 0])), "labels must lie in 0..9"),
+    (dict(t=np.array([0.0, 0.02, 0.02, 0.06])), "timestamps must be strictly increasing"),
+], ids=["empty", "accel", "gyro", "label-length", "label-high", "label-low", "timestamps"])
+def test_sample_series_rejects_bad_arrays(edit, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        SampleSeries("p00", "loc0", 1, **{**_series_arrays(), **edit})
