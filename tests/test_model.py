@@ -75,9 +75,12 @@ class TestArchConfig:
             ArchConfig(num_classes=5).validate()
 
     def test_text_round_trip(self):
-        for cfg in (ArchConfig(), ArchConfig(encoder_channels=(4, 8, 16), bottleneck_channels=32,
-                                             leaky_slope=0.25)):
-            assert ArchConfig.from_text(cfg.to_text()) == cfg
+        cfg = ArchConfig()
+        assert ArchConfig.from_text(cfg.to_text()) == cfg
+
+    def test_non_default_text_round_trip(self):
+        cfg = ArchConfig(encoder_channels=(4, 8, 16), bottleneck_channels=32, leaky_slope=0.25)
+        assert ArchConfig.from_text(cfg.to_text()) == cfg
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="^unknown architecture key 'bogus'$"):
@@ -93,7 +96,10 @@ class TestArchConfig:
         ("input_length=64.0", "architecture key 'input_length' has bad value '64.0'"),
         ("leaky_slope=x", "architecture key 'leaky_slope' has bad value 'x'"),
         ("encoder_channels=8,x", "architecture key 'encoder_channels' has bad value '8,x'"),
-    ], ids=["no-equals", "bad-int", "float-for-int", "bad-float", "bad-tuple"])
+        ("seed=1", "unknown architecture key 'seed'"),
+        ("leaky_slope=0.1\nleaky_slope=0.2", "architecture key 'leaky_slope' is repeated"),
+    ], ids=["no-equals", "bad-int", "float-for-int", "bad-float", "bad-tuple", "unknown-key",
+            "repeated-key"])
     def test_bad_line_named(self, text, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ArchConfig.from_text(text)
