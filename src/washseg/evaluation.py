@@ -249,10 +249,10 @@ def predict_variants(model, test_series, variants=SMOOTH_VARIANTS):
     return out
 
 
-def fold_windows(train_series, length, stride, max_windows=None, rng=None) -> WindowSet:
+def fold_windows(train_series, length, stride, max_windows=None, *, rng) -> WindowSet:
     """Pool every series' training windows into one ``WindowSet``, in series
-    order; keep at most ``max_windows`` of them (None: all), drawn without
-    replacement and left in that order."""
+    order; keep at most ``max_windows`` of them (None: all), drawn by ``rng``
+    without replacement and left in that order."""
     if max_windows is not None and max_windows < 1:
         raise ValueError(f"max_windows must be at least 1, got {max_windows}")
     parts = []
@@ -264,8 +264,6 @@ def fold_windows(train_series, length, stride, max_windows=None, rng=None) -> Wi
     series_id = np.repeat(np.arange(len(parts)), [len(p) for p in parts])
     start = np.concatenate([p.start for p in parts]) if parts else series_id
     if max_windows is not None and start.size > max_windows:
-        if rng is None:
-            rng = np.random.default_rng(0)
         keep = np.sort(rng.choice(start.size, size=max_windows, replace=False))
         series_id, start = series_id[keep], start[keep]
     return WindowSet(tuple(p.series[0] for p in parts), series_id, start, length)

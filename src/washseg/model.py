@@ -154,7 +154,7 @@ class _EncStage(_ConvBnAct):
 
     def __init__(self, in_ch, out_ch, slope, rng):
         super().__init__(in_ch, out_ch, slope, rng)
-        self.pool = MaxPool1d(2)
+        self.pool = MaxPool1d()
 
     def forward(self, x, training):
         act = self._conv_bn_act(x, training)
@@ -372,10 +372,9 @@ class WindowRows:
     float32 (C, S) copy of its recordings, concatenated in order, and each
     window's start in that copy: each sample once, however the windows overlap.
 
-    Indexing with an int, a slice or an index array, alone or leading a tuple,
-    gathers exactly the rows and elements the stack would give; ``shape``,
-    ``dtype``, ``len`` and ``np.asarray`` are the stack's. No result is a
-    view of the recordings.
+    ``shape``, ``dtype`` and ``len`` are the stack's. The one access is
+    ``rows[idx]`` with a 1-D integer index array, which gathers a copy of
+    the stack's rows ``idx``; any other key is refused.
     """
 
     def __init__(self, samples, starts, length):
@@ -387,17 +386,10 @@ class WindowRows:
     def __len__(self):
         return self.shape[0]
 
-    def __getitem__(self, key):
-        lead, rest = (key[0], key[1:]) if isinstance(key, tuple) else (key, ())
-        starts = self._starts[lead]
-        if isinstance(lead, slice):
-            # the stack indexes a slice as a basic view, not as an index array
-            return self._view[starts][(slice(None), *rest)]
-        rows = self._view[(starts, *rest)]
-        return rows.copy() if np.ndim(starts) == 0 else rows
-
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self[:], dtype)
+    def __getitem__(self, idx):
+        if not (isinstance(idx, np.ndarray) and idx.ndim == 1 and idx.dtype.kind in "iu"):
+            raise TypeError(f"WindowRows takes a 1-D integer index array, not {idx!r}")
+        return self._view[self._starts[idx]]
 
 
 def windows_to_arrays(windows: WindowSet):

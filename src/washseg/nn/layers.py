@@ -18,16 +18,17 @@ its input: no layer has a train or eval mode. Batch norm's forward is the
 train forward; the model folds its eval map, ``eval_affine``, into the
 preceding conv. Other layers' eval forwards write a cache that nothing reads.
 The layers run the geometry ``GestureNet`` builds: convs of odd kernel keep
-the input length (stride 1, padding kernel // 2), and pools step by their own
-window. Forwards read strided slices and never copy their input; selects are
-multiplies by an exact factor, and per-channel sums reduce the (B, C*T) view
-over the batch first. No hot op reduces over a short axis or broadcasts a
-per-channel (C, 1) vector over (B, C, T), since numpy then runs one short
-inner loop per row: conv tap sums, upsample copies and sums over the last
-axis run over whole contiguous rows, the sums in numpy's own order, batch
-norm expands its per-channel vectors to (C, T) rows, and max-pool backward
-compares contiguous copies of its window columns. Parameter values are only
-ever mutated by an optimizer — forward/backward touch gradients exclusively.
+the input length (stride 1, padding kernel // 2), max-pool takes pairs, and
+average pools step by their own window. Forwards read strided slices and
+never copy their input; selects are multiplies by an exact factor, and
+per-channel sums reduce the (B, C*T) view over the batch first. No hot op
+reduces over a short axis or broadcasts a per-channel (C, 1) vector over
+(B, C, T), since numpy then runs one short inner loop per row: conv tap sums,
+upsample copies and sums over the last axis run over whole contiguous rows,
+the sums in numpy's own order, batch norm expands its per-channel vectors to
+(C, T) rows, and max-pool backward compares a contiguous copy of its even
+columns. Parameter values are only ever mutated by an optimizer —
+forward/backward touch gradients exclusively.
 
 Layers form one tree: leaves (``Conv1d``, ``BatchNorm1d``, ``Linear``) own
 their ``Param`` slots; a composite's sublayers, parameter-free ones included,
@@ -395,37 +396,29 @@ class Sigmoid(Layer):
 
 
 class MaxPool1d(Layer):
-    """Max over each window; ties go to the earliest position in it."""
-
-    def __init__(self, window):
-        self.window = window
+    """Max over each pair of samples; a tie goes to the even position."""
 
     def forward(self, x):
-        if x.shape[2] < self.window:
+        if x.shape[2] < 2:
             raise ValueError("maxpool1d: input shorter than pooling window")
-        first, *rest = _window_slices(x.shape[2], self.window)
-        out = x[:, :, first].copy()
-        for sl in rest:
-            np.maximum(out, x[:, :, sl], out=out)
+        even, odd = _window_slices(x.shape[2], 2)
+        out = np.maximum(x[:, :, even], x[:, :, odd])
         self._cache = (x, out)
         return out
 
     def backward(self, grad_out):
         x, out = self._saved()
-        b, c, t = x.shape
-        end = t // self.window * self.window
+        even, _ = _window_slices(x.shape[2], 2)
         grad_x = np.empty_like(x)
-        grad_x[:, :, end:] = 0
-        # column j of this view is position j of every window
-        cols = grad_x[:, :, :end].reshape(b, c, end // self.window, self.window)
-        free = np.ones(out.shape, dtype=bool)  # gradient not yet routed
-        for j, sl in enumerate(_window_slices(t, self.window)):
-            # compared as a contiguous copy: numpy compares strided operands slowly
-            hit = free & (np.ascontiguousarray(x[:, :, sl]) == out)
-            free &= ~hit
+        grad_x[:, :, even.stop :] = 0  # an odd tail gets no gradient
+        # compared as a contiguous copy: numpy compares strided operands slowly
+        to_even = np.ascontiguousarray(x[:, :, even]) == out
+        # column j of this view is position j of every pair
+        pairs = grad_x[:, :, : even.stop].reshape(*out.shape, 2)
+        for j, hit in enumerate((to_even, ~to_even)):
             routed = grad_out * hit
             routed += 0.0  # a -0.0 becomes 0.0, as when it was added onto zeros
-            cols[..., j] = routed
+            pairs[..., j] = routed
         return grad_x
 
 

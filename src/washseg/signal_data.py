@@ -207,7 +207,7 @@ def window_starts(n, length, stride) -> np.ndarray:
     return starts
 
 
-def extract_windows(series: SampleSeries, length=DEFAULT_WINDOW, stride=1) -> WindowSet:
+def extract_windows(series: SampleSeries, length, stride) -> WindowSet:
     """The ``WindowSet`` of one series: a window at each start of ``window_starts``."""
     starts = window_starts(len(series), length, stride)
     return WindowSet((series,), np.zeros_like(starts), starts, length)

@@ -235,14 +235,14 @@ def test_run_evaluation_names_a_short_test_recording_before_training(monkeypatch
 def test_fold_windows_rejects_max_windows_below_one(max_windows):
     series = [make_series(np.zeros(100, dtype=int))]
     with pytest.raises(ValueError, match=f"^max_windows must be at least 1, got {max_windows}$"):
-        fold_windows(series, 64, 1, max_windows)
+        fold_windows(series, 64, 1, max_windows, rng=np.random.default_rng(0))
 
 
 def test_fold_windows_keeps_at_most_max_windows_and_none_keeps_all():
     series = [make_series(np.zeros(100, dtype=int))]  # 37 stride-1 windows
-    assert len(fold_windows(series, 64, 1, None)) == len(fold_windows(series, 64, 1, 37)) == 37
-    assert len(fold_windows(series, 64, 1, 1)) == 1
-    assert len(fold_windows(series, 64, 1, 100)) == 37
+    kept = {m: len(fold_windows(series, 64, 1, m, rng=np.random.default_rng(0)))
+            for m in (None, 37, 1, 100)}
+    assert kept == {None: 37, 37: 37, 1: 1, 100: 37}
 
 
 def test_fold_windows_names_a_recording_shorter_than_the_window(monkeypatch):
@@ -253,9 +253,10 @@ def test_fold_windows_names_a_recording_shorter_than_the_window(monkeypatch):
               make_series(np.zeros(50, dtype=int), participant="p09")]
     with pytest.raises(ValueError, match="^loc0_p09_1.csv has 50 samples, "
                                          "fewer than the 64-sample window$"):
-        fold_windows(series, 64, 1)
+        fold_windows(series, 64, 1, rng=np.random.default_rng(0))
     assert calls == [100]  # checked before its own extract_windows call
-    fold_windows(series[:1] + [make_series(np.zeros(64, dtype=int))], 64, 1)
+    fold_windows(series[:1] + [make_series(np.zeros(64, dtype=int))], 64, 1,
+                 rng=np.random.default_rng(0))
     assert calls == [100, 100, 64]  # one call per series, a full-length one included
 
 
@@ -289,17 +290,18 @@ def test_fold_windows_and_arrays_match_the_window_list_oracle(case):
     assert [(got.series[i], start) for i, start in zip(got.series_id, got.start.tolist())] == [
         (w.source, w.start) for w in want]
     for g, w in zip(windows_to_arrays(got), oracle.windows_to_arrays_list(want), strict=True):
-        g = np.asarray(g)  # accel and gyro are row sources; labels are a stack
+        g = g[np.arange(len(g))]  # accel and gyro are row sources; labels are a stack
         assert (g.dtype, g.shape) == (w.dtype, w.shape)
         assert g.tobytes() == w.tobytes()
 
 
 def test_fold_windows_holds_no_object_per_window():
     series = [make_series(np.zeros(2000, dtype=int), procedure=p, seed=p) for p in range(3)]
-    fold_windows(series, 64, 1)  # first-call allocations out of the measurement
+    rng = np.random.default_rng(0)
+    fold_windows(series, 64, 1, rng=rng)  # first-call allocations out of the measurement
     tracemalloc.start()
     try:
-        windows = fold_windows(series, 64, 1)
+        windows = fold_windows(series, 64, 1, rng=rng)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

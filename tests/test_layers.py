@@ -66,17 +66,18 @@ def assert_same_bits(actual, expected):
     assert actual.tobytes() == expected.tobytes()
 
 
-# (window, length): odd lengths, tails shorter than a window dropped
-MAXPOOL_TIE_CASES = [(2, 9), (3, 7), (3, 11), (4, 13), (2, 5)]
+# (batch, channels, length) of max-pool inputs: odd lengths leave a tail
+# sample that no pair takes
+MAXPOOL_TIE_SHAPES = [(2, 3, 9), (1, 1, 2), (3, 5, 3), (4, 2, 12), (2, 7, 5)]
 
 
-def maxpool_backward_where(x, out, grad_out, window):
-    """The select form of the max-pool routing: earliest tie, one tap at a time."""
+def maxpool_backward_where(x, out, grad_out):
+    """The select form of the max-pool routing: even position first, a tie to it."""
     grad_x = np.zeros_like(x)
     free = np.ones(out.shape, dtype=bool)
-    end = x.shape[2] // window * window
-    for j in range(window):
-        sl = slice(j, end, window)
+    end = x.shape[2] // 2 * 2
+    for j in range(2):
+        sl = slice(j, end, 2)
         hit = free & (x[:, :, sl] == out)
         grad_x[:, :, sl] += np.where(hit, grad_out, 0.0)
         free &= ~hit
@@ -292,43 +293,44 @@ class TestSimpleLayers:
                 LeakyReLU(slope)
 
     def test_maxpool_oracle_on_ties_odd_lengths(self, rng):
-        for window, t in MAXPOOL_TIE_CASES:
-            pool = MaxPool1d(window)
-            x = rng.integers(0, 3, size=(2, 3, t)).astype(float)  # many tied maxima
+        for shape in MAXPOOL_TIE_SHAPES:
+            pool = MaxPool1d()
+            x = rng.integers(0, 3, size=shape).astype(float)  # many tied maxima
             out = pool.forward(x)
-            np.testing.assert_array_equal(out, oracle.maxpool1d_loops(x, window, stride=window))
+            np.testing.assert_array_equal(out, oracle.maxpool1d_loops(x, 2, stride=2))
             g = rng.standard_normal(out.shape)
             np.testing.assert_allclose(
-                pool.backward(g), oracle.maxpool1d_backward_loops(x, g, window, stride=window),
-                atol=1e-12,
+                pool.backward(g), oracle.maxpool1d_backward_loops(x, g, 2, stride=2), atol=1e-12,
             )
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_maxpool_backward_bits_match_where(self, rng, dtype):
-        for window, t in MAXPOOL_TIE_CASES:
-            pool = MaxPool1d(window)
-            x = rng.integers(-1, 2, size=(2, 3, t)).astype(dtype)  # ties, +-0.0
+        for shape in MAXPOOL_TIE_SHAPES:
+            pool = MaxPool1d()
+            x = rng.integers(-1, 2, size=shape).astype(dtype)  # ties, +-0.0
             x[x == 0] *= rng.choice([-1, 1], size=int((x == 0).sum())).astype(dtype)
             out = pool.forward(x)
             g = rng.standard_normal(out.shape).astype(dtype)
             g[:, 0] = 0.0
-            g[:, 1, ::2] = -0.0
-            assert_same_bits(pool.backward(g), maxpool_backward_where(x, out, g, window))
+            g[:, -1, ::2] = -0.0
+            assert_same_bits(pool.backward(g), maxpool_backward_where(x, out, g))
 
     def test_maxpool_tie_gradient_goes_to_earliest(self):
-        pool = MaxPool1d(3)
-        x = np.array([[[1.0, 5.0, 5.0, 5.0, 2.0, 5.0, 7.0]]])
+        pool = MaxPool1d()
+        x = np.array([[[1.0, 5.0, 5.0, 5.0, 0.0, -0.0, -0.0, 0.0, 7.0]]])
         out = pool.forward(x)
-        np.testing.assert_array_equal(out, [[[5.0, 5.0]]])
-        grad = pool.backward(np.array([[[1.0, 10.0]]]))
-        # windows [1,5,5] and [5,2,5], the tail [7] dropped: first maxima at 1 and 3
-        np.testing.assert_array_equal(grad, [[[0.0, 1.0, 0.0, 10.0, 0.0, 0.0, 0.0]]])
+        np.testing.assert_array_equal(out, [[[5.0, 5.0, 0.0, 0.0]]])
+        grad = pool.backward(np.array([[[1.0, 10.0, 100.0, 1000.0]]]))
+        # pairs [1,5], [5,5], [0,-0] and [-0,0], the tail [7] dropped: a tie,
+        # of signed zeros too, goes to the even position
+        np.testing.assert_array_equal(grad, [[[0.0, 1.0, 10.0, 0.0, 100.0, 0.0, 1000.0, 0.0,
+                                               0.0]]])
 
-    @pytest.mark.parametrize("pool,name", [(MaxPool1d(4), "maxpool1d"),
+    @pytest.mark.parametrize("pool,name", [(MaxPool1d(), "maxpool1d"),
                                            (AvgPool1d(4), "avgpool1d")])
     def test_pool_input_shorter_than_window_rejected(self, pool, name):
         with pytest.raises(ValueError, match=f"^{name}: input shorter than pooling window$"):
-            pool.forward(np.zeros((2, 3, 3)))
+            pool.forward(np.zeros((2, 3, 1)))
 
     def test_avgpool_full_window(self):
         pool = AvgPool1d(8)
@@ -342,12 +344,10 @@ class TestSimpleLayers:
 
     def test_maxpool_matches_oracle(self, rng):
         for _ in range(10):
-            window = int(rng.integers(1, 5))
-            t = int(rng.integers(window, 20))
-            pool = MaxPool1d(window)
-            x = rng.standard_normal((2, 3, t))
+            b, c, t = (int(v) for v in rng.integers((1, 1, 2), (5, 6, 20)))
+            x = rng.standard_normal((b, c, t))
             np.testing.assert_allclose(
-                pool.forward(x), oracle.maxpool1d_loops(x, window, stride=window), atol=1e-12
+                MaxPool1d().forward(x), oracle.maxpool1d_loops(x, 2, stride=2), atol=1e-12
             )
 
     def test_avgpool_matches_oracle(self, rng):
@@ -369,7 +369,7 @@ class TestSimpleLayers:
     def test_pool_upsample_input_gradients(self, rng):
         # input-side FD check; these layers have no parameters
         for layer, shape in [
-            (MaxPool1d(2), (2, 2, 8)),
+            (MaxPool1d(), (2, 2, 8)),
             (AvgPool1d(3), (2, 2, 9)),
             (Upsample1d(2), (2, 2, 4)),
             (LeakyReLU(0.01), (2, 2, 6)),
@@ -604,20 +604,20 @@ class TestWholeRowKernels:
         assert_same_bits(bn.beta.grad, ref.beta.grad)
 
     @settings(max_examples=120, deadline=None)
-    @given(window=st.integers(2, 4), batch=BATCHES, channels=st.integers(1, 12),
-           windows=st.integers(1, 20), tail=st.integers(0, 3),
-           dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**32 - 1))
-    def test_maxpool_backward_bits_equal_free_mask(self, window, batch, channels, windows,
-                                                   tail, dtype, seed):
+    @given(batch=BATCHES, channels=st.integers(1, 40), pairs=st.integers(1, 40),
+           tail=st.integers(0, 1), dtype=st.sampled_from([np.float32, np.float64]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_maxpool_backward_bits_equal_free_mask(self, batch, channels, pairs, tail, dtype,
+                                                   seed):
         rng = np.random.default_rng(seed)
-        length = windows * window + min(tail, window - 1)  # a tail shorter than a window
-        x = rng.integers(-1, 2, size=(batch, channels, length)).astype(dtype)  # ties, +-0.0
-        x[x == 0] *= rng.choice([-1, 1], size=int((x == 0).sum())).astype(dtype)
-        pool = MaxPool1d(window)
+        x = rng.integers(-1, 2, size=(batch, channels, 2 * pairs + tail)).astype(dtype)
+        x[x == 0] *= rng.choice([-1, 1], size=int((x == 0).sum())).astype(dtype)  # ties, +-0.0
+        pool = MaxPool1d()
         out = pool.forward(x)
+        np.testing.assert_array_equal(out, oracle.maxpool1d_loops(x, 2, stride=2))
         grad = signed_zeros(rng, rng.standard_normal(out.shape).astype(dtype))
         assert_same_bits(pool.backward(grad),
-                         oracle.maxpool1d_backward_free_mask(x, out, grad, window))
+                         oracle.maxpool1d_backward_free_mask(x, out, grad, 2))
 
     @pytest.mark.parametrize("factor", range(1, 9))
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -637,7 +637,7 @@ class TestFloat32:
         (lambda r: BatchNorm1d(3), (4, 3, 8)),
         (lambda r: LeakyReLU(0.01), (2, 3, 8)),
         (lambda r: Sigmoid(), (2, 3, 8)),
-        (lambda r: MaxPool1d(2), (2, 3, 8)),
+        (lambda r: MaxPool1d(), (2, 3, 8)),
         (lambda r: AvgPool1d(3), (2, 3, 9)),
         (lambda r: Upsample1d(2), (2, 3, 4)),
         (lambda r: Linear(5, 4, rng=r), (3, 5)),
@@ -884,7 +884,7 @@ class TestLayerTree:
                 self.settings = Settings()
                 self.names = ["a", "b"]
                 self.gate = Sigmoid()
-                self.stages = [LeakyReLU(), MaxPool1d(2)]
+                self.stages = [LeakyReLU(), MaxPool1d()]
                 self.fc = Linear(2, 2)
                 self.forward = self.gate.forward  # a hook bound onto the instance
                 self._cache = (Sigmoid(),)
@@ -898,7 +898,7 @@ class TestLayerTree:
 
     @pytest.mark.parametrize("make", [
         lambda: Conv1d(1, 1, 3), lambda: BatchNorm1d(2), LeakyReLU, Sigmoid,
-        lambda: MaxPool1d(2), lambda: AvgPool1d(2), lambda: Linear(2, 2), lambda: SEBlock(4),
+        MaxPool1d, lambda: AvgPool1d(2), lambda: Linear(2, 2), lambda: SEBlock(4),
         lambda: PPMBlock(4, 2),
     ])
     def test_backward_without_forward_names_the_layer(self, make):
@@ -916,7 +916,7 @@ CACHE_CASES = [
     (lambda: BatchNorm1d(2), (3, 2, 8), "BatchNorm1d"),
     (LeakyReLU, (3, 2, 8), "LeakyReLU"),
     (Sigmoid, (3, 2, 8), "Sigmoid"),
-    (lambda: MaxPool1d(2), (3, 2, 8), "MaxPool1d"),
+    (MaxPool1d, (3, 2, 8), "MaxPool1d"),
     (lambda: AvgPool1d(2), (3, 2, 8), "AvgPool1d"),
     (lambda: Linear(2, 3), (3, 2), "Linear"),
     (lambda: SEBlock(4), (3, 4, 8), "SEBlock"),

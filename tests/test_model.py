@@ -494,8 +494,10 @@ class TestWindowsToArrays:
         assert (accel.dtype, gyro.dtype, labels.dtype) == (np.float32, np.float32, np.uint8)
         (series,) = windows.series
         cuts = [slice(start, start + 64) for start in windows.start]
-        for got, part in ((accel, series.accel), (gyro, series.gyro)):
+        for rows, part in ((accel, series.accel), (gyro, series.gyro)):
+            got = rows[np.arange(len(rows))]
             wide = np.stack([part[:, cut] for cut in cuts]).astype(np.float64)
+            assert got.dtype == np.float32
             np.testing.assert_array_equal(got, wide.astype(np.float32))
         np.testing.assert_array_equal(labels, np.stack([series.label[cut] for cut in cuts]))
 
@@ -519,7 +521,7 @@ class TestWindowsToArrays:
     def test_traced_peak_per_window_is_bounded(self):
         spec = GenSpec(seed=5, participants=2)
         series = [generate_procedure(spec, p, 0, k) for p in range(2) for k in (1, 2, 3)]
-        windows = fold_windows(series, 64, 1)
+        windows = fold_windows(series, 64, 1, rng=np.random.default_rng(0))
         # stacked, these 12,160 windows peaked at 1,744 bytes a window; the
         # labels are gathered before the sensors are copied, so their
         # concatenation is freed before the peak
@@ -538,7 +540,8 @@ class TestWindowsToArrays:
         accel = series.accel.copy()
         accel[1, 70] = 1e39
         series = dataclasses.replace(series, accel=accel)
-        a, g, _ = windows_to_arrays(WindowSet((series,), np.zeros(2, int), np.array([0, 64]), 64))
+        rows = windows_to_arrays(WindowSet((series,), np.zeros(2, int), np.array([0, 64]), 64))
+        a, g = (part[np.arange(2)] for part in rows[:2])
         assert np.isinf(a[1, 1, 70 - 64]) and np.isfinite(a[0]).all()
         with pytest.raises(ValueError, match="accel input contains NaN/Inf"):
             GestureNet(ArchConfig(), seed=0).forward(a, g)
@@ -555,60 +558,71 @@ def huge_series(n, seed, at=None):
     return dataclasses.replace(s, accel=accel)
 
 
-def axis_indices(size, min_array=0):
-    """An int, a slice or an int index array into an axis of ``size``."""
-    arrays = st.lists(st.integers(-size, size - 1), min_size=min_array, max_size=12)
-    return st.one_of(st.integers(-size, size - 1), st.slices(size),
-                     arrays.map(lambda v: np.array(v, dtype=np.intp)))
+def some_windows(*series, stride=1):
+    return fold_windows(list(series), 64, stride, rng=np.random.default_rng(0))
 
 
 @st.composite
-def row_source_cases(draw):
+def row_gather_cases(draw):
     """Stride windows of 1-3 series, some holding a 1e39 accel value, and a
-    key: an int, a slice or an index array (empty too) into the rows, alone
-    or leading a tuple of indices into the channel and time axes."""
+    1-D integer index array into the rows: empty, repeated, negative and out
+    of range values all drawn."""
     series = []
     for k in range(draw(st.integers(1, 3))):
         n = draw(st.integers(64, 160))
         at = draw(st.one_of(st.none(), st.tuples(st.integers(0, 2), st.integers(0, n - 1))))
         series.append(huge_series(n, k, at))
-    windows = fold_windows(series, 64, draw(st.integers(1, 40)))
-    key = draw(axis_indices(len(windows)))
-    rest = [draw(axis_indices(size, 1)) for size in (3, 64)[: draw(st.integers(0, 2))]]
-    return windows, (key, *rest) if rest or draw(st.booleans()) else key
+    windows = some_windows(*series, stride=draw(st.integers(1, 40)))
+    n = len(windows)
+    idx = draw(st.lists(st.integers(-n - 2, n + 1), max_size=12))
+    return windows, np.array(idx, dtype=draw(st.sampled_from([np.intp, np.int32, np.int16])))
 
 
 class TestWindowRows:
-    """``windows_to_arrays``'s accel and gyro hold each sample once and index
-    as the stacks they stand for."""
+    """``windows_to_arrays``'s accel and gyro hold each sample once, and a
+    gather by an index array gives the rows of the stacks they stand for."""
 
     @settings(max_examples=200, deadline=None)
-    @given(row_source_cases())
-    @example((fold_windows([huge_series(100, 0, (1, 70))], 64, 1), np.array([], np.intp)))
-    @example((fold_windows([huge_series(100, 0, (1, 70))], 64, 1), np.arange(0, 37, 3)))
-    @example((fold_windows([huge_series(90, 0), huge_series(70, 1, (0, 69))], 64, 5),
-              (slice(None), 0, np.array([63, 0]))))
+    @given(row_gather_cases())
+    @example((some_windows(huge_series(100, 0, (1, 70))), np.array([], np.intp)))
+    @example((some_windows(huge_series(100, 0, (1, 70))), np.array([36, 0, 36, -1, -37])))
+    @example((some_windows(huge_series(100, 0, (1, 70))), np.array([0, 37])))
+    @example((some_windows(huge_series(90, 0), huge_series(70, 1, (0, 69)), stride=5),
+              np.arange(0, 14, 3)))
     def test_indexing_a_source_matches_indexing_its_stack(self, case):
-        windows, key = case
+        windows, idx = case
         accel, gyro, _ = windows_to_arrays(windows)
         for source in (accel, gyro):
-            stack = np.asarray(source)
+            stack = source[np.arange(len(source))]
             assert (stack.dtype, stack.shape, len(stack)) == (source.dtype, source.shape,
                                                                len(source))
             try:
-                want = stack[key]
+                want = stack[idx]
             except IndexError:
                 with pytest.raises(IndexError):
-                    source[key]
-                continue
-            got = source[key]
-            assert type(got) is type(want)
+                    source[idx]
+                return
+            got = source[idx]
+            assert type(got) is np.ndarray
             assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape,
                                                              want.tobytes())
-        rows = None if isinstance(key, tuple) else accel[key]
-        if rows is not None and rows.ndim == 3 and rows.size and not np.isfinite(rows).all():
+            got += 1  # a copy: the next gather reads the sensors unchanged
+            assert source[idx].tobytes() == want.tobytes()
+        rows = accel[idx]
+        if rows.size and not np.isfinite(rows).all():
             with pytest.raises(ValueError, match="^accel input contains NaN/Inf$"):
-                GestureNet(ArchConfig(), seed=0).forward(rows, gyro[key])
+                GestureNet(ArchConfig(), seed=0).forward(rows, gyro[idx])
+
+    @pytest.mark.parametrize("key", [
+        0, np.intp(1), slice(None), [0, 1], (np.arange(2), 0), np.arange(4).reshape(2, 2),
+        np.array([True, False]), np.array([0.0, 1.0]), Ellipsis,
+    ], ids=["int", "numpy-int", "slice", "list", "tuple", "2-D", "bool", "float", "ellipsis"])
+    def test_any_other_key_is_refused_by_name(self, key):
+        accel, _, _ = windows_to_arrays(some_windows(huge_series(100, 0)))
+        with pytest.raises(TypeError, match="^WindowRows takes a 1-D integer index array, not "):
+            accel[key]
+        with pytest.raises(TypeError, match="^WindowRows takes a 1-D integer index array"):
+            np.asarray(accel)  # no stack is made behind a gather
 
     def test_training_on_sources_equals_training_on_their_stacks(self):
         spec = GenSpec(seed=5, participants=2)
@@ -616,7 +630,8 @@ class TestWindowRows:
         accel, gyro, labels = windows_to_arrays(
             fold_windows(series, 64, 1, max_windows=60, rng=np.random.default_rng(3)))
         runs = []
-        for a, g in ((accel, gyro), (np.asarray(accel), np.asarray(gyro))):
+        every = np.arange(len(accel))
+        for a, g in ((accel, gyro), (accel[every], gyro[every])):
             m = GestureNet(ArchConfig(), seed=0)
             logs = train(m, (a, g, labels), TrainHyper(lr=0.003, batch=16, epochs=3, seed=7))
             # every field but the wall time an epoch took
@@ -630,7 +645,8 @@ class TestTraining:
         windows = training_windows()
         m = GestureNet(ArchConfig(), seed=0)
         accel, gyro, labels = windows_to_arrays(windows)
-        logits = m.forward(accel, gyro, mode="train")
+        every = np.arange(len(accel))
+        logits = m.forward(accel[every], gyro[every], mode="train")
         loss, _ = softmax_cross_entropy(logits, labels)
         assert abs(loss - np.log(10)) < 0.3
 
@@ -668,7 +684,7 @@ class TestTraining:
          r"labels has shape \(30, 64\), expected \(40, 64\) for accel of shape \(40, 3, 64\)"),
         (lambda a, g, y: (a, g, y.astype(np.float64)),
          r"labels have dtype float64, not an integer type"),
-        (lambda a, g, y: (a, g[:39], y),
+        (lambda a, g, y: (a, g[np.arange(39)], y),
          r"gyro has shape \(39, 3, 64\), expected \(40, 3, 64\) for accel of shape \(40, 3, 64\)"),
     ], ids=["labels-50-rows", "labels-30-rows", "float-labels", "gyro-39-rows"])
     def test_disagreeing_arrays_rejected_before_the_first_step(self, bad, message):
@@ -684,7 +700,7 @@ class TestTraining:
         m = GestureNet(ArchConfig(), seed=0)
         with pytest.raises(ValueError):
             train(m, [], TrainHyper())
-        empty = tuple(a[:0] for a in windows_to_arrays(training_windows(n_windows=8)))
+        empty = tuple(a[np.arange(0)] for a in windows_to_arrays(training_windows(n_windows=8)))
         with pytest.raises(ValueError, match="^training dataset is empty$"):
             train(m, empty, TrainHyper())
 

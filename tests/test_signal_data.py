@@ -488,9 +488,10 @@ class TestExtractWindows:
     def test_window_slices_match_source(self):
         s = make_series(np.arange(100) % 10)
         accel, gyro, labels = windows_to_arrays(extract_windows(s, 64, 64))
+        second = np.array([1])
         np.testing.assert_array_equal(labels[1], s.label[36:100])
-        np.testing.assert_array_equal(accel[1], s.accel[:, 36:100].astype(np.float32))
-        np.testing.assert_array_equal(gyro[1], s.gyro[:, 36:100].astype(np.float32))
+        np.testing.assert_array_equal(accel[second][0], s.accel[:, 36:100].astype(np.float32))
+        np.testing.assert_array_equal(gyro[second][0], s.gyro[:, 36:100].astype(np.float32))
 
     def test_window_set_iterates_and_rejects_bad_windows(self):
         # iteration yields each window's series and start, in order
