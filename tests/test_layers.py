@@ -898,7 +898,7 @@ class TestLayerTree:
 
     @pytest.mark.parametrize("make", [
         lambda: Conv1d(1, 1, 3), lambda: BatchNorm1d(2), LeakyReLU, Sigmoid,
-        MaxPool1d, lambda: AvgPool1d(2), lambda: Linear(2, 2), lambda: SEBlock(4),
+        lambda: MaxPool1d(), lambda: AvgPool1d(2), lambda: Linear(2, 2), lambda: SEBlock(4),
         lambda: PPMBlock(4, 2),
     ])
     def test_backward_without_forward_names_the_layer(self, make):
