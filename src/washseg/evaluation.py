@@ -12,7 +12,8 @@ All mean/SD aggregates use the population SD (divide by n).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -185,7 +186,10 @@ class VariantMetrics:
     confusion: np.ndarray
 
     def to_dict(self):
-        d = {k: v for k, v in self.__dict__.items() if k != "confusion"}
+        """JSON-ready: a mean over no recordings (NaN, as when every one is a
+        detection failure) becomes None, since JSON has no NaN."""
+        d = {k: None if isinstance(v, float) and math.isnan(v) else v
+             for k, v in self.__dict__.items() if k != "confusion"}
         d["confusion"] = self.confusion.tolist()
         return d
 
@@ -269,15 +273,15 @@ def fold_windows(train_series, length, stride, max_windows=None, *, rng) -> Wind
     return WindowSet(tuple(p.series[0] for p in parts), series_id, start, length)
 
 
-def run_evaluation(split: SplitPlan, hyper: TrainHyper | None = None, window_stride: int = 1,
-                   max_windows=None, verbose=False):
-    """Train a default-architecture model on every fold of a split plan and evaluate it.
+def run_evaluation(split: SplitPlan, hyper: TrainHyper, window_stride: int, max_windows,
+                   verbose=False):
+    """Train a model on every fold of a split plan and evaluate it.
 
     Returns {fold_name: {variant: VariantMetrics}} plus an "_aggregate"
     entry whose accuracy is the sample-weighted combination over folds.
     """
     arch = ArchConfig()
-    hyper = (hyper or TrainHyper()).validate()
+    hyper.validate()
     for _, _, test_series in split.folds:  # before any fold trains
         for s in test_series:
             if len(s) < arch.input_length:
@@ -302,7 +306,7 @@ def run_evaluation(split: SplitPlan, hyper: TrainHyper | None = None, window_str
             acc = fold_metrics["mtv+tmf"].accuracy
             print(f"fold {fold_name}: mtv+tmf accuracy {acc:.4f}")
     results["_aggregate"] = {
-        v: {"accuracy": c / t if t else float("nan")} for v, (c, t) in totals.items()
+        v: {"accuracy": c / t if t else None} for v, (c, t) in totals.items()
     }
     return results
 
@@ -314,7 +318,7 @@ def report_to_json(results) -> str:
             out[fold] = metrics
         else:
             out[fold] = {v: m.to_dict() for v, m in metrics.items()}
-    return json.dumps(out, indent=2)
+    return json.dumps(out, indent=2, allow_nan=False)
 
 
 def confusion_to_csv(cm: np.ndarray) -> str:

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
+from itertools import zip_longest
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -33,60 +34,24 @@ from .nn import (
     softmax_cross_entropy,
 )
 from .nn import checkpoint as ckpt
-from .signal_data import WindowSet
+from .signal_data import DEFAULT_WINDOW, NUM_CLASSES, WindowSet
 
 
-@dataclass
+@dataclass(frozen=True)
 class ArchConfig:
-    """The architecture, stored as the checkpoint header's ``key=value`` text.
+    """The one architecture, stored as the checkpoint header's ``key=value``
+    text. Every field is a constant, so ``ArchConfig()`` takes no arguments,
+    and ``GestureNet.load`` refuses any header but ``to_text()``'s."""
 
-    ``from_text`` skips blank and ``#`` lines and strips whitespace around key
-    and value. A value is typed by its field's default: int, float, or a
-    comma-separated tuple. ``to_text`` writes ``str`` values, so text
-    round-trips.
-    """
-
-    input_length: int = 64
-    in_channels_per_branch: int = 3
-    encoder_channels: tuple = (8, 16, 32)
-    bottleneck_channels: int = 64
-    ppm_reduce: int = 16
-    se_reduction: int = 4
-    decoder_channels: tuple = (32, 16, 16)
-    num_classes: int = 10
-    leaky_slope: float = 0.01
-
-    def validate(self):
-        stages = len(self.encoder_channels)
-        if stages == 0:
-            raise ValueError("encoder_channels needs at least one stage")
-        sizes = (self.input_length, self.in_channels_per_branch, self.bottleneck_channels,
-                 self.ppm_reduce, self.se_reduction, *self.encoder_channels,
-                 *self.decoder_channels)
-        if min(sizes) < 1:
-            raise ValueError("lengths, channel counts and se_reduction must be positive")
-        if not 0.0 <= self.leaky_slope <= 1.0:
-            raise ValueError(f"leaky_slope {self.leaky_slope} outside [0, 1]")
-        if self.input_length % (2**stages) != 0:
-            raise ValueError(
-                f"input_length {self.input_length} not divisible by 2^{stages}"
-            )
-        bins = max(PPMBlock.POOL_SIZES)
-        if self.bottleneck_length % bins != 0:
-            raise ValueError(
-                f"input_length {self.input_length} gives bottleneck length "
-                f"{self.bottleneck_length}, not divisible by the largest PPM bin {bins}"
-            )
-        if self.bottleneck_channels != 2 * self.encoder_channels[-1]:
-            raise ValueError("bottleneck_channels must be twice the last encoder stage")
-        if len(self.decoder_channels) != stages:
-            raise ValueError("decoder_channels needs one stage per encoder stage")
-        if self.num_classes != 10:
-            raise ValueError("num_classes must be 10")
-        if self.in_channels_per_branch != 3:
-            raise ValueError("in_channels_per_branch must be 3: every recording has "
-                             "three accelerometer and three gyroscope axes")
-        return self
+    input_length: int = field(default=DEFAULT_WINDOW, init=False)
+    in_channels_per_branch: int = field(default=3, init=False)  # accelerometer or gyroscope axes
+    encoder_channels: tuple = field(default=(8, 16, 32), init=False)
+    bottleneck_channels: int = field(default=64, init=False)
+    ppm_reduce: int = field(default=16, init=False)
+    se_reduction: int = field(default=4, init=False)
+    decoder_channels: tuple = field(default=(32, 16, 16), init=False)
+    num_classes: int = field(default=NUM_CLASSES, init=False)
+    leaky_slope: float = field(default=0.01, init=False)
 
     def to_text(self) -> str:
         lines = []
@@ -96,36 +61,6 @@ class ArchConfig:
                 value = ",".join(str(v) for v in value)
             lines.append(f"{f.name}={value}")
         return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "ArchConfig":
-        """Parse and validate; a line without '=', an unknown or repeated key
-        and an unparsable value each raise ``ValueError`` naming the key."""
-        defaults = {f.name: f.default for f in fields(cls)}
-        kwargs = {}
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if not sep:
-                raise ValueError(f"architecture line '{line}' has no '='")
-            if key not in defaults:
-                raise ValueError(f"unknown architecture key '{key}'")
-            if key in kwargs:
-                raise ValueError(f"architecture key '{key}' is repeated")
-            default = defaults[key]
-            try:
-                kwargs[key] = (tuple(type(default[0])(v) for v in value.split(","))
-                               if isinstance(default, tuple) else type(default)(value))
-            except ValueError:
-                raise ValueError(f"architecture key '{key}' has bad value '{value}'") from None
-        return cls(**kwargs).validate()
-
-    @property
-    def bottleneck_length(self) -> int:
-        return self.input_length // (2 ** len(self.encoder_channels))
 
 
 class _ConvBnAct(Layer):
@@ -208,7 +143,7 @@ class GestureNet(Layer):
     Training (a train forward and its backward) is not safe to share."""
 
     def __init__(self, config: ArchConfig, seed: int = 0):
-        self.config = config.validate()
+        self.config = config
         rng = np.random.default_rng(seed)
         slope = config.leaky_slope
         chans = config.encoder_channels
@@ -328,10 +263,15 @@ class GestureNet(Layer):
     @classmethod
     def load(cls, path) -> "GestureNet":
         config_text, tensors = ckpt.load_checkpoint(path)
-        try:
-            model = cls(ArchConfig.from_text(config_text))
-        except ValueError as e:
-            raise ckpt.CheckpointError(f"checkpoint architecture: {e}") from None
+        expected = ArchConfig().to_text()
+        if config_text != expected:
+            # the first line that differs; '' past the end of either text
+            pairs = zip_longest(config_text.splitlines(True), expected.splitlines(True),
+                                fillvalue="")
+            line, (stored, want) = next((i, p) for i, p in enumerate(pairs, 1) if p[0] != p[1])
+            raise ckpt.CheckpointError(
+                f"checkpoint architecture line {line} is {stored!r}, expected {want!r}")
+        model = cls(ArchConfig())
         model._apply_tensors(tensors)
         return model
 

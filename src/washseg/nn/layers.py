@@ -203,14 +203,12 @@ class Conv1d(Layer):
     so the padding is never materialised.
     """
 
-    def __init__(self, in_ch, out_ch, kernel, rng=None):
+    def __init__(self, in_ch, out_ch, kernel, rng):
         if kernel % 2 == 0:
             raise ValueError(f"conv1d: kernel {kernel} is even; a same-length conv needs it odd")
         self.in_ch = in_ch
         self.out_ch = out_ch
         self.kernel = kernel
-        if rng is None:
-            rng = np.random.default_rng(0)
         bound = math.sqrt(6.0 / (in_ch * kernel))
         self.w = Param(rng.uniform(-bound, bound, size=(out_ch, in_ch, kernel)))
         self.b = Param(np.zeros(out_ch))
@@ -464,9 +462,7 @@ class Upsample1d(Layer):
 class Linear(Layer):
     """Affine map on (batch, features) inputs."""
 
-    def __init__(self, in_features, out_features, rng=None):
-        if rng is None:
-            rng = np.random.default_rng(0)
+    def __init__(self, in_features, out_features, rng):
         bound = math.sqrt(6.0 / in_features)
         self.w = Param(rng.uniform(-bound, bound, size=(in_features, out_features)))
         self.b = Param(np.zeros(out_features))
@@ -495,7 +491,7 @@ class SEBlock(Layer):
     C -> C/r -> C with a leaky-ReLU hidden layer and a sigmoid gate.
     """
 
-    def __init__(self, channels, reduction=4, slope=0.01, rng=None):
+    def __init__(self, channels, reduction, slope, rng):
         hidden = max(1, channels // reduction)
         self.channels = channels
         self.fc1 = Linear(channels, hidden, rng=rng)
@@ -530,7 +526,7 @@ class PPMBlock(Layer):
 
     POOL_SIZES = (8, 4, 2)
 
-    def __init__(self, channels, reduce_ch=16, rng=None):
+    def __init__(self, channels, reduce_ch, rng):
         self.channels = channels
         self.reduce_ch = reduce_ch
         self.pools = [AvgPool1d(s) for s in self.POOL_SIZES]

@@ -13,18 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# trimmed averages of the reference-video durations, gestures 1..9
+# trimmed averages of the reference-video durations, gestures 1..9; the
+# tests derive them from the per-video rows
 PROFESSIONAL_DURATIONS = np.array([4.9, 3.65, 3.65, 5.4, 4.0, 3.45, 3.45, 4.1, 4.1])
-
-
-def trimmed_average(values) -> float:
-    """Drop one occurrence of the max and one of the min, average the rest."""
-    values = list(values)
-    if len(values) < 3:
-        raise ValueError("trimmed_average needs at least 3 values")
-    values.remove(max(values))
-    values.remove(min(values))
-    return sum(values) / len(values)
 
 
 @dataclass

@@ -31,6 +31,17 @@ def make_series(labels, participant="p00", location="loc0", procedure=1, seed=0)
     )
 
 
+def trimmed_average(values) -> float:
+    """Drop one occurrence of the max and one of the min, average the rest:
+    how ``scoring.PROFESSIONAL_DURATIONS`` come from the per-video rows."""
+    values = list(values)
+    if len(values) < 3:
+        raise ValueError("trimmed_average needs at least 3 values")
+    values.remove(max(values))
+    values.remove(min(values))
+    return sum(values) / len(values)
+
+
 def cast_model(model, dtype=np.float64):
     """Cast a built layer tree's parameters and batch-norm buffers to ``dtype``
     in place. ``GestureNet`` computes in float32; gradcheck and the float64

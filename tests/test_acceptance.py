@@ -37,9 +37,9 @@ from washseg.nn import (
     softmax_cross_entropy,
 )
 from washseg.pipeline import LabelTrack, mode_filter, multiple_test_voting
-from washseg.scoring import PROFESSIONAL_DURATIONS, score, trimmed_average
+from washseg.scoring import PROFESSIONAL_DURATIONS, score
 from washseg.synth import GenSpec, generate
-from conftest import cast_model, layer_backward
+from conftest import cast_model, layer_backward, trimmed_average
 from gradcheck import grad_check
 import oracle
 
@@ -129,7 +129,7 @@ def test_criterion_1_gradient_fidelity(rng):
                                   rng.standard_normal((2, 3, 12)))
     errs["batchnorm1d"] = check_params(cast_model(BatchNorm1d(3)), rng.standard_normal((4, 3, 8)))
     errs["linear"] = check_params(cast_model(Linear(5, 4, rng=rng)), rng.standard_normal((3, 5)))
-    errs["se_block"] = check_params(cast_model(SEBlock(8, 4, rng=rng)),
+    errs["se_block"] = check_params(cast_model(SEBlock(8, 4, 0.01, rng=rng)),
                                     rng.standard_normal((2, 8, 16)))
     errs["ppm_block"] = check_params(cast_model(PPMBlock(8, 4, rng=rng)),
                                      rng.standard_normal((2, 8, 8)))

@@ -235,38 +235,6 @@ class TestStrictApply:
         with pytest.raises(ckpt.CheckpointError, match=f"unknown tensor '{name}'"):
             GestureNet.load(path)
 
-    @pytest.mark.parametrize("line,key", [("input_length=6x4", "input_length"),
-                                          ("input_length=63", "input_length"),
-                                          ("bogus=3", "bogus"),
-                                          ("input_length", "input_length")])
-    def test_bad_config_named(self, tmp_path, line, key):
-        model = GestureNet(ArchConfig(), seed=4)
-        text = model.config.to_text().replace("input_length=64\n", "") + line + "\n"
-        path = tmp_path / "config.ckpt"
-        ckpt.save_checkpoint(path, text, model.named_tensors())
-        with pytest.raises(ckpt.CheckpointError, match=f"architecture.*{key}"):
-            GestureNet.load(path)
-
-    @pytest.mark.parametrize("channels", [1, 2, 4])
-    def test_sensor_channel_count_named(self, tmp_path, channels):
-        # every recording has three accelerometer and three gyroscope axes
-        model = GestureNet(ArchConfig(), seed=4)
-        text = model.config.to_text().replace("in_channels_per_branch=3",
-                                              f"in_channels_per_branch={channels}")
-        path = tmp_path / "config.ckpt"
-        ckpt.save_checkpoint(path, text, model.named_tensors())
-        with pytest.raises(ckpt.CheckpointError,
-                           match="architecture: in_channels_per_branch must be 3"):
-            GestureNet.load(path)
-
-    def test_repeated_config_key_named(self, tmp_path):
-        model = GestureNet(ArchConfig(), seed=4)
-        path = tmp_path / "config.ckpt"
-        ckpt.save_checkpoint(path, model.config.to_text() + "input_length=128\n",
-                             model.named_tensors())
-        with pytest.raises(ckpt.CheckpointError, match="architecture key 'input_length' is repeated"):
-            GestureNet.load(path)
-
     @pytest.mark.parametrize("name", ["bn_stats.0.var", "bn_stats.4.var"])
     def test_negative_variance_named(self, tmp_path, name):
         def edit(t):

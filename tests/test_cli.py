@@ -10,6 +10,7 @@ import pytest
 
 import washseg
 from washseg.cli import main
+from washseg.evaluation import SMOOTH_VARIANTS
 from washseg.model import ArchConfig, GestureNet
 from washseg.pipeline import LabelTrack, gesture_durations, infer_track, smooth as smooth_track
 from washseg.scoring import PROFESSIONAL_DURATIONS, score
@@ -206,20 +207,25 @@ def test_eval_refuses_to_write_its_reports_into_its_corpus(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("smooth", ["none", "tmf"])
-def test_infer_strides_by_the_model_input(tmp_path, smooth):
-    # a 32-sample model: a 64-sample stride would leave samples uncovered
-    ckpt_path = tmp_path / "short.ckpt"
-    arch = ArchConfig(input_length=32, encoder_channels=(8, 16), bottleneck_channels=32,
-                      decoder_channels=(16, 16))
-    model = GestureNet(arch, seed=1)
-    model.save(ckpt_path)
+def test_infer_strides_by_the_model_input(tmp_path, monkeypatch, smooth):
+    # without voting, infer strides by the 64-sample model input, and its
+    # labels are the stride-1 pass's
+    ckpt_path = tmp_path / "model.ckpt"
+    GestureNet(ArchConfig(), seed=1).save(ckpt_path)
     series = generate_procedure(GenSpec(seed=5, participants=2), 0, 0, 5)
     csv_path = tmp_path / "series.csv"
     write_csv(series, csv_path)
     out = tmp_path / "track.csv"
+    strides = []
+
+    def spy(m, s, stride):
+        strides.append(stride)
+        return infer_track(m, s, stride=stride)
+
+    monkeypatch.setattr("washseg.pipeline.infer_track", spy)
     rc = main(["infer", "--checkpoint", str(ckpt_path), "--series", str(csv_path),
                "--smooth", smooth, "--out", str(out)])
-    assert rc == 0
+    assert rc == 0 and strides == [64]
     predicted = np.genfromtxt(out, delimiter=",", names=True)["predicted"].astype(int)
     loaded = GestureNet.load(ckpt_path)
     expected = smooth_track(infer_track(loaded, load_csv(csv_path), stride=1), smooth)
@@ -455,6 +461,30 @@ def test_eval_emits_reports(tmp_path, corpus_dir):
         assert entry["accuracy"] == sum(np.trace(c) for c in cms) / sum(c.sum() for c in cms)
     assert (out / "user-dependent_confusion.csv").exists()
     assert (out / "user-dependent_participants.csv").exists()
+
+
+def test_eval_writes_strict_json_when_every_recording_fails_detection(tmp_path, corpus_dir,
+                                                                       monkeypatch):
+    # all-background tracks detect no procedure, so the onset and offset means
+    # and SDs are over no recording and have no value, which JSON cannot spell as NaN
+    def all_background(model, test_series):
+        return {v: [LabelTrack(np.zeros(len(s), int)) for s in test_series]
+                for v in SMOOTH_VARIANTS}
+
+    monkeypatch.setattr("washseg.evaluation.predict_variants", all_background)
+    out = tmp_path / "eval"
+    assert main(["eval", "--data", str(corpus_dir), "--seed", "0", "--epochs", "1",
+                 "--stride", "32", "--max-windows", "64", "--quiet", "--out", str(out)]) == 0
+
+    def refuse(token):
+        raise ValueError(f"metrics.json holds {token}, which JSON forbids")
+
+    metrics = json.loads((out / "metrics.json").read_text(), parse_constant=refuse)
+    for entry in metrics["user-dependent"].values():
+        assert entry["detection_failures"] == len(entry["per_participant_accuracy"]) > 0
+        undefined = ("onset_mean", "onset_sd", "offset_mean", "offset_sd")
+        assert [entry[k] for k in undefined] == [None] * 4
+        assert entry["score_error_mean"] > 0
 
 
 def test_missing_input_fails_cleanly(capsys, tmp_path):

@@ -215,7 +215,7 @@ class TestSplits:
 def test_run_evaluation_rejects_bad_hyper_before_training():
     plan = make_split(small_corpus(participants=1, locations=1), "user-dependent")
     with pytest.raises(ValueError, match="^seed must be at least 0, got -1"):
-        run_evaluation(plan, hyper=TrainHyper(seed=-1))
+        run_evaluation(plan, TrainHyper(seed=-1), window_stride=1, max_windows=None)
 
 
 def test_run_evaluation_names_a_short_test_recording_before_training(monkeypatch):
@@ -228,7 +228,7 @@ def test_run_evaluation_names_a_short_test_recording_before_training(monkeypatch
     plan = SplitPlan([("first", full[:1], full[1:2]), ("second", full[2:], [short])])
     with pytest.raises(ValueError, match="^loc0_p09_5.csv has 50 samples, "
                                          "fewer than the 64-sample model input$"):
-        run_evaluation(plan)
+        run_evaluation(plan, TrainHyper(), window_stride=1, max_windows=None)
 
 
 @pytest.mark.parametrize("max_windows", [-5, 0])

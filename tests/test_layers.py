@@ -87,14 +87,14 @@ def maxpool_backward_where(x, out, grad_out):
 class TestConv1d:
     def test_edge_detector_fixture(self):
         # [1,2,3,4] * [1,0,-1], pad 1: hand-computed sliding dot products
-        conv = cast_model(Conv1d(1, 1, 3))
+        conv = cast_model(Conv1d(1, 1, 3, rng=np.random.default_rng(0)))
         conv.w.value[:] = np.array([[[1.0, 0.0, -1.0]]])
         conv.b.value[:] = 0.0
         out = conv.forward(np.array([[[1.0, 2.0, 3.0, 4.0]]]))
         np.testing.assert_allclose(out, [[[-2.0, -2.0, -2.0, 3.0]]])
 
     def test_identity_kernel(self, rng):
-        conv = cast_model(Conv1d(1, 1, 3))
+        conv = cast_model(Conv1d(1, 1, 3, rng=np.random.default_rng(0)))
         conv.w.value[:] = np.array([[[0.0, 1.0, 0.0]]])
         conv.b.value[:] = 0.0
         x = rng.standard_normal((2, 1, 10))
@@ -120,7 +120,7 @@ class TestConv1d:
     @pytest.mark.parametrize("kernel", [2, 4])
     def test_even_kernel_rejected_naming_it(self, kernel):
         with pytest.raises(ValueError, match=f"kernel {kernel} is even"):
-            Conv1d(2, 3, kernel)
+            Conv1d(2, 3, kernel, rng=np.random.default_rng(0))
 
     def test_channel_mismatch_rejected(self, rng):
         conv = Conv1d(3, 4, 3, rng=rng)
@@ -641,7 +641,7 @@ class TestFloat32:
         (lambda r: AvgPool1d(3), (2, 3, 9)),
         (lambda r: Upsample1d(2), (2, 3, 4)),
         (lambda r: Linear(5, 4, rng=r), (3, 5)),
-        (lambda r: SEBlock(8, 4, rng=r), (2, 8, 16)),
+        (lambda r: SEBlock(8, 4, 0.01, rng=r), (2, 8, 16)),
         (lambda r: PPMBlock(8, 4, rng=r), (2, 8, 8)),
     ], ids=["conv", "bn-train", "leaky", "sigmoid", "maxpool", "avgpool",
             "upsample", "linear", "se", "ppm"])
@@ -796,25 +796,25 @@ class TestLinear:
 
 class TestSEBlock:
     def test_gate_bounds_output(self, rng):
-        se = cast_model(SEBlock(8, reduction=4, rng=rng))
+        se = cast_model(SEBlock(8, reduction=4, slope=0.01, rng=rng))
         x = rng.standard_normal((2, 8, 16))
         out = se.forward(x)
         assert (np.abs(out) <= np.abs(x) + 1e-12).all()
 
     def test_zero_excitation_halves_input(self, rng):
-        se = cast_model(SEBlock(8, reduction=4, rng=rng))
+        se = cast_model(SEBlock(8, reduction=4, slope=0.01, rng=rng))
         se.fc2.w.value[:] = 0.0
         se.fc2.b.value[:] = 0.0
         x = rng.standard_normal((2, 8, 16))
         np.testing.assert_allclose(se.forward(x), x / 2.0)
 
     def test_gradient(self, rng):
-        se = cast_model(SEBlock(8, reduction=4, rng=rng))
+        se = cast_model(SEBlock(8, reduction=4, slope=0.01, rng=rng))
         rep = layer_loss_check(se, rng.standard_normal((2, 8, 16)))
         assert rep.max_error < 1e-6, rep.failures
 
     def test_params_are_dotted_child_slots(self, rng):
-        se = SEBlock(8, reduction=4, rng=rng)
+        se = SEBlock(8, reduction=4, slope=0.01, rng=rng)
         params = se.params()
         assert list(params) == ["fc1.w", "fc1.b", "fc2.w", "fc2.b"]
         assert params["fc2.w"] is se.fc2.w
@@ -885,7 +885,7 @@ class TestLayerTree:
                 self.names = ["a", "b"]
                 self.gate = Sigmoid()
                 self.stages = [LeakyReLU(), MaxPool1d()]
-                self.fc = Linear(2, 2)
+                self.fc = Linear(2, 2, rng=np.random.default_rng(0))
                 self.forward = self.gate.forward  # a hook bound onto the instance
                 self._cache = (Sigmoid(),)
 
@@ -897,9 +897,11 @@ class TestLayerTree:
         assert list(t.modules()) == [t, t.gate, *t.stages, t.fc]
 
     @pytest.mark.parametrize("make", [
-        lambda: Conv1d(1, 1, 3), lambda: BatchNorm1d(2), LeakyReLU, Sigmoid,
-        lambda: MaxPool1d(), lambda: AvgPool1d(2), lambda: Linear(2, 2), lambda: SEBlock(4),
-        lambda: PPMBlock(4, 2),
+        lambda: Conv1d(1, 1, 3, rng=np.random.default_rng(0)), lambda: BatchNorm1d(2),
+        LeakyReLU, Sigmoid, lambda: MaxPool1d(), lambda: AvgPool1d(2),
+        lambda: Linear(2, 2, rng=np.random.default_rng(0)),
+        lambda: SEBlock(4, 4, 0.01, rng=np.random.default_rng(0)),
+        lambda: PPMBlock(4, 2, rng=np.random.default_rng(0)),
     ])
     def test_backward_without_forward_names_the_layer(self, make):
         layer = make()
@@ -912,15 +914,15 @@ class TestLayerTree:
 # the layer type a backward without a cache names. An Upsample1d caches
 # nothing and needs nothing
 CACHE_CASES = [
-    (lambda: Conv1d(2, 3, 3), (3, 2, 8), "Conv1d"),
+    (lambda: Conv1d(2, 3, 3, rng=np.random.default_rng(0)), (3, 2, 8), "Conv1d"),
     (lambda: BatchNorm1d(2), (3, 2, 8), "BatchNorm1d"),
     (LeakyReLU, (3, 2, 8), "LeakyReLU"),
     (Sigmoid, (3, 2, 8), "Sigmoid"),
     (MaxPool1d, (3, 2, 8), "MaxPool1d"),
     (lambda: AvgPool1d(2), (3, 2, 8), "AvgPool1d"),
-    (lambda: Linear(2, 3), (3, 2), "Linear"),
-    (lambda: SEBlock(4), (3, 4, 8), "SEBlock"),
-    (lambda: PPMBlock(4, 2), (3, 4, 8), "PPMBlock"),
+    (lambda: Linear(2, 3, rng=np.random.default_rng(0)), (3, 2), "Linear"),
+    (lambda: SEBlock(4, 4, 0.01, rng=np.random.default_rng(0)), (3, 4, 8), "SEBlock"),
+    (lambda: PPMBlock(4, 2, rng=np.random.default_rng(0)), (3, 4, 8), "PPMBlock"),
 ]
 
 

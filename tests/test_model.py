@@ -1,7 +1,6 @@
 import dataclasses
 import hashlib
 import re
-import tempfile
 import tracemalloc
 from pathlib import Path
 
@@ -22,132 +21,103 @@ from washseg.model import (
 )
 from washseg.nn import Adam, BatchNorm1d, softmax_cross_entropy
 from washseg.nn import checkpoint as ckpt
-from washseg.signal_data import WindowSet, extract_windows
+from washseg.signal_data import DEFAULT_WINDOW, NUM_CLASSES, WindowSet, extract_windows
 from washseg.synth import GenSpec, generate_procedure
 from conftest import cast_model, make_series
 import oracle
 
 
-@st.composite
-def arch_configs(draw):
-    """A valid architecture, then half the time one field drawn from values
-    around the valid ones: zero sizes, short inputs, untied widths, bad slopes,
-    sensor channel counts other than the recordings' three axes."""
-    small = st.integers(1, 6)
-    stages = draw(st.integers(1, 3))
-    enc = tuple(draw(st.lists(small, min_size=stages, max_size=stages)))
-    cfg = ArchConfig(
-        input_length=8 * 2**stages * draw(st.integers(1, 2)),
-        in_channels_per_branch=draw(st.just(3)),
-        encoder_channels=enc,
-        bottleneck_channels=2 * enc[-1],
-        ppm_reduce=draw(st.integers(1, 4)),
-        se_reduction=draw(st.integers(1, 6)),
-        decoder_channels=tuple(draw(st.lists(small, min_size=stages, max_size=stages))),
-        leaky_slope=draw(st.sampled_from([0.01, 0.0, 1.0])),
-    )
-    bad = {
-        "input_length": st.sampled_from([0, -64, 8, 16, 24, 32, 40, 48]),
-        "in_channels_per_branch": st.sampled_from([0, 1, 2, 4]),
-        "encoder_channels": st.lists(st.integers(0, 6), max_size=3).map(tuple),
-        "bottleneck_channels": st.integers(0, 12),
-        "ppm_reduce": st.just(0),
-        "se_reduction": st.just(0),
-        "decoder_channels": st.lists(st.integers(0, 6), max_size=4).map(tuple),
-        "num_classes": st.just(9),
-        "leaky_slope": st.sampled_from([-0.1, 1.5, float("nan")]),
-    }
-    field = draw(st.sampled_from([None, *bad]))
-    return cfg if field is None else dataclasses.replace(cfg, **{field: draw(bad[field])})
+HEADER = ArchConfig().to_text()
 
 
 class TestArchConfig:
     def test_defaults_valid(self):
-        cfg = ArchConfig().validate()
-        assert cfg.bottleneck_length == 8
+        # the window length and class count have one source each
+        cfg = ArchConfig()
+        assert (cfg.input_length, cfg.num_classes) == (DEFAULT_WINDOW, NUM_CLASSES) == (64, 10)
+        out = GestureNet(cfg).forward(np.zeros((2, 3, 64)), np.zeros((2, 3, 64)))
+        assert out.shape == (2, 10, 64)
 
     def test_bad_input_length_rejected(self):
-        with pytest.raises(ValueError):
-            ArchConfig(input_length=60).validate()
+        with pytest.raises(TypeError, match="'input_length'"):
+            ArchConfig(input_length=60)
 
     def test_bad_num_classes_rejected(self):
-        with pytest.raises(ValueError):
-            ArchConfig(num_classes=5).validate()
+        with pytest.raises(TypeError, match="'num_classes'"):
+            ArchConfig(num_classes=5)
 
-    def test_text_round_trip(self):
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(ArchConfig)])
+    def test_every_field_refused_by_name(self, name):
+        # even at its own value; nor can a built config's field be assigned
         cfg = ArchConfig()
-        assert ArchConfig.from_text(cfg.to_text()) == cfg
-
-    def test_non_default_text_round_trip(self):
-        cfg = ArchConfig(encoder_channels=(4, 8, 16), bottleneck_channels=32, leaky_slope=0.25)
-        assert ArchConfig.from_text(cfg.to_text()) == cfg
+        with pytest.raises(TypeError, match=f"'{name}'"):
+            ArchConfig(**{name: getattr(cfg, name)})
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"'{name}'"):
+            setattr(cfg, name, getattr(cfg, name))
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ValueError, match="^unknown architecture key 'bogus'$"):
-            ArchConfig.from_text("bogus=3\n")
+        with pytest.raises(TypeError, match="'bogus'"):
+            ArchConfig(bogus=3)
 
-    def test_repeated_key_rejected(self):
-        with pytest.raises(ValueError, match="^architecture key 'input_length' is repeated$"):
-            ArchConfig.from_text("input_length=64\ninput_length=128\n")
+    def test_text_round_trip(self, tmp_path):
+        # the header save writes is the one load accepts
+        path = tmp_path / "m.ckpt"
+        GestureNet(ArchConfig(), seed=0).save(path)
+        assert ckpt.load_checkpoint(path)[0] == HEADER
+        assert GestureNet.load(path).config == ArchConfig()
 
-    @pytest.mark.parametrize("text,message", [
-        ("input_length", "architecture line 'input_length' has no '='"),
-        ("input_length=x", "architecture key 'input_length' has bad value 'x'"),
-        ("input_length=64.0", "architecture key 'input_length' has bad value '64.0'"),
-        ("leaky_slope=x", "architecture key 'leaky_slope' has bad value 'x'"),
-        ("encoder_channels=8,x", "architecture key 'encoder_channels' has bad value '8,x'"),
-        ("seed=1", "unknown architecture key 'seed'"),
-        ("leaky_slope=0.1\nleaky_slope=0.2", "architecture key 'leaky_slope' is repeated"),
+    # (header line, its replacement, the message naming the first line that
+    # differs); '' stands for a line past the end of either header. The last
+    # four keep the header's values and change only its form
+    @pytest.mark.parametrize("old,new,message", [
+        ("input_length=64\n", "input_length\n",
+         r"line 1 is 'input_length\n', expected 'input_length=64\n'"),
+        ("input_length=64\n", "input_length=x\n",
+         r"line 1 is 'input_length=x\n', expected 'input_length=64\n'"),
+        ("input_length=64\n", "input_length=64.0\n",
+         r"line 1 is 'input_length=64.0\n', expected 'input_length=64\n'"),
+        ("leaky_slope=0.01\n", "leaky_slope=x\n",
+         r"line 9 is 'leaky_slope=x\n', expected 'leaky_slope=0.01\n'"),
+        ("encoder_channels=8,16,32\n", "encoder_channels=8,x\n",
+         r"line 3 is 'encoder_channels=8,x\n', expected 'encoder_channels=8,16,32\n'"),
+        ("leaky_slope=0.01\n", "leaky_slope=0.01\nseed=1\n",
+         r"line 10 is 'seed=1\n', expected ''"),
+        ("leaky_slope=0.01\n", "leaky_slope=0.01\nleaky_slope=0.01\n",
+         r"line 10 is 'leaky_slope=0.01\n', expected ''"),
+        ("input_length=64\n", "input_length=6x4\n",
+         r"line 1 is 'input_length=6x4\n', expected 'input_length=64\n'"),
+        ("input_length=64\n", "input_length=63\n",
+         r"line 1 is 'input_length=63\n', expected 'input_length=64\n'"),
+        ("input_length=64\n", "input_length=32\n",
+         r"line 1 is 'input_length=32\n', expected 'input_length=64\n'"),
+        ("input_length=64\n", "bogus=3\n",
+         r"line 1 is 'bogus=3\n', expected 'input_length=64\n'"),
+        *[("in_channels_per_branch=3\n", f"in_channels_per_branch={c}\n",
+           rf"line 2 is 'in_channels_per_branch={c}\n', expected 'in_channels_per_branch=3\n'")
+          for c in (1, 2, 4)],
+        ("leaky_slope=0.01\n", "leaky_slope=0.01\ninput_length=128\n",
+         r"line 10 is 'input_length=128\n', expected ''"),
+        ("input_length=64\n", "# a comment\ninput_length=64\n",
+         r"line 1 is '# a comment\n', expected 'input_length=64\n'"),
+        ("input_length=64\n", " input_length = 64 \n",
+         r"line 1 is ' input_length = 64 \n', expected 'input_length=64\n'"),
+        ("leaky_slope=0.01\n", "",
+         r"line 9 is '', expected 'leaky_slope=0.01\n'"),
+        ("input_length=64\nin_channels_per_branch=3\n",
+         "in_channels_per_branch=3\ninput_length=64\n",
+         r"line 1 is 'in_channels_per_branch=3\n', expected 'input_length=64\n'"),
     ], ids=["no-equals", "bad-int", "float-for-int", "bad-float", "bad-tuple", "unknown-key",
-            "repeated-key"])
-    def test_bad_line_named(self, text, message):
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            ArchConfig.from_text(text)
-
-    def test_text_skips_comments_and_strips_whitespace(self):
-        text = ("# a longer input\n\n  input_length = 128 \n"
-                "encoder_channels= 4 , 8,16\nbottleneck_channels=32\n")
-        assert ArchConfig.from_text(text) == ArchConfig(
-            input_length=128, encoder_channels=(4, 8, 16), bottleneck_channels=32)
-
-    @settings(max_examples=300, deadline=None)
-    @given(arch_configs(), st.floats(0.0, 1.0))
-    def test_every_accepted_config_round_trips_exactly(self, cfg, slope):
-        # a float at full precision: to_text writes str, which reads back exactly
-        cfg = dataclasses.replace(cfg, leaky_slope=slope)
-        try:
-            cfg.validate()
-        except ValueError:
-            return
-        assert ArchConfig.from_text(cfg.to_text()) == cfg
-
-    def test_bottleneck_shorter_than_ppm_bin_rejected(self):
-        # 32 / 2^3 = 4 samples cannot be pooled by the PPM's 8-bin
-        with pytest.raises(ValueError, match="bottleneck length 4"):
-            ArchConfig(input_length=32).validate()
-
-    @settings(max_examples=100, deadline=None)
-    @given(arch_configs())
-    def test_validate_accepts_exactly_the_configs_that_run(self, cfg):
-        # accepted: builds, forwards a batch in float32 and round-trips a
-        # checkpoint; rejected: fails at validate, before any layer is built
-        try:
-            cfg.validate()
-        except ValueError:
-            with pytest.raises(ValueError):
-                GestureNet(cfg)
-            return
-        m = GestureNet(cfg, seed=2)
-        x = np.random.default_rng(0).standard_normal((2, cfg.in_channels_per_branch,
-                                                      cfg.input_length))
-        out = m.forward(x, -x)
-        assert out.shape == (2, 10, cfg.input_length) and out.dtype == np.float32
-        with tempfile.TemporaryDirectory() as d:
-            path = Path(d) / "cfg.ckpt"
-            m.save(path)
-            loaded = GestureNet.load(path)
-        assert loaded.config == cfg
-        np.testing.assert_array_equal(loaded.forward(x, -x), out)
+            "repeated-key", "6x4", "63", "32", "bogus", "channels-1", "channels-2", "channels-4",
+            "input_length-repeated", "comment", "padded", "missing-key", "swapped"])
+    def test_bad_line_named(self, tmp_path, old, new, message):
+        # every tensor is intact: only the header refuses the checkpoint
+        assert HEADER.count(old) == 1
+        model = GestureNet(ArchConfig(), seed=4)
+        path = tmp_path / "config.ckpt"
+        ckpt.save_checkpoint(path, HEADER.replace(old, new), model.named_tensors())
+        with pytest.raises(ckpt.CheckpointError,
+                           match=f"^{re.escape('checkpoint architecture ' + message)}$"):
+            GestureNet.load(path)
 
 
 class TestShapes:

@@ -4,12 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from washseg.scoring import (
-    PROFESSIONAL_DURATIONS,
-    score,
-    score_error,
-    trimmed_average,
-)
+from washseg.scoring import PROFESSIONAL_DURATIONS, score, score_error
+from conftest import trimmed_average
 
 # the per-video recommendation rows behind the professional durations
 VIDEO_ROWS = {
