@@ -235,6 +235,19 @@ class TestStrictApply:
         with pytest.raises(ckpt.CheckpointError, match=f"unknown tensor '{name}'"):
             GestureNet.load(path)
 
+    @pytest.mark.parametrize("line,key", [("input_length", "input_length")])
+    def test_bad_config_named(self, tmp_path, line, key):
+        # the header's first line moved to the end, without its '=': the
+        # refusal names the first line that differs, which is line 1
+        model = GestureNet(ArchConfig(), seed=4)
+        text = model.config.to_text().replace(f"{key}=64\n", "") + line + "\n"
+        path = tmp_path / "config.ckpt"
+        ckpt.save_checkpoint(path, text, model.named_tensors())
+        with pytest.raises(ckpt.CheckpointError,
+                           match=r"^checkpoint architecture line 1 is "
+                                 r"'in_channels_per_branch=3\\n', expected 'input_length=64\\n'$"):
+            GestureNet.load(path)
+
     @pytest.mark.parametrize("name", ["bn_stats.0.var", "bn_stats.4.var"])
     def test_negative_variance_named(self, tmp_path, name):
         def edit(t):
