@@ -54,13 +54,6 @@ def confusion_matrix(predictions, ground_truths) -> np.ndarray:
     return cm.reshape(NUM_CLASSES, NUM_CLASSES)
 
 
-def accuracy_global(predictions, ground_truths) -> float:
-    """Total correct samples over total samples, pooled across participants:
-    the confusion matrix's trace over its sum."""
-    cm = confusion_matrix(predictions, ground_truths)
-    return int(np.trace(cm)) / int(cm.sum())
-
-
 def prf_confusion(predictions, ground_truths):
     """Confusion matrix plus per-class P/R/F1 and macro means.
 
@@ -226,7 +219,8 @@ def evaluate_tracks(test_series, tracks) -> VariantMetrics:
     offset_mean, offset_sd = mean_sd(offset_errs)
     se_mean, se_sd = mean_sd(score_errs)
     return VariantMetrics(
-        accuracy=accuracy_global(preds, truths),
+        # pooled over every recording: correct samples over all samples
+        accuracy=int(np.trace(cm)) / int(cm.sum()),
         m_precision=prf["m_precision"],
         m_recall=prf["m_recall"],
         m_f1=prf["m_f1"],

@@ -6,7 +6,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from washseg.nn import BatchNorm1d, Conv1d
+from washseg.evaluation import confusion_matrix
+from washseg.nn import Conv1d
 from washseg.signal_data import RATE_HZ, SampleSeries
 
 
@@ -42,18 +43,11 @@ def trimmed_average(values) -> float:
     return sum(values) / len(values)
 
 
-def cast_model(model, dtype=np.float64):
-    """Cast a built layer tree's parameters and batch-norm buffers to ``dtype``
-    in place. ``GestureNet`` computes in float32; gradcheck and the float64
-    references run the same layer code on a model cast here."""
-    for p in model.params().values():
-        p.value = p.value.astype(dtype)
-        p.grad = np.zeros_like(p.value)
-    for m in model.modules():
-        if isinstance(m, BatchNorm1d):
-            m.running_mean = m.running_mean.astype(dtype)
-            m.running_var = m.running_var.astype(dtype)
-    return model
+def accuracy_global(predictions, ground_truths) -> float:
+    """Total correct samples over total samples, pooled across participants:
+    the confusion matrix's trace over its sum."""
+    cm = confusion_matrix(predictions, ground_truths)
+    return int(np.trace(cm)) / int(cm.sum())
 
 
 def layer_backward(layer, grad_out, x):

@@ -12,7 +12,6 @@ import pytest
 
 from washseg.cli import main as cli_main
 from washseg.evaluation import (
-    accuracy_global,
     confusion_matrix,
     evaluate_tracks,
     fold_windows,
@@ -39,7 +38,8 @@ from washseg.nn import (
 from washseg.pipeline import LabelTrack, mode_filter, multiple_test_voting
 from washseg.scoring import PROFESSIONAL_DURATIONS, score
 from washseg.synth import GenSpec, generate
-from conftest import cast_model, layer_backward, trimmed_average
+from conftest import accuracy_global, layer_backward, trimmed_average
+from helpers import cast_model
 from gradcheck import grad_check
 import oracle
 

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -461,6 +462,34 @@ def test_eval_emits_reports(tmp_path, corpus_dir):
         assert entry["accuracy"] == sum(np.trace(c) for c in cms) / sum(c.sum() for c in cms)
     assert (out / "user-dependent_confusion.csv").exists()
     assert (out / "user-dependent_participants.csv").exists()
+
+
+EPOCH_LINE = re.compile(r"epoch +(\d+)  loss \d+\.\d{5}  acc \d\.\d{4}")
+
+
+def test_train_and_eval_without_quiet_print_a_line_per_epoch_and_fold(capsys, tmp_path,
+                                                                       corpus_dir):
+    path = tmp_path / "m.ckpt"
+    assert main(["train", "--data", str(corpus_dir), "--seed", "0", "--out", str(path),
+                 "--epochs", "2", "--stride", "32"]) == 0
+    *epochs, saved = capsys.readouterr().out.splitlines()
+    assert [int(EPOCH_LINE.fullmatch(line)[1]) for line in epochs] == [0, 1]
+    assert len(Path(f"{path}.log.csv").read_text().splitlines()) == 1 + len(epochs)
+    assert saved.startswith(f"saved {path} ")
+
+    out = tmp_path / "eval"
+    assert main(["eval", "--data", str(corpus_dir), "--split", "lopo", "--seed", "0",
+                 "--out", str(out), "--epochs", "2", "--stride", "32"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    metrics = json.loads((out / "metrics.json").read_text())
+    folds = [fold for fold in metrics if fold != "_aggregate"]
+    assert folds == ["lopo_loc0_p00", "lopo_loc0_p01"]
+    for i, fold in enumerate(folds):
+        fold_lines = lines[3 * i : 3 * i + 3]
+        assert [int(EPOCH_LINE.fullmatch(line)[1]) for line in fold_lines[:2]] == [0, 1]
+        accuracy = metrics[fold]["mtv+tmf"]["accuracy"]
+        assert fold_lines[2] == f"fold {fold}: mtv+tmf accuracy {accuracy:.4f}"
+    assert json.loads("\n".join(lines[6:])) == metrics["_aggregate"]
 
 
 def test_eval_writes_strict_json_when_every_recording_fails_detection(tmp_path, corpus_dir,

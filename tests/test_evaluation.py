@@ -1,6 +1,5 @@
 import dataclasses
 import os
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from washseg.evaluation import (
     SMOOTH_VARIANTS,
     SplitPlan,
-    accuracy_global,
     accuracy_per_participant,
     confusion_matrix,
     confusion_to_csv,
@@ -27,7 +25,8 @@ from washseg.model import TrainHyper, windows_to_arrays
 from washseg.pipeline import LabelTrack, infer_track, smooth
 from washseg.signal_data import extract_windows
 from washseg.synth import GenSpec, generate, generate_procedure
-from conftest import make_series
+from conftest import accuracy_global, make_series
+from helpers import traced
 import oracle
 
 
@@ -299,12 +298,7 @@ def test_fold_windows_holds_no_object_per_window():
     series = [make_series(np.zeros(2000, dtype=int), procedure=p, seed=p) for p in range(3)]
     rng = np.random.default_rng(0)
     fold_windows(series, 64, 1, rng=rng)  # first-call allocations out of the measurement
-    tracemalloc.start()
-    try:
-        windows = fold_windows(series, 64, 1, rng=rng)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    windows, _, peak = traced(lambda: fold_windows(series, 64, 1, rng=rng))
     assert len(windows) == 3 * (2000 - 63)
     # two int64 indices per window plus their build temporaries; a Python
     # object per window alone costs more

@@ -20,7 +20,8 @@ from washseg.nn import (
     Upsample1d,
 )
 from washseg.model import _ConvBnAct
-from conftest import cast_model, layer_backward
+from conftest import layer_backward
+from helpers import cast_model
 from gradcheck import grad_check
 import oracle
 

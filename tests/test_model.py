@@ -1,7 +1,6 @@
 import dataclasses
 import hashlib
 import re
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +22,8 @@ from washseg.nn import Adam, BatchNorm1d, softmax_cross_entropy
 from washseg.nn import checkpoint as ckpt
 from washseg.signal_data import DEFAULT_WINDOW, NUM_CLASSES, WindowSet, extract_windows
 from washseg.synth import GenSpec, generate_procedure
-from conftest import cast_model, make_series
+from conftest import make_series
+from helpers import cached_bytes, cast_model, traced
 import oracle
 
 
@@ -388,21 +388,6 @@ class TestForwardSemantics:
         assert not np.allclose(out, swapped)
 
 
-def cached_bytes(model):
-    """Bytes of the distinct arrays every layer's cache holds, views counted
-    once through the array that owns their memory."""
-    owners, stack = {}, [m._cache for m in model.modules()]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, (tuple, list)):
-            stack.extend(item)
-        elif isinstance(item, np.ndarray):
-            while item.base is not None:
-                item = item.base
-            owners[id(item)] = item.nbytes
-    return sum(owners.values())
-
-
 class TestTrainStepMemory:
     """A train step's saved activations are freed by the backward that reads
     them, no decoder stage saves the concatenation it convolves, and a conv's
@@ -431,12 +416,7 @@ class TestTrainStepMemory:
         a, g = rng.standard_normal((2, 256, 3, 64)).astype(np.float32)
         y = rng.integers(0, 10, (256, 64))
         self.step(m, a, g, y)  # first-call allocations out of the measurement
-        tracemalloc.start()
-        try:
-            saved = self.step(m, a, g, y)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        saved, _, peak = traced(lambda: self.step(m, a, g, y))
         # 14.6 MB saved and an 18.7 MB peak here. Decoder stages that saved
         # the concatenation they convolve, skip gradients that were views of
         # the decoder's whole input gradient, batch norm holding its input
@@ -474,12 +454,7 @@ class TestWindowsToArrays:
     @staticmethod
     def traced_peak(windows):
         windows_to_arrays(windows)  # first-call allocations out of the measurement
-        tracemalloc.start()
-        try:
-            windows_to_arrays(windows)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return traced(lambda: windows_to_arrays(windows))[2]
 
     @staticmethod
     def own_cost(windows):

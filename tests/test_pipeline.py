@@ -3,7 +3,6 @@ import sys
 import tempfile
 import threading
 import time
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +28,8 @@ from washseg.pipeline import (
 from washseg.signal_data import SampleSeries, window_starts
 from washseg.synth import GenSpec, generate_procedure
 import oracle
-from conftest import cast_model, make_series
+from conftest import make_series
+from helpers import cast_model, traced
 
 
 class PlantedModel:
@@ -363,12 +363,7 @@ class TestLongRecording:
         set_cpus(monkeypatch, cpus)
         n = 43_660  # 14.6 minutes at 50 Hz
         series = make_series(np.zeros(n, dtype=int), seed=3)
-        tracemalloc.start()
-        try:
-            track = infer_track(pinned_model, series, stride=1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        track, _, peak = traced(lambda: infer_track(pinned_model, series, stride=1))
         assert track.votes.sum() == 64 * (n - 63)
         # the (N, 10) int64 votes are 80 bytes a sample and one batch's
         # forward about 7 MB: 282 bytes a sample on one worker and 690 on
